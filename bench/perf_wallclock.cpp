@@ -225,7 +225,7 @@ int run_identity_guards() {
       ++failures;
     }
   };
-  const std::size_t n = 96;  // above the small-product engine threshold
+  const std::size_t n = 96;  // two engine i-tiles: the 2-thread runs fan out
   const la::Matrix a = la::random_matrix(n, n, 11);
   const la::Matrix b = la::random_matrix(n, n, 12);
   la::Matrix gemm_ref(n, n);

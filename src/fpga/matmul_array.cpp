@@ -1,7 +1,5 @@
 #include "fpga/matmul_array.hpp"
 
-#include <type_traits>
-
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
 #include "linalg/gemm_kernel.hpp"
@@ -12,19 +10,11 @@ namespace rcs::fpga {
 
 namespace {
 
-/// Products below this (m * inner * n) stay on the simple row loop: the
-/// streamed pipeline's packing traffic only pays off once the operands stop
-/// fitting in L2. Matches the host gemm's small-product fallback.
-constexpr std::size_t kStreamThreshold = 48 * 48 * 48;
-
-/// Estimated nanoseconds one emulated MAC costs on the scalar row loop, for
-/// the pool's minimum-grain heuristic. The soft-float cores do field
+/// Estimated nanoseconds one emulated MAC costs on the soft-float row loop,
+/// for the pool's minimum-grain heuristic: the bit-accurate cores do field
 /// extraction, alignment, and rounding in integer code — two orders of
-/// magnitude above a native fused load-mul-add.
-template <typename Backend>
-constexpr double mac_ns() {
-  return std::is_same_v<Backend, fparith::SoftFp> ? 100.0 : 1.0;
-}
+/// magnitude above a native load-mul-add.
+constexpr double kSoftMacNs = 100.0;
 
 /// Telemetry for the emulated PE array. `stall_cycles` estimates the PE
 /// slots the systolic schedule would leave idle on ragged tiles: the cycle
@@ -79,54 +69,46 @@ long long MatMulArray::cycles(long long m, long long inner,
   return tiles * k * k;
 }
 
-template <typename Backend>
-void MatMulArray::mac_impl(Span2D<const double> c, Span2D<const double> d,
-                           Span2D<double> e) const {
-  RCS_CHECK_MSG(c.cols() == d.rows() && c.rows() == e.rows() &&
-                    d.cols() == e.cols(),
-                "matmul shape mismatch");
+void MatMulArray::mac(Span2D<const double> c, Span2D<const double> d,
+                      Span2D<double> e, bool soft, bool nt) const {
+  RCS_CHECK_MSG(c.cols() == (nt ? d.cols() : d.rows()) &&
+                    c.rows() == e.rows() &&
+                    (nt ? d.rows() : d.cols()) == e.cols(),
+                (nt ? "matmul-nt shape mismatch" : "matmul shape mismatch"));
   require_sram(dev_, sram_words(static_cast<long long>(e.rows()),
                                 static_cast<long long>(e.cols())),
-               "matmul result tile");
-  obs::ScopedTimer span("mm", "fpga");
+               nt ? "matmul-nt result tile" : "matmul result tile");
+  obs::ScopedTimer span(nt ? "mm_nt" : "mm", "fpga");
   if (obs::metrics_enabled()) note_call(e.rows(), c.cols(), e.cols());
   // Dot products accumulate in ascending inner-index order, exactly like the
-  // streaming PEs (and the host gemm), so every path below yields identical
+  // streaming PEs (and the host gemm), so both paths below yield identical
   // bits at any thread count.
   //
-  // Native path, large product: stream through the packed engine — C-row
-  // strips and D micropanels are packed into contiguous scratch on the pool
+  // Native FP streams through the packed engine at every size: C-row strips
+  // and D micropanels (D's rows, for NT) are packed into contiguous scratch
   // (the read stage), the dispatched SIMD microkernel accumulates (compute),
   // and each result strip is written back per tile (write). NativeFp::mac is
-  // an unfused a*b then add, the same operation the engine performs.
-  if (std::is_same_v<Backend, fparith::NativeFp> &&
-      e.rows() * e.cols() * c.cols() > kStreamThreshold) {
-    linalg::detail::gemm_packed_engine(c, d, e, /*b_transposed=*/false);
+  // an unfused a*b then add, the same operation the engine performs. The
+  // engine's grain checks keep an opMM-share-sized product on the calling
+  // thread; only products big enough to split fan out to the pool.
+  if (!soft) {
+    linalg::detail::gemm_packed_engine(c, d, e, nt);
   } else {
-    // Soft-float cores (or tiny tiles): plain row loop; the grain heuristic
-    // keeps cheap calls serial instead of paying chunk dispatch.
+    // Bit-accurate cores: plain row loop through element(); the grain
+    // heuristic keeps cheap calls serial instead of paying chunk dispatch.
     const std::size_t grain = common::grain_for_cost(
-        mac_ns<Backend>() * static_cast<double>(c.cols()) *
+        kSoftMacNs * static_cast<double>(c.cols()) *
         static_cast<double>(e.cols()));
     common::parallel_for(0, e.rows(), grain,
                          [&](std::size_t r0, std::size_t r1) {
       for (std::size_t i = r0; i < r1; ++i) {
         for (std::size_t j = 0; j < e.cols(); ++j) {
-          double acc = e(i, j);
-          for (std::size_t l = 0; l < c.cols(); ++l) {
-            acc = Backend::mac(acc, c(i, l), d(l, j));
-          }
-          e(i, j) = acc;
+          e(i, j) = element(c, d, i, j, e(i, j), /*soft=*/true, nt);
         }
       }
     });
   }
-  run_fault_hook(e);
-}
-
-void MatMulArray::run_fault_hook(Span2D<double> e) const {
-  if (!fault_hook_) return;
-  fault_hook_(call_seq_++, e);
+  if (fault_hook_) fault_hook_(call_seq_++, e);
 }
 
 double MatMulArray::element(Span2D<const double> c, Span2D<const double> d,
@@ -144,61 +126,25 @@ double MatMulArray::element(Span2D<const double> c, Span2D<const double> d,
 void MatMulArray::multiply_accumulate(Span2D<const double> c,
                                       Span2D<const double> d,
                                       Span2D<double> e) const {
-  mac_impl<fparith::NativeFp>(c, d, e);
+  mac(c, d, e, /*soft=*/false, /*nt=*/false);
 }
 
 void MatMulArray::multiply_accumulate_soft(Span2D<const double> c,
                                            Span2D<const double> d,
                                            Span2D<double> e) const {
-  mac_impl<fparith::SoftFp>(c, d, e);
-}
-
-template <typename Backend>
-void MatMulArray::mac_nt_impl(Span2D<const double> c, Span2D<const double> d,
-                              Span2D<double> e) const {
-  RCS_CHECK_MSG(c.cols() == d.cols() && c.rows() == e.rows() &&
-                    d.rows() == e.cols(),
-                "matmul-nt shape mismatch");
-  require_sram(dev_, sram_words(static_cast<long long>(e.rows()),
-                                static_cast<long long>(e.cols())),
-               "matmul-nt result tile");
-  obs::ScopedTimer span("mm_nt", "fpga");
-  if (obs::metrics_enabled()) note_call(e.rows(), c.cols(), e.cols());
-  // Same streamed/scalar split as mac_impl; the engine packs D's rows as
-  // micropanels (its native NT form), preserving ascending-l accumulation.
-  if (std::is_same_v<Backend, fparith::NativeFp> &&
-      e.rows() * e.cols() * c.cols() > kStreamThreshold) {
-    linalg::detail::gemm_packed_engine(c, d, e, /*b_transposed=*/true);
-  } else {
-    const std::size_t grain = common::grain_for_cost(
-        mac_ns<Backend>() * static_cast<double>(c.cols()) *
-        static_cast<double>(e.cols()));
-    common::parallel_for(0, e.rows(), grain,
-                         [&](std::size_t r0, std::size_t r1) {
-      for (std::size_t i = r0; i < r1; ++i) {
-        for (std::size_t j = 0; j < e.cols(); ++j) {
-          double acc = e(i, j);
-          for (std::size_t l = 0; l < c.cols(); ++l) {
-            acc = Backend::mac(acc, c(i, l), d(j, l));
-          }
-          e(i, j) = acc;
-        }
-      }
-    });
-  }
-  run_fault_hook(e);
+  mac(c, d, e, /*soft=*/true, /*nt=*/false);
 }
 
 void MatMulArray::multiply_accumulate_nt(Span2D<const double> c,
                                          Span2D<const double> d,
                                          Span2D<double> e) const {
-  mac_nt_impl<fparith::NativeFp>(c, d, e);
+  mac(c, d, e, /*soft=*/false, /*nt=*/true);
 }
 
 void MatMulArray::multiply_accumulate_nt_soft(Span2D<const double> c,
                                               Span2D<const double> d,
                                               Span2D<double> e) const {
-  mac_nt_impl<fparith::SoftFp>(c, d, e);
+  mac(c, d, e, /*soft=*/true, /*nt=*/true);
 }
 
 }  // namespace rcs::fpga

@@ -13,14 +13,14 @@
 //
 // Functionally, each output element accumulates its dot product in ascending
 // inner-index order — the same order as the host gemm — so CPU-computed and
-// FPGA-computed partitions of a hybrid product are bit-consistent. Large
-// native-FP products stream through the packed GEMM engine (operand strips
-// packed into contiguous scratch on the shared common::ThreadPool, computed
-// with the runtime-dispatched SIMD microkernel, written back per result
-// strip — the emulation's read -> compute -> write pipeline); soft-float and
-// small products keep a plain row loop. Per-entry accumulation order is the
-// same on every path, so outputs are identical at any RCS_THREADS and on
-// every RCS_SIMD dispatch path.
+// FPGA-computed partitions of a hybrid product are bit-consistent. Every
+// native-FP product streams through the packed GEMM engine (operand strips
+// packed into contiguous scratch, computed with the runtime-dispatched SIMD
+// microkernel, written back per result strip — the emulation's read ->
+// compute -> write pipeline; only products big enough to split use the
+// shared common::ThreadPool); the soft-float cores keep a plain row loop.
+// Per-entry accumulation order is the same on every path, so outputs are
+// identical at any RCS_THREADS and on every RCS_SIMD dispatch path.
 
 #include <cstdint>
 #include <functional>
@@ -110,18 +110,13 @@ class MatMulArray {
                  bool nt = false) const;
 
  private:
-  template <typename Backend>
-  void mac_impl(Span2D<const double> c, Span2D<const double> d,
-                Span2D<double> e) const;
-  template <typename Backend>
-  void mac_nt_impl(Span2D<const double> c, Span2D<const double> d,
-                   Span2D<double> e) const;
+  /// E += C x D (or C x D^T with `nt`) on the packed engine, or on the
+  /// bit-accurate cores with `soft`; then the fault hook.
+  void mac(Span2D<const double> c, Span2D<const double> d, Span2D<double> e,
+           bool soft, bool nt) const;
 
   /// Telemetry: bump fpga.mm.{calls,macs,stalls} for one m x inner x n call.
   void note_call(std::size_t m, std::size_t inner, std::size_t n) const;
-
-  /// Hand the finished tile to the fault hook (no-op without one).
-  void run_fault_hook(Span2D<double> e) const;
 
   DeviceConfig dev_;
   FaultHook fault_hook_;

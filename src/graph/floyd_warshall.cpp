@@ -78,9 +78,12 @@ void fw_block(Span2D<double> c, Span2D<const double> a,
     for (std::size_t i = 0; i < m; ++i) {
       const double aik = a(i, k);
       double* ci = c.row(i);
+      // A select, not a conditional store: same result (NaN and -0.0
+      // included), and it vectorizes. The branchy scalar form's speed
+      // swung by ~20% with where the linker happened to place it.
       for (std::size_t j = 0; j < n; ++j) {
         const double via = aik + bk[j];
-        if (via < ci[j]) ci[j] = via;
+        ci[j] = via < ci[j] ? via : ci[j];
       }
     }
   }

@@ -254,20 +254,15 @@ void gemm(Span2D<const double> a, Span2D<const double> b, Span2D<double> c) {
     flops.add(static_cast<std::uint64_t>(2) * m * n * k);
   }
   obs::ScopedTimer span("gemm", "linalg");
-  // Small products: packing overhead dominates; the tiled loop is equally
-  // bit-identical to gemm_naive, so falling back changes nothing but speed.
-  if (m * n * k <= 48 * 48 * 48) {
-    gemm_tiled(a, b, c);
-    return;
-  }
   detail::gemm_packed_engine(a, b, c, /*b_transposed=*/false);
   if (metrics) {
-    // B micropanel bytes plus the A micropanels every i-tile packs.
+    // Bytes the engine writes into pack scratch: ceil(n/NR) B micropanels
+    // of k x NR once, and ceil(m/MR) A strips of k x MR per kNC column slab.
     static obs::Counter& packed =
         obs::Registry::global().counter("gemm.pack_bytes");
-    const std::size_t kpad = (k + detail::kKC - 1) / detail::kKC * detail::kKC;
-    packed.add(((n + simd::kNR - 1) / simd::kNR * kpad * simd::kNR +
-                (m + simd::kMR - 1) / simd::kMR * k * simd::kMR) *
+    using detail::ceil_div, detail::MR, detail::NR;
+    packed.add((ceil_div(n, NR) * k * NR +
+                ceil_div(n, detail::kNC) * ceil_div(m, MR) * k * MR) *
                sizeof(double));
   }
 }

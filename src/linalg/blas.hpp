@@ -20,11 +20,12 @@ void gemm_tiled(Span2D<const double> a, Span2D<const double> b,
                 Span2D<double> c);
 
 /// C += A * B, packed register-blocked engine (the production host dgemm
-/// substitute): B micropanels are packed cooperatively on the shared
-/// common::ThreadPool, then one fused parallel region per column slab
+/// substitute, at every size): B micropanels are packed cooperatively on the
+/// shared common::ThreadPool, then one fused parallel region per column slab
 /// sweeps the i-tile x k-chunk space with the runtime-dispatched SIMD
 /// microkernel (simd::active_level(); override with RCS_SIMD=scalar|avx2|
-/// avx512). Per-entry accumulation order is ascending inner index with no
+/// avx512). Products too small to split run on the calling thread.
+/// Per-entry accumulation order is ascending inner index with no
 /// FMA on every path, so the result is bit-identical to gemm_naive at any
 /// thread count and on every dispatch path.
 void gemm(Span2D<const double> a, Span2D<const double> b, Span2D<double> c);

@@ -62,21 +62,8 @@ void gemm_nt(Span2D<const double> a, Span2D<const double> b,
                                              << b.rows() << ", C "
                                              << c.rows() << "x" << c.cols());
   // The packed engine supports B^T natively (it packs b(j, l) micropanels),
-  // accumulating each C entry in ascending-k order exactly like the loop
-  // below — same bits, so the threshold only trades speed.
-  if (c.rows() * c.cols() * a.cols() > 48 * 48 * 48) {
-    detail::gemm_packed_engine(a, b, c, /*b_transposed=*/true);
-    return;
-  }
-  for (std::size_t i = 0; i < c.rows(); ++i) {
-    for (std::size_t j = 0; j < c.cols(); ++j) {
-      double acc = c(i, j);
-      const double* ai = a.row(i);
-      const double* bj = b.row(j);
-      for (std::size_t k = 0; k < a.cols(); ++k) acc += ai[k] * bj[k];
-      c(i, j) = acc;
-    }
-  }
+  // accumulating each C entry in ascending-k order.
+  detail::gemm_packed_engine(a, b, c, /*b_transposed=*/true);
 }
 
 void potrf_blocked(Span2D<double> a, std::size_t bs) {

@@ -7,7 +7,10 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
+#include <functional>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -19,10 +22,12 @@
 #include "linalg/matrix.hpp"
 #include "linalg/simd.hpp"
 #include "net/minimpi.hpp"
+#include "obs/metrics.hpp"
 
 namespace la = rcs::linalg;
 namespace simd = rcs::linalg::simd;
 namespace common = rcs::common;
+namespace obs = rcs::obs;
 using rcs::fpga::MatMulArray;
 
 namespace {
@@ -31,15 +36,18 @@ namespace {
 // oversubscribed odd count (the issue's RCS_THREADS ∈ {1, 2, 7}).
 const int kThreadCounts[] = {1, 2, 7};
 
-// Shapes with non-multiple-of-tile m/n/k (MR=4, NR=8, KC=256, MC=64) plus
+// Shapes with non-multiple-of-tile m/n/k (MR=8, NR=8, KC=256, MC=64) plus
 // aligned ones, degenerate edges, and a size big enough to cross panel
-// boundaries.
+// boundaries. {32, 64, 32} is one opMM share of the paper's LU split (b = 64,
+// b_f = b_p = 32); {48, 48, 48} and {49, 48, 48} sit on either side of the
+// 48^3 cut where small products once left the packed engine.
 struct Shape {
   std::size_t m, k, n;
 };
 const Shape kShapes[] = {
-    {1, 1, 1},    {3, 5, 2},    {4, 8, 8},     {37, 53, 29},
-    {64, 64, 64}, {65, 63, 66}, {70, 300, 17}, {128, 260, 130},
+    {1, 1, 1},     {3, 5, 2},     {4, 8, 8},     {37, 53, 29},
+    {32, 64, 32},  {48, 48, 48},  {49, 48, 48},  {64, 64, 64},
+    {65, 63, 66},  {70, 300, 17}, {128, 260, 130},
 };
 
 // Ragged sweep from {1, 7, 63, 257, 1000}: every extent class (unit, tiny,
@@ -52,6 +60,17 @@ const Shape kRaggedShapes[] = {
 
 la::Matrix seeded(std::size_t r, std::size_t c, int seed) {
   return la::random_matrix(r, c, seed);
+}
+
+/// C += A * B^T in ascending-l order: the reference for every NT path.
+void gemm_nt_naive(const la::Matrix& a, const la::Matrix& bt, la::Matrix& c) {
+  for (std::size_t i = 0; i < c.rows(); ++i) {
+    for (std::size_t j = 0; j < c.cols(); ++j) {
+      double acc = c(i, j);
+      for (std::size_t l = 0; l < a.cols(); ++l) acc += a(i, l) * bt(j, l);
+      c(i, j) = acc;
+    }
+  }
 }
 
 /// Run `body(level)` once per SIMD level this CPU supports, restoring the
@@ -77,17 +96,31 @@ class BlasParallel : public ::testing::TestWithParam<int> {
 };
 
 TEST_P(BlasParallel, GemmBitIdenticalToNaive) {
+  // gemm and gemm_nt at every SIMD level, small shapes included: every
+  // native product runs the packed engine, whatever its size.
   int seed = 1;
   for (const Shape& s : kShapes) {
     const la::Matrix a = seeded(s.m, s.k, seed++);
     const la::Matrix b = seeded(s.k, s.n, seed++);
-    la::Matrix c_ref = seeded(s.m, s.n, 99);  // nonzero C: gemm accumulates
-    la::Matrix c = c_ref;
+    const la::Matrix bt = seeded(s.n, s.k, seed++);
+    const la::Matrix c0 = seeded(s.m, s.n, 99);  // nonzero C: gemm accumulates
+    la::Matrix c_ref = c0;
+    la::Matrix cnt_ref = c0;
     la::gemm_naive(a.view(), b.view(), c_ref.view());
-    la::gemm(a.view(), b.view(), c.view());
-    EXPECT_TRUE(la::bit_equal(c.view(), c_ref.view()))
-        << "m=" << s.m << " k=" << s.k << " n=" << s.n
-        << " threads=" << GetParam();
+    gemm_nt_naive(a, bt, cnt_ref);
+    for_each_simd_level([&](simd::Level level) {
+      simd::set_level(level);
+      la::Matrix c = c0;
+      la::gemm(a.view(), b.view(), c.view());
+      EXPECT_TRUE(la::bit_equal(c.view(), c_ref.view()))
+          << "gemm m=" << s.m << " k=" << s.k << " n=" << s.n
+          << " threads=" << GetParam() << " simd=" << simd::level_name(level);
+      la::Matrix cnt = c0;
+      la::gemm_nt(a.view(), bt.view(), cnt.view());
+      EXPECT_TRUE(la::bit_equal(cnt.view(), cnt_ref.view()))
+          << "gemm_nt m=" << s.m << " k=" << s.k << " n=" << s.n
+          << " threads=" << GetParam() << " simd=" << simd::level_name(level);
+    });
   }
 }
 
@@ -115,20 +148,33 @@ TEST_P(BlasParallel, GemmStridedViewsBitIdentical) {
 }
 
 TEST_P(BlasParallel, MatMulArrayBitIdenticalToNaive) {
+  // Both native MatMulArray forms at every SIMD level. NativeFp::mac is
+  // acc + a*b — the same per-entry update, in the same ascending-l order,
+  // as gemm_naive.
   const MatMulArray array(rcs::core::SystemParams::cray_xd1().mm_fpga);
   int seed = 40;
   for (const Shape& s : kShapes) {
     const la::Matrix c = seeded(s.m, s.k, seed++);
     const la::Matrix d = seeded(s.k, s.n, seed++);
-    la::Matrix e_ref = seeded(s.m, s.n, 77);
-    la::Matrix e = e_ref;
-    // NativeFp::mac is acc + a*b — the same per-entry update, in the same
-    // ascending-l order, as gemm_naive.
+    const la::Matrix dt = seeded(s.n, s.k, seed++);
+    const la::Matrix e0 = seeded(s.m, s.n, 77);
+    la::Matrix e_ref = e0;
+    la::Matrix ent_ref = e0;
     la::gemm_naive(c.view(), d.view(), e_ref.view());
-    array.multiply_accumulate(c.view(), d.view(), e.view());
-    EXPECT_TRUE(la::bit_equal(e.view(), e_ref.view()))
-        << "m=" << s.m << " k=" << s.k << " n=" << s.n
-        << " threads=" << GetParam();
+    gemm_nt_naive(c, dt, ent_ref);
+    for_each_simd_level([&](simd::Level level) {
+      simd::set_level(level);
+      la::Matrix e = e0;
+      array.multiply_accumulate(c.view(), d.view(), e.view());
+      EXPECT_TRUE(la::bit_equal(e.view(), e_ref.view()))
+          << "nn m=" << s.m << " k=" << s.k << " n=" << s.n
+          << " threads=" << GetParam() << " simd=" << simd::level_name(level);
+      la::Matrix ent = e0;
+      array.multiply_accumulate_nt(c.view(), dt.view(), ent.view());
+      EXPECT_TRUE(la::bit_equal(ent.view(), ent_ref.view()))
+          << "nt m=" << s.m << " k=" << s.k << " n=" << s.n
+          << " threads=" << GetParam() << " simd=" << simd::level_name(level);
+    });
   }
 }
 
@@ -187,14 +233,7 @@ TEST_P(BlasParallel, MatMulArrayStreamedRaggedSweepAcrossSimdPaths) {
     la::Matrix ent_ref = e_ref;
     const la::Matrix e0 = e_ref;
     la::gemm_naive(c.view(), d.view(), e_ref.view());
-    // Ascending-l naive NT reference.
-    for (std::size_t i = 0; i < s.m; ++i) {
-      for (std::size_t j = 0; j < s.n; ++j) {
-        double acc = ent_ref(i, j);
-        for (std::size_t l = 0; l < s.k; ++l) acc += c(i, l) * dt(j, l);
-        ent_ref(i, j) = acc;
-      }
-    }
+    gemm_nt_naive(c, dt, ent_ref);
     for_each_simd_level([&](simd::Level level) {
       simd::set_level(level);
       la::Matrix e = e0;
@@ -239,28 +278,6 @@ TEST_P(BlasParallel, MatMulArraySoftRaggedMatchesSerial) {
   }
 }
 
-TEST_P(BlasParallel, GemmNtBitIdenticalAcrossSimdPaths) {
-  // gemm_nt routes through the engine's NT path above the small-product
-  // threshold; 70x300x70 crosses it.
-  const la::Matrix a = seeded(70, 300, 501);
-  const la::Matrix b = seeded(70, 300, 502);
-  la::Matrix ref(70, 70);
-  for (std::size_t i = 0; i < 70; ++i) {
-    for (std::size_t j = 0; j < 70; ++j) {
-      double acc = ref(i, j);
-      for (std::size_t l = 0; l < 300; ++l) acc += a(i, l) * b(j, l);
-      ref(i, j) = acc;
-    }
-  }
-  for_each_simd_level([&](simd::Level level) {
-    simd::set_level(level);
-    la::Matrix c(70, 70);
-    la::gemm_nt(a.view(), b.view(), c.view());
-    EXPECT_TRUE(la::bit_equal(c.view(), ref.view()))
-        << "threads=" << GetParam() << " simd=" << simd::level_name(level);
-  });
-}
-
 TEST_P(BlasParallel, TrsmLeftLowerUnitBitIdenticalToSerial) {
   // Column-strip parallel solve vs the single-thread result, including a
   // single-column B (fully serial by the grain heuristic).
@@ -282,6 +299,83 @@ TEST_P(BlasParallel, TrsmLeftLowerUnitBitIdenticalToSerial) {
 
 INSTANTIATE_TEST_SUITE_P(Threads, BlasParallel,
                          ::testing::ValuesIn(kThreadCounts));
+
+// ---------------------------------------------------------------------------
+// Small products on the calling thread
+
+/// Turns obs metrics on for one test and restores the previous switch.
+class MetricsOn {
+ public:
+  MetricsOn() : saved_(obs::metrics_enabled()) {
+    obs::set_metrics_enabled(true);
+  }
+  ~MetricsOn() { obs::set_metrics_enabled(saved_); }
+
+ private:
+  bool saved_;
+};
+
+TEST(SmallProducts, OpMmShareNeverFansOut) {
+  // One opMM share of the LU split (32x64 by 64x32) is a single i-tile of
+  // four B panels: the engine's grain checks run it serially on the calling
+  // rank thread, so no native path may enqueue a pool job.
+  const MetricsOn metrics;
+  obs::Counter& jobs = obs::Registry::global().counter("pool.jobs");
+  const MatMulArray array(rcs::core::SystemParams::cray_xd1().mm_fpga);
+  const la::Matrix a = seeded(32, 64, 700);
+  const la::Matrix b = seeded(64, 32, 701);
+  const la::Matrix bt = seeded(32, 64, 702);
+  const std::pair<const char*, std::function<void(la::Matrix&)>> calls[] = {
+      {"gemm", [&](la::Matrix& c) { la::gemm(a.view(), b.view(), c.view()); }},
+      {"gemm_nt",
+       [&](la::Matrix& c) { la::gemm_nt(a.view(), bt.view(), c.view()); }},
+      {"multiply_accumulate",
+       [&](la::Matrix& c) {
+         array.multiply_accumulate(a.view(), b.view(), c.view());
+       }},
+      {"multiply_accumulate_nt",
+       [&](la::Matrix& c) {
+         array.multiply_accumulate_nt(a.view(), bt.view(), c.view());
+       }},
+  };
+  for (int threads : {2, 7}) {
+    common::ThreadPool::set_global_threads(threads);
+    for (const auto& [name, call] : calls) {
+      la::Matrix c(32, 32);
+      const std::uint64_t before = jobs.value();
+      call(c);
+      EXPECT_EQ(jobs.value(), before) << name << " threads=" << threads;
+    }
+    // Control: a product big enough to split still fans out, so the
+    // counter above is live.
+    const la::Matrix big_a = seeded(256, 256, 703);
+    la::Matrix big_c(256, 256);
+    const std::uint64_t before = jobs.value();
+    la::gemm(big_a.view(), big_a.view(), big_c.view());
+    EXPECT_GT(jobs.value(), before) << "threads=" << threads;
+  }
+  common::ThreadPool::set_global_threads(1);
+}
+
+TEST(SmallProducts, PackBytesCountsBytesWritten) {
+  // gemm.pack_bytes = (ceil(n/NR) k NR + ceil(n/NC) ceil(m/MR) k MR) * 8:
+  // B micropanels hold k rows (not k padded to KC), and every NC column
+  // slab re-packs A.
+  const MetricsOn metrics;
+  obs::Counter& packed = obs::Registry::global().counter("gemm.pack_bytes");
+  const auto bytes = [&](std::size_t m, std::size_t k, std::size_t n) {
+    const la::Matrix a = seeded(m, k, 710);
+    const la::Matrix b = seeded(k, n, 711);
+    la::Matrix c(m, n);
+    const std::uint64_t before = packed.value();
+    la::gemm(a.view(), b.view(), c.view());
+    return packed.value() - before;
+  };
+  // (4*64*8 + 1*4*64*8) * 8.
+  EXPECT_EQ(bytes(32, 64, 32), 32768u);
+  // Two NC slabs and a ragged k chunk: (75*300*8 + 2*3*300*8) * 8.
+  EXPECT_EQ(bytes(20, 300, 600), 1555200u);
+}
 
 // ---------------------------------------------------------------------------
 // Minimum-grain heuristic

@@ -103,10 +103,10 @@ TEST(MatMulArray, SoftBackendMatchesNativeBitwise) {
   EXPECT_TRUE(la::bit_equal(e1.view(), e2.view()));
 }
 
-TEST(MatMulArray, StreamedPathMatchesNaiveAboveThreshold) {
-  // 80^3 > 48^3 crosses into the packed streaming pipeline; the result must
-  // still be bit-identical to the naive ascending-l accumulation, and the
-  // small 16^3 product (scalar row loop) must agree with gemm too.
+TEST(MatMulArray, StreamedPathMatchesNaiveAtAnySize) {
+  // Native products stream through the packed pipeline at every size; a
+  // small 16^3 product and an 80^3 one must both be bit-identical to the
+  // naive ascending-l accumulation.
   fpga::MatMulArray array(fpga::DeviceConfig::xc2vp50_matmul());
   for (std::size_t n : {std::size_t{16}, std::size_t{80}}) {
     const la::Matrix c = la::random_matrix(n, n, 31);
@@ -140,8 +140,8 @@ TEST(MatMulArray, StreamedNtMatchesElementwiseRecompute) {
 
 TEST(MatMulArray, FaultHookFiresOnStreamedPath) {
   // The fault hook must see the finished tile after the streamed pipeline
-  // writes back (same contract as the scalar path), with call ordinals
-  // advancing across mixed small/large calls.
+  // writes back (same contract as the soft-float row loop), with call
+  // ordinals advancing across mixed native/soft calls.
   fpga::MatMulArray array(fpga::DeviceConfig::xc2vp50_matmul());
   std::vector<std::uint64_t> calls;
   array.set_fault_hook([&](std::uint64_t call, rcs::Span2D<double> e) {
@@ -153,8 +153,8 @@ TEST(MatMulArray, FaultHookFiresOnStreamedPath) {
   la::Matrix e(80, 80);
   array.multiply_accumulate(c.view(), d.view(), e.view());  // streamed
   la::Matrix small(8, 8);
-  array.multiply_accumulate(c.block(0, 0, 8, 8), d.block(0, 0, 8, 8),
-                            small.view());  // scalar row loop
+  array.multiply_accumulate_soft(c.block(0, 0, 8, 8), d.block(0, 0, 8, 8),
+                                 small.view());  // soft-float row loop
   ASSERT_EQ(calls.size(), 2u);
   EXPECT_EQ(calls[0], 0u);
   EXPECT_EQ(calls[1], 1u);

@@ -94,8 +94,8 @@ TEST(LuFunctionalDetail, AllModesProduceIdenticalNumbers) {
 }
 
 TEST(LuFunctionalDetail, LookaheadMatchesBlockingBitExact) {
-  for (const auto [n, b, p] : {std::tuple{64LL, 16LL, 3}, {96LL, 16LL, 4},
-                               {48LL, 8LL, 5}}) {
+  for (const auto& [n, b, p] : {std::tuple{64LL, 16LL, 3}, {96LL, 16LL, 4},
+                                {48LL, 8LL, 5}}) {
     const la::Matrix a = la::diagonally_dominant(
         static_cast<std::size_t>(n), 200 + static_cast<int>(n));
     core::LuConfig cfg = lu_cfg(n, b, DesignMode::Hybrid);
@@ -292,8 +292,8 @@ TEST(FwFunctionalDetail, AllModesProduceIdenticalNumbers) {
 }
 
 TEST(FwFunctionalDetail, LookaheadMatchesBlockingBitExact) {
-  for (const auto [n, b, p] : {std::tuple{64LL, 16LL, 2}, {96LL, 16LL, 3},
-                               {64LL, 8LL, 4}}) {
+  for (const auto& [n, b, p] : {std::tuple{64LL, 16LL, 2}, {96LL, 16LL, 3},
+                                {64LL, 8LL, 4}}) {
     const la::Matrix d0 =
         gr::random_digraph(static_cast<std::size_t>(n), 5, 0.35);
     core::FwConfig cfg = fw_cfg(n, b, DesignMode::Hybrid);

@@ -2,20 +2,25 @@
 // experiment. lu_functional and fw_functional are re-run at several
 // RCS_THREADS-equivalent pool sizes; simulated seconds, network bytes, and
 // the factored/closure outputs must be exactly equal — the pool accelerates
-// wall-clock only, never the virtual clocks.
+// wall-clock only, never the virtual clocks. The PinnedRuns cases hold every
+// app's simulated schedule to fixed recorded values.
 
+#include <cstdint>
 #include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "common/thread_pool.hpp"
+#include "core/cholesky.hpp"
 #include "core/fw_functional.hpp"
 #include "core/lu_functional.hpp"
+#include "core/mm.hpp"
 #include "core/system.hpp"
 #include "fpga/matmul_array.hpp"
 #include "graph/generate.hpp"
 #include "linalg/blas.hpp"
+#include "linalg/cholesky.hpp"
 #include "linalg/generate.hpp"
 #include "linalg/simd.hpp"
 #include "net/minimpi.hpp"
@@ -369,6 +374,149 @@ TEST(Determinism, RankSchedulerInvariantAcrossMaxWorkers) {
     EXPECT_EQ(trace_csv(frec), fw_trace) << "workers=" << workers;
   }
   common::ThreadPool::set_global_threads(1);
+}
+
+// --- Pinned runs -------------------------------------------------------------
+// Every functional plane's simulated schedule is pinned to fixed values: the
+// FNV-1a digest of its trace CSV, its makespan, its network bytes and its
+// coordination events, plus each app's analytic makespan at its paper point.
+// A refactor of the shared run harness or opMM routine must leave all of
+// them exactly where they are.
+
+std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+struct Pin {
+  std::uint64_t csv_digest;
+  double seconds;
+  std::uint64_t bytes_on_network;
+  std::uint64_t coordination_events;
+};
+
+void expect_pinned(const std::string& what, const sim::TraceRecorder& rec,
+                   const core::RunReport& run, const Pin& pin) {
+  std::ostringstream csv;
+  rec.write_csv(csv);
+  EXPECT_EQ(fnv1a(csv.str()), pin.csv_digest) << what;
+  EXPECT_DOUBLE_EQ(run.seconds, pin.seconds) << what;
+  EXPECT_EQ(run.bytes_on_network, pin.bytes_on_network) << what;
+  EXPECT_EQ(run.coordination_events, pin.coordination_events) << what;
+}
+
+TEST(PinnedRuns, LuFunctional) {
+  const la::Matrix a = la::diagonally_dominant(64, 1234);
+  core::LuConfig cfg;
+  cfg.n = 64;
+  cfg.b = 16;
+  cfg.mode = core::DesignMode::Hybrid;
+  const Pin pins[] = {
+      {12497497609675364495ull, 7.8517817378917338e-05, 131200u, 0u},
+      {13316973553328090415ull, 7.0114739601139623e-05, 131184u, 0u}};
+  for (const bool lookahead : {false, true}) {
+    cfg.lookahead = lookahead;
+    sim::TraceRecorder rec(true);
+    const auto res = core::lu_functional(xd1_p(3), cfg, a, false, &rec);
+    expect_pinned(lookahead ? "lookahead" : "blocking", rec, res.run,
+                  pins[lookahead ? 1 : 0]);
+  }
+  // Eq. 4 solves b = 16 to b_f = 0; pin a run with an FPGA share too.
+  cfg.lookahead = false;
+  cfg.b_f = 8;
+  sim::TraceRecorder rec(true);
+  const auto res = core::lu_functional(xd1_p(3), cfg, a, false, &rec);
+  expect_pinned("b_f=8", rec, res.run,
+                {12573201998406669646ull, 8.3539355840455762e-05, 131200u,
+                 84u});
+}
+
+TEST(PinnedRuns, FwFunctional) {
+  const la::Matrix d0 = gr::random_digraph(64, 4321, 0.4);
+  core::FwConfig cfg;
+  cfg.n = 64;
+  cfg.b = 16;
+  cfg.mode = core::DesignMode::Hybrid;
+  const Pin pins[] = {
+      {3591938345523819518ull, 0.00053031149122807005, 33032u, 92u},
+      {16502589374968856619ull, 0.0004987938245614034, 33024u, 92u}};
+  for (const bool lookahead : {false, true}) {
+    cfg.lookahead = lookahead;
+    sim::TraceRecorder rec(true);
+    const auto res = core::fw_functional(xd1_p(2), cfg, d0, false, &rec);
+    expect_pinned(lookahead ? "lookahead" : "blocking", rec, res.run,
+                  pins[lookahead ? 1 : 0]);
+  }
+}
+
+TEST(PinnedRuns, CholFunctional) {
+  const la::Matrix a = la::spd_matrix(64, 45);
+  core::CholConfig cfg;
+  cfg.n = 64;
+  cfg.b = 16;
+  cfg.mode = core::DesignMode::Hybrid;
+  cfg.b_f = 8;
+  sim::TraceRecorder rec(true);
+  const auto res = core::cholesky_functional(xd1_p(4), cfg, a, false, &rec);
+  expect_pinned("chol", rec, res.run,
+                {15121164426357715959ull, 7.7413004843304779e-05, 137880u,
+                 90u});
+}
+
+TEST(PinnedRuns, MmFunctional) {
+  core::MmConfig cfg;
+  cfg.mode = core::DesignMode::Hybrid;
+
+  // Single node: the [22] hybrid multiply.
+  cfg.n = 64;
+  cfg.b = 64;
+  cfg.b_f = 32;
+  const la::Matrix a1 = la::random_matrix(64, 64, 705);
+  const la::Matrix b1 = la::random_matrix(64, 64, 707);
+  sim::TraceRecorder rec1(true);
+  const auto one = core::mm_functional(xd1_p(1), cfg, a1, b1, false, &rec1);
+  expect_pinned("p=1", rec1, one.run,
+                {12450039251313160539ull, 0.00013193846153846154, 0u, 9u});
+
+  // Root-fed distributed multiply over two workers.
+  cfg.n = 96;
+  cfg.b = 48;
+  cfg.b_f = 24;
+  const la::Matrix a3 = la::random_matrix(96, 96, 801);
+  const la::Matrix b3 = la::random_matrix(96, 96, 803);
+  sim::TraceRecorder rec3(true);
+  const auto three = core::mm_functional(xd1_p(3), cfg, a3, b3, false, &rec3);
+  expect_pinned("p=3", rec3, three.run,
+                {8164378654010838004ull, 0.00045411692307692296, 664192u,
+                 104u});
+}
+
+TEST(PinnedRuns, AnalyticPaperPoints) {
+  const core::SystemParams xd1 = core::SystemParams::cray_xd1();
+  core::LuConfig lu;
+  lu.n = 30000;
+  lu.b = 3000;
+  EXPECT_DOUBLE_EQ(core::lu_analytic(xd1, lu).run.seconds,
+                   938.29992307692794);
+  core::FwConfig fw;
+  fw.n = 92160;
+  fw.b = 256;
+  EXPECT_DOUBLE_EQ(core::fw_analytic(xd1, fw).run.seconds,
+                   236187.88082563825);
+  core::CholConfig chol;
+  chol.n = 30000;
+  chol.b = 3000;
+  EXPECT_DOUBLE_EQ(core::cholesky_analytic(xd1, chol).run.seconds,
+                   491.21607692307754);
+  core::MmConfig mm;
+  mm.n = 30000;
+  mm.b = 3000;
+  EXPECT_DOUBLE_EQ(core::mm_analytic(xd1, mm).run.seconds,
+                   1838.4695999999994);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
-// Microbenchmarks of the simulation runtime: event-engine throughput,
-// timeline reservations, MiniMPI message latency/throughput, and the
-// analytic schedule simulators themselves (which every figure bench calls).
+// Microbenchmarks of the simulation runtime: timeline reservations, MiniMPI
+// message latency/throughput, and the analytic schedule simulators
+// themselves (which every figure bench calls).
 
 #include <benchmark/benchmark.h>
 
@@ -12,19 +12,6 @@
 using namespace rcs;
 
 namespace {
-
-void BM_EngineScheduleRun(benchmark::State& state) {
-  const int events = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    sim::Engine eng;
-    for (int i = 0; i < events; ++i) {
-      eng.schedule(static_cast<double>((i * 7919) % events), [] {});
-    }
-    benchmark::DoNotOptimize(eng.run());
-  }
-  state.SetItemsProcessed(state.iterations() * events);
-}
-BENCHMARK(BM_EngineScheduleRun)->Arg(1000)->Arg(100000);
 
 void BM_TimelineReserve(benchmark::State& state) {
   sim::Timeline tl;

@@ -1,12 +1,12 @@
 #include "core/cholesky.hpp"
 
 #include <algorithm>
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/error.hpp"
+#include "core/functional_run.hpp"
 #include "fpga/matmul_array.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/cholesky.hpp"
@@ -18,17 +18,6 @@ namespace rcs::core {
 namespace {
 
 using linalg::Matrix;
-
-enum class Chan : int { CBlock = 1, DBlock = 2, EShare = 3, Gather = 4 };
-
-int make_tag(Chan chan, long long t, long long j) {
-  RCS_CHECK_MSG(t < (1 << 9) && j < (1 << 18), "tag space exceeded");
-  return static_cast<int>((t << 21) | (j << 3) | static_cast<long long>(chan));
-}
-
-int owner_of(long long u, long long v, int p) {
-  return static_cast<int>(std::min(u, v) % p);
-}
 
 /// Trailing tasks (u, v), u >= v, ordered by readiness: pair i of the panel
 /// (the trsm for row t+i) unlocks the tasks with max-index i.
@@ -43,42 +32,6 @@ std::vector<std::pair<long long, long long>> opmm_order(long long t,
   return order;
 }
 
-std::pair<long long, long long> worker_columns(long long b, int workers,
-                                               int w) {
-  const long long base = b / workers;
-  const long long rem = b % workers;
-  const long long c0 = w * base + std::min<long long>(w, rem);
-  return {c0, c0 + base + (w < rem ? 1 : 0)};
-}
-
-long long resolve_bf(const SystemParams& sys, const CholConfig& cfg) {
-  if (cfg.b_f >= 0) return cfg.b_f;
-  switch (cfg.mode) {
-    case DesignMode::Hybrid: return solve_mm_partition(sys, cfg.b).b_f;
-    case DesignMode::ProcessorOnly: return 0;
-    case DesignMode::FpgaOnly: return cfg.b;
-  }
-  return 0;
-}
-
-double worker_opmm_seconds(const SystemParams& sys, const CholConfig& cfg,
-                           const MmPartition& part) {
-  const long long k = sys.mm_fpga.pe_count;
-  const double stripes = static_cast<double>(cfg.b) / static_cast<double>(k);
-  const double p1 = static_cast<double>(sys.p - 1);
-  const double b3 = static_cast<double>(cfg.b) * static_cast<double>(cfg.b) *
-                    static_cast<double>(cfg.b);
-  switch (cfg.mode) {
-    case DesignMode::Hybrid:
-      return stripes * part.stripe_period_seconds();
-    case DesignMode::ProcessorOnly:
-      return 2.0 * b3 / (p1 * sys.gpp.sustained(node::CpuKernel::Dgemm));
-    case DesignMode::FpgaOnly:
-      return stripes * std::max(part.t_f_stripe, part.t_mem_stripe);
-  }
-  return 0.0;
-}
-
 }  // namespace
 
 CholAnalyticReport cholesky_analytic(const SystemParams& sys,
@@ -88,7 +41,8 @@ CholAnalyticReport cholesky_analytic(const SystemParams& sys,
   RCS_CHECK_MSG(sys.p >= 2, "the distributed design needs p >= 2");
 
   CholAnalyticReport rep;
-  rep.partition = mm_partition_at(sys, cfg.b, resolve_bf(sys, cfg));
+  rep.partition = mm_partition_at(
+      sys, cfg.b, resolve_b_f(sys, cfg.mode, cfg.b, cfg.b_f));
   rep.interleave =
       solve_lu_interleave(sys, cfg.b, rep.partition, cfg.fanout);
   const int l = cfg.l >= 0 ? cfg.l : rep.interleave.l;
@@ -103,25 +57,9 @@ CholAnalyticReport cholesky_analytic(const SystemParams& sys,
   const double t_potrf =
       sys.gpp.seconds_for(node::CpuKernel::Dpotrf, b3 / 3.0);
   const double t_trsm = sys.gpp.seconds_for(node::CpuKernel::Dtrsm, b3);
-  const double w_opmm = worker_opmm_seconds(sys, cfg, rep.partition);
+  const OpmmCosts costs =
+      opmm_costs(sys, cfg.mode, cfg.fanout, rep.partition);
   const long long k = sys.mm_fpga.pe_count;
-  const double dest = cfg.fanout == SendFanout::SerialAll
-                          ? static_cast<double>(sys.p - 1)
-                          : 1.0;
-  const double s_opmm = static_cast<double>(cfg.b) / static_cast<double>(k) *
-                        rep.partition.t_comm_stripe * dest;
-  const double p1 = static_cast<double>(sys.p - 1);
-  const double post =
-      static_cast<double>(cfg.b) * (static_cast<double>(cfg.b) / p1) *
-          kWordBytes / sys.network.bytes_per_s +
-      (b2 / p1) / sys.gpp.sustained(node::CpuKernel::MemBound);
-  const double fpga_share =
-      cfg.mode == DesignMode::ProcessorOnly
-          ? 0.0
-          : (cfg.mode == DesignMode::FpgaOnly
-                 ? 1.0
-                 : static_cast<double>(rep.partition.b_f) /
-                       static_cast<double>(cfg.b));
 
   rep.run.design = std::string("CHOL/") + to_string(cfg.mode);
   double now = 0.0;
@@ -136,9 +74,9 @@ CholAnalyticReport cholesky_analytic(const SystemParams& sys,
     const long long total = m * (m + 1) / 2;
     auto serve = [&](long long count) {
       for (long long s = 0; s < count && served < ready; ++s, ++served) {
-        panel += s_opmm;
+        panel += costs.sender_seconds;
         const double start = std::max(worker, panel);
-        worker = start + w_opmm + post;
+        worker = start + costs.worker_seconds + costs.worker_post;
       }
     };
     for (long long i = 1; i <= m; ++i) {
@@ -149,9 +87,10 @@ CholAnalyticReport cholesky_analytic(const SystemParams& sys,
     }
     serve(total - served);
 
-    rep.run.fpga_flops += static_cast<double>(total) * 2.0 * b3 * fpga_share;
+    rep.run.fpga_flops +=
+        static_cast<double>(total) * 2.0 * b3 * costs.fpga_share;
     rep.run.cpu_flops +=
-        static_cast<double>(total) * 2.0 * b3 * (1.0 - fpga_share);
+        static_cast<double>(total) * 2.0 * b3 * (1.0 - costs.fpga_share);
     rep.run.cpu_flops += static_cast<double>(total) * b2;  // opMS
     rep.run.bytes_on_network += static_cast<std::uint64_t>(
         static_cast<double>(total) *
@@ -189,49 +128,25 @@ CholFunctionalResult cholesky_functional(const SystemParams& sys,
   const long long b = cfg.b;
   const long long nb = n / b;
   const int p = sys.p;
-  const int workers = p - 1;
-  const long long b_f = resolve_bf(sys, cfg);
-  const long long b_p = b - b_f;
+  const long long b_f = resolve_b_f(sys, cfg.mode, b, cfg.b_f);
   const MmPartition part = mm_partition_at(sys, b, b_f);
   LuInterleave li = solve_lu_interleave(sys, b, part, cfg.fanout);
   const int l = cfg.l >= 0 ? cfg.l : li.l;
   const fpga::MatMulArray array(sys.mm_fpga);
-  const long long k = sys.mm_fpga.pe_count;
+  // PaperSingle fan-out rides the RapidArray DMA engines (isend): the panel
+  // CPU pays only setup; SerialAll serializes on the CPU (§4.3).
+  const bool dma = cfg.fanout == SendFanout::PaperSingle;
 
-  net::World world(p, sys.network);
-  struct Stats {
-    sim::SimTime finish = 0.0;
-    double cpu_busy = 0.0, fpga_busy = 0.0, cpu_flops = 0.0, fpga_flops = 0.0;
-    std::uint64_t bytes = 0, coord = 0;
-  };
-  std::vector<Stats> stats(static_cast<std::size_t>(p));
-  std::vector<sim::TraceRecorder> rank_traces(
-      static_cast<std::size_t>(p),
-      sim::TraceRecorder(trace != nullptr && trace->enabled()));
   Matrix factored(n, n);
-
-  world.run([&](net::Comm& comm) {
+  const RunSetup setup{.p = p,
+                       .network = sys.network,
+                       .node = sys.node_params_mm(),
+                       .trace = trace};
+  const RunTotals totals = run_ranks(setup, [&](Rank& rank) {
+    net::Comm& comm = rank.comm;
+    node::ComputeNode& node = rank.node;
     const int me = comm.rank();
-    node::ComputeNode node(sys.node_params_mm(), comm.clock(),
-                           &rank_traces[static_cast<std::size_t>(me)],
-                           "node" + std::to_string(me));
-
-    // Initial distribution of the lower-triangle blocks (u >= v).
-    std::map<std::pair<long long, long long>, Matrix> blocks;
-    for (long long u = 0; u < nb; ++u) {
-      for (long long v = 0; v <= u; ++v) {
-        if (owner_of(u, v, p) == me) {
-          blocks.emplace(std::make_pair(u, v),
-                         Matrix::from_view(a.block(u * b, v * b, b, b)));
-        }
-      }
-    }
-    auto blk = [&](long long u, long long v) -> Matrix& {
-      auto it = blocks.find({u, v});
-      RCS_CHECK_MSG(it != blocks.end(), "rank " << me << " missing block ("
-                                                << u << "," << v << ")");
-      return it->second;
-    };
+    OwnedBlocks blk(a, b, p, me, /*lower=*/true);
 
     for (long long t = 0; t < nb; ++t) {
       const int panel = static_cast<int>(t % p);
@@ -247,13 +162,9 @@ CholFunctionalResult cholesky_functional(const SystemParams& sys,
         auto serve = [&](long long count) {
           for (long long s = 0; s < count && served < ready; ++s, ++served) {
             const auto [u, v] = order[static_cast<std::size_t>(served)];
-            for (int r = 0; r < p; ++r) {
-              if (r == panel) continue;
-              net::send_matrix(comm, r, make_tag(Chan::CBlock, t, served),
-                               blk(u, t).view());
-              net::send_matrix(comm, r, make_tag(Chan::DBlock, t, served),
-                               blk(v, t).view());
-            }
+            fan_out(comm, dma,
+                    {{make_tag(kCStripe, t, served), blk(u, t).view()},
+                     {make_tag(kDStripe, t, served), blk(v, t).view()}});
           }
         };
         const long long m = nb - 1 - t;
@@ -266,47 +177,16 @@ CholFunctionalResult cholesky_functional(const SystemParams& sys,
         }
         serve(total - served);
       } else {
-        const int widx = me < panel ? me : me - 1;
-        const auto [c0, c1] = worker_columns(b, workers, widx);
+        const auto [c0, c1] = worker_columns(b, p, panel, me);
         const long long cw = c1 - c0;
         for (long long j = 0; j < total; ++j) {
           const auto [u, v] = order[static_cast<std::size_t>(j)];
-          Matrix c = net::recv_matrix(comm, panel,
-                                      make_tag(Chan::CBlock, t, j));
-          Matrix d = net::recv_matrix(comm, panel,
-                                      make_tag(Chan::DBlock, t, j));
+          Matrix c = net::recv_matrix(comm, panel, make_tag(kCStripe, t, j));
+          Matrix d = net::recv_matrix(comm, panel, make_tag(kDStripe, t, j));
           Matrix e(b, cw);
           // E[:, c0:c1) = C * D[c0:c1, :]^T — the worker's column share.
-          auto dshare = d.block(c0, 0, cw, b);
-          for (long long s = 0; s < b; s += k) {
-            const long long ks = std::min(k, b - s);
-            if (b_f > 0) {
-              node.dram_to_fpga(
-                  static_cast<std::uint64_t>((b_f * ks + ks * cw) * 8));
-              node.fpga_submit(
-                  static_cast<double>(array.cycles(b_f, ks, cw)), "opMM");
-            }
-            if (b_p > 0) {
-              node.cpu_compute(node::CpuKernel::Dgemm,
-                               2.0 * static_cast<double>(b_p * ks * cw),
-                               "opMM");
-            }
-          }
-          if (b_f > 0) {
-            auto e_f = e.block(0, 0, b_f, cw);
-            if (use_soft_fp) {
-              array.multiply_accumulate_nt_soft(c.block(0, 0, b_f, b),
-                                                dshare, e_f);
-            } else {
-              array.multiply_accumulate_nt(c.block(0, 0, b_f, b), dshare,
-                                           e_f);
-            }
-            node.note_fpga_flops(2.0 * static_cast<double>(b_f * b * cw));
-          }
-          if (b_p > 0) {
-            linalg::gemm_nt(c.block(b_f, 0, b_p, b), dshare,
-                            e.block(b_f, 0, b_p, cw));
-          }
+          hybrid_opmm_share(node, array, c.view(), d.block(c0, 0, cw, b),
+                            e.view(), b_f, /*nt=*/true, use_soft_fp, "opMM");
           if (b_f > 0) {
             node.fpga_wait();
             node.read_fpga_results("opMM partial product");
@@ -317,8 +197,7 @@ CholFunctionalResult cholesky_functional(const SystemParams& sys,
             node.cpu_compute(node::CpuKernel::MemBound,
                              static_cast<double>(b * cw), "opMS");
           } else {
-            net::send_matrix(comm, dst, make_tag(Chan::EShare, t, j),
-                             e.view());
+            net::send_matrix(comm, dst, make_tag(kEShare, t, j), e.view());
           }
         }
       }
@@ -328,9 +207,8 @@ CholFunctionalResult cholesky_functional(const SystemParams& sys,
         if (owner_of(u, v, p) != me) continue;
         for (int r = 0; r < p; ++r) {
           if (r == panel || r == me) continue;
-          const int widx = r < panel ? r : r - 1;
-          const auto [c0, c1] = worker_columns(b, workers, widx);
-          Matrix e = net::recv_matrix(comm, r, make_tag(Chan::EShare, t, j));
+          const auto [c0, c1] = worker_columns(b, p, panel, r);
+          Matrix e = net::recv_matrix(comm, r, make_tag(kEShare, t, j));
           linalg::matrix_sub(blk(u, v).block(0, c0, b, c1 - c0), e.view());
           node.cpu_compute(node::CpuKernel::MemBound,
                            static_cast<double>(b * (c1 - c0)), "opMS");
@@ -339,56 +217,19 @@ CholFunctionalResult cholesky_functional(const SystemParams& sys,
       comm.barrier();
     }
 
-    Stats& st = stats[static_cast<std::size_t>(me)];
-    st.finish = comm.clock().now();
-    st.cpu_busy = node.cpu_busy_total();
-    st.fpga_busy = node.fpga_busy_total();
-    st.cpu_flops = node.cpu_flops_total();
-    st.fpga_flops = node.fpga_flops_total();
-    st.bytes = comm.bytes_sent();
-    st.coord = node.coordination_events();
-
     // Untimed gather: lower-triangle blocks to rank 0; the upper triangle
     // keeps the input values (potrf semantics).
-    if (me == 0) {
-      linalg::copy(a.view(), factored.view());
-      for (long long u = 0; u < nb; ++u) {
-        for (long long v = 0; v <= u; ++v) {
-          const int o = owner_of(u, v, p);
-          Matrix block = o == 0 ? std::move(blk(u, v))
-                                : net::recv_matrix(
-                                      comm, o,
-                                      make_tag(Chan::Gather, 0, u * nb + v));
-          linalg::copy(block.view(), factored.block(u * b, v * b, b, b));
-        }
-      }
-    } else {
-      for (auto& [key, block] : blocks) {
-        net::send_matrix(comm, 0,
-                         make_tag(Chan::Gather, 0, key.first * nb + key.second),
-                         block.view());
-      }
-    }
+    rank.end_timed();
+    if (me == 0) linalg::copy(a.view(), factored.view());
+    blk.gather(comm, factored);
   });
 
-  if (trace != nullptr) {
-    for (auto& rt : rank_traces) trace->merge_from(std::move(rt));
-  }
   CholFunctionalResult res;
   res.factored = std::move(factored);
   res.partition = part;
   res.l = l;
+  res.run = totals.run;
   res.run.design = std::string("CHOL/") + to_string(cfg.mode) + "/functional";
-  for (const Stats& st : stats) {
-    res.run.seconds = std::max(res.run.seconds, st.finish);
-    res.run.cpu_busy_seconds += st.cpu_busy;
-    res.run.fpga_busy_seconds += st.fpga_busy;
-    res.run.cpu_flops += st.cpu_flops;
-    res.run.fpga_flops += st.fpga_flops;
-    res.run.bytes_on_network += st.bytes;
-    res.run.coordination_events += st.coord;
-  }
-  res.run.total_flops = res.run.cpu_flops + res.run.fpga_flops;
   return res;
 }
 

@@ -8,6 +8,7 @@
 
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
+#include "core/functional_run.hpp"
 #include "fpga/fw_kernel.hpp"
 #include "graph/floyd_warshall.hpp"
 #include "net/matrix_channel.hpp"
@@ -21,24 +22,9 @@ namespace {
 
 using linalg::Matrix;
 
-enum class Chan : int { Dtt = 1, Op22 = 2, Gather = 3 };
-
-int make_tag(Chan chan, long long t, long long w) {
-  RCS_CHECK_MSG(t < (1 << 9) && w < (1 << 18), "tag space exceeded");
-  return static_cast<int>((t << 21) | (w << 3) | static_cast<long long>(chan));
-}
-
-struct RankStats {
-  sim::SimTime finish = 0.0;
-  double cpu_busy = 0.0;
-  double fpga_busy = 0.0;
-  double cpu_flops = 0.0;
-  double fpga_flops = 0.0;
-  std::uint64_t bytes_sent = 0;
-  std::uint64_t coordination = 0;
-  std::map<std::string, net::OverlapStats> overlap;
-  sim::FaultStats faults;
-};
+/// Message channels: the owner's D_tt and op22 pivot-block broadcasts, and
+/// the untimed block-column gather.
+enum FwChan : int { kDtt = 1, kOp22 = 2, kColumns = 3 };
 
 /// One block task of a wave: target = min(target, a (min-plus) b), plus its
 /// timing charge, assignable to either side. Holding the operand spans
@@ -81,55 +67,35 @@ FwFunctionalResult fw_functional(const SystemParams& sys, const FwConfig& cfg,
   const long long cols_per_rank = nb / p;  // L: block-columns per rank
 
   // Resolve the per-phase split exactly like the analytic plane.
-  long long l1 = cfg.l1;
-  if (l1 < 0) {
-    switch (cfg.mode) {
-      case DesignMode::Hybrid:
-        l1 = solve_fw_partition(sys, n, b).l1;
-        break;
-      case DesignMode::ProcessorOnly: l1 = cols_per_rank; break;
-      case DesignMode::FpgaOnly: l1 = 0; break;
-    }
-  }
-  const FwPartition part = fw_partition_at(sys, n, b, l1);
+  const FwPartition part =
+      fw_partition_at(sys, n, b, resolve_l1(sys, cfg.mode, n, b, cfg.l1));
 
   const fpga::FwKernel kernel(sys.fw_fpga);
   kernel.require_fits(b);
 
-  // Fault injection/tolerance switches (see FwConfig): an empty plan is the
-  // fault-free path, and DMR only engages on FPGA-assigned wave tasks.
-  const sim::FaultPlan* plan =
-      cfg.faults != nullptr && !cfg.faults->empty() ? cfg.faults : nullptr;
-  const bool inject = plan != nullptr && plan->bitflip_count() > 0;
+  // Fault tolerance (see FwConfig): DMR only engages on FPGA-assigned wave
+  // tasks.
   const bool dmr = cfg.fault_tolerance;
   const double task_flops = 2.0 * static_cast<double>(b) *
                             static_cast<double>(b) * static_cast<double>(b);
   const double task_cycles = static_cast<double>(kernel.cycles(b));
   const std::uint64_t task_bytes = kernel.input_bytes(b);
 
-  // Spawn the shared compute pool before the rank threads exist, so every
-  // rank's kernels land on one process-wide worker set (no p-fold thread
-  // oversubscription) and never race the pool's lazy construction.
-  common::ThreadPool::global();
-
-  net::World world(p, sys.network);
-  world.set_message_logging(message_log != nullptr);
-  world.set_fault_plan(plan);
-  world.set_max_workers(cfg.max_workers);
-  std::vector<RankStats> stats(static_cast<std::size_t>(p));
-  std::vector<sim::TraceRecorder> rank_traces(
-      static_cast<std::size_t>(p),
-      sim::TraceRecorder(trace != nullptr && trace->enabled()));
   Matrix distances(n, n);
-
-  world.run([&](net::Comm& comm) {
+  const RunSetup setup{.p = p,
+                       .network = sys.network,
+                       .node = sys.node_params_fw(),
+                       .faults = cfg.faults,
+                       .max_workers = cfg.max_workers,
+                       .trace = trace,
+                       .message_log = message_log};
+  const RunTotals totals = run_ranks(setup, [&](Rank& rank) {
+    net::Comm& comm = rank.comm;
+    node::ComputeNode& node = rank.node;
+    sim::FaultStats& fstats = rank.faults;
+    const sim::FaultPlan* plan = cfg.faults;
+    const bool inject = plan != nullptr && plan->bitflip_count() > 0;
     const int me = comm.rank();
-    comm.set_trace(&rank_traces[static_cast<std::size_t>(me)]);
-    node::ComputeNode node(sys.node_params_fw(), comm.clock(),
-                           &rank_traces[static_cast<std::size_t>(me)],
-                           "node" + std::to_string(me));
-    sim::FaultStats& fstats = stats[static_cast<std::size_t>(me)].faults;
-    node.set_faults(plan, me, &fstats);
     std::uint64_t fpga_calls = 0;  // rank-local FPGA wave-task ordinal
 
     // Local storage: this rank's block-columns, densely packed.
@@ -279,21 +245,13 @@ FwFunctionalResult fw_functional(const SystemParams& sys, const FwConfig& cfg,
           }
         }
         dtt = Matrix::from_view(lblk(t, t));
-        for (int r = 0; r < p; ++r) {
-          if (r == owner) continue;
-          if (cfg.lookahead) {
-            // NIC fan-out: the owner's CPU pays setup only and moves on to
-            // its op21/op22 wave while the RapidArray engines serialize.
-            net::isend_matrix(comm, r, make_tag(Chan::Dtt, t, 0), dtt.view());
-          } else {
-            net::send_matrix(comm, r, make_tag(Chan::Dtt, t, 0), dtt.view());
-          }
-        }
+        // Lookahead fans out over the NIC: the owner's CPU pays setup only
+        // and moves on to its op21/op22 wave.
+        fan_out(comm, cfg.lookahead, {{make_tag(kDtt, t, 0), dtt.view()}});
       } else if (cfg.lookahead && dtt_req.valid()) {
         dtt = net::wait_matrix(dtt_req);
       } else {
-        dtt = net::recv_matrix(comm, owner, make_tag(Chan::Dtt, t, 0),
-                               "op21");
+        dtt = net::recv_matrix(comm, owner, make_tag(kDtt, t, 0), "op21");
       }
       // Prefetch the next iteration's pivot diagonal: posting is free, and
       // by the time this iteration's waves finish the block is usually
@@ -301,8 +259,8 @@ FwFunctionalResult fw_functional(const SystemParams& sys, const FwConfig& cfg,
       if (cfg.lookahead && t + 1 < nb) {
         const int next_owner = static_cast<int>((t + 1) / cols_per_rank);
         if (me != next_owner) {
-          dtt_req = comm.irecv(next_owner, make_tag(Chan::Dtt, t + 1, 0),
-                               "op21");
+          dtt_req =
+              comm.irecv(next_owner, make_tag(kDtt, t + 1, 0), "op21");
         }
       }
 
@@ -330,20 +288,12 @@ FwFunctionalResult fw_functional(const SystemParams& sys, const FwConfig& cfg,
       // op21 wave computes, so the owner's broadcast streams in behind it.
       net::Request dqt_req;
       if (cfg.lookahead && me != owner && !q_list.empty()) {
-        dqt_req = comm.irecv(owner, make_tag(Chan::Op22, t, 0), "op3");
+        dqt_req = comm.irecv(owner, make_tag(kOp22, t, 0), "op3");
       }
       run_wave(tasks);
       if (me == owner && !q_list.empty()) {
-        for (int r = 0; r < p; ++r) {
-          if (r == owner) continue;
-          if (cfg.lookahead) {
-            net::isend_matrix(comm, r, make_tag(Chan::Op22, t, 0),
-                              lblk(q_list.front(), t));
-          } else {
-            net::send_matrix(comm, r, make_tag(Chan::Op22, t, 0),
-                             lblk(q_list.front(), t));
-          }
-        }
+        fan_out(comm, cfg.lookahead,
+                {{make_tag(kOp22, t, 0), lblk(q_list.front(), t)}});
       }
 
       // Waves 1..nb-1: op3 on row q_w; the owner folds the next op22 into
@@ -358,16 +308,14 @@ FwFunctionalResult fw_functional(const SystemParams& sys, const FwConfig& cfg,
           // Double-buffer: wave w+1's pivot block transfers while wave w's
           // op3 tasks compute below.
           if (w + 1 < q_list.size()) {
-            dqt_req = comm.irecv(owner,
-                                 make_tag(Chan::Op22, t,
-                                          static_cast<long long>(w + 1)),
-                                 "op3");
+            dqt_req = comm.irecv(
+                owner, make_tag(kOp22, t, static_cast<long long>(w + 1)),
+                "op3");
           }
         } else {
-          dqt = net::recv_matrix(comm, owner,
-                                 make_tag(Chan::Op22, t,
-                                          static_cast<long long>(w)),
-                                 "op3");
+          dqt = net::recv_matrix(
+              comm, owner, make_tag(kOp22, t, static_cast<long long>(w)),
+              "op3");
         }
         if (me == owner && w + 1 < q_list.size()) {
           const long long qn = q_list[w + 1];
@@ -382,20 +330,9 @@ FwFunctionalResult fw_functional(const SystemParams& sys, const FwConfig& cfg,
         }
         run_wave(tasks);
         if (me == owner && w + 1 < q_list.size()) {
-          for (int r = 0; r < p; ++r) {
-            if (r == owner) continue;
-            if (cfg.lookahead) {
-              net::isend_matrix(comm, r,
-                                make_tag(Chan::Op22, t,
-                                         static_cast<long long>(w + 1)),
-                                lblk(q_list[w + 1], t));
-            } else {
-              net::send_matrix(comm, r,
-                               make_tag(Chan::Op22, t,
-                                        static_cast<long long>(w + 1)),
-                               lblk(q_list[w + 1], t));
-            }
-          }
+          fan_out(comm, cfg.lookahead,
+                  {{make_tag(kOp22, t, static_cast<long long>(w + 1)),
+                    lblk(q_list[w + 1], t)}});
         }
       }
       // The barrier only serializes the blocking schedule; under lookahead
@@ -404,57 +341,31 @@ FwFunctionalResult fw_functional(const SystemParams& sys, const FwConfig& cfg,
       if (!cfg.lookahead) comm.barrier();
     }
 
-    // Stop comm tracing so the untimed gather stays out of the analyzed
-    // timeline.
-    comm.set_trace(nullptr);
-    RankStats& st = stats[static_cast<std::size_t>(me)];
-    st.finish = comm.clock().now();
-    st.cpu_busy = node.cpu_busy_total();
-    st.fpga_busy = node.fpga_busy_total();
-    st.cpu_flops = node.cpu_flops_total();
-    st.fpga_flops = node.fpga_flops_total();
-    st.bytes_sent = comm.bytes_sent();
-    st.coordination = node.coordination_events();
-    st.overlap = comm.overlap_stats();
-    st.faults += comm.fault_stats();  // link/crash side of the plan
-
-    // Untimed gather of the block-columns at rank 0.
+    // Untimed gather of the block-columns at rank 0, kept out of the
+    // analyzed timeline.
+    rank.end_timed();
     obs::PhaseSpan phase("fw", "gather");
     if (me == 0) {
       linalg::copy(local.view(), distances.block(0, 0, n, cols_per_rank * b));
       for (int r = 1; r < p; ++r) {
-        Matrix cols = net::recv_matrix(comm, r, make_tag(Chan::Gather, 0, r));
+        Matrix cols = net::recv_matrix(comm, r, make_tag(kColumns, 0, r));
         linalg::copy(cols.view(),
                      distances.block(0, r * cols_per_rank * b, n,
                                      cols_per_rank * b));
       }
     } else {
-      net::send_matrix(comm, 0, make_tag(Chan::Gather, 0, me), local.view());
+      net::send_matrix(comm, 0, make_tag(kColumns, 0, me), local.view());
     }
   });
-
-  if (trace != nullptr) {
-    for (auto& rt : rank_traces) trace->merge_from(std::move(rt));
-  }
-  if (message_log != nullptr) *message_log = world.message_log();
 
   FwFunctionalResult res;
   res.distances = std::move(distances);
   res.partition = part;
+  res.run = totals.run;
   res.run.design = std::string("FW/") + to_string(cfg.mode) + "/functional" +
                    (cfg.lookahead ? "+lookahead" : "");
-  for (const RankStats& st : stats) {
-    res.run.seconds = std::max(res.run.seconds, st.finish);
-    res.run.cpu_busy_seconds += st.cpu_busy;
-    res.run.fpga_busy_seconds += st.fpga_busy;
-    res.run.cpu_flops += st.cpu_flops;
-    res.run.fpga_flops += st.fpga_flops;
-    res.run.bytes_on_network += st.bytes_sent;
-    res.run.coordination_events += st.coordination;
-    for (const auto& [ph, os] : st.overlap) res.overlap[ph] += os;
-    res.faults += st.faults;
-  }
-  res.run.total_flops = res.run.cpu_flops + res.run.fpga_flops;
+  res.overlap = totals.overlap;
+  res.faults = totals.faults;
   return res;
 }
 

@@ -1,94 +1,10 @@
 #include "core/lu_analytic.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/error.hpp"
 
 namespace rcs::core {
-
-namespace {
-
-/// Mode-resolved per-opMM quantities for the schedule walk.
-struct OpmmCosts {
-  double worker_seconds = 0.0;  // one worker's latency per opMM
-  double sender_seconds = 0.0;  // panel-node CPU time to distribute one opMM
-  double worker_post = 0.0;     // result return + amortized opMS per opMM
-  double cpu_flops = 0.0;       // CPU flops per opMM (all workers combined)
-  double fpga_flops = 0.0;      // FPGA flops per opMM (all workers combined)
-  std::uint64_t sender_bytes = 0;  // network bytes per opMM from the panel
-  std::uint64_t result_bytes = 0;  // network bytes per opMM back to owners
-};
-
-OpmmCosts opmm_costs(const SystemParams& sys, const LuConfig& cfg,
-                     const MmPartition& part) {
-  const long long b = cfg.b;
-  const long long k = sys.mm_fpga.pe_count;
-  const double p1 = static_cast<double>(sys.p - 1);
-  const double stripes = static_cast<double>(b) / static_cast<double>(k);
-  const double b2 = static_cast<double>(b) * static_cast<double>(b);
-  const double b3 = b2 * static_cast<double>(b);
-  const double r_gemm = sys.gpp.sustained(node::CpuKernel::Dgemm);
-  const double r_mem = sys.gpp.sustained(node::CpuKernel::MemBound);
-
-  OpmmCosts c;
-  switch (cfg.mode) {
-    case DesignMode::Hybrid:
-      c.worker_seconds = stripes * part.stripe_period_seconds();
-      break;
-    case DesignMode::ProcessorOnly:
-      // Plain dgemm of the worker's column share; no striping, no FPGA.
-      c.worker_seconds = 2.0 * b3 / (p1 * r_gemm);
-      break;
-    case DesignMode::FpgaOnly:
-      // The CPU only streams operands; the FPGA computes everything.
-      c.worker_seconds =
-          stripes * std::max(part.t_f_stripe, part.t_mem_stripe);
-      break;
-  }
-
-  const double dest = cfg.fanout == SendFanout::SerialAll
-                          ? static_cast<double>(sys.p - 1)
-                          : 1.0;
-  c.sender_seconds = stripes * part.t_comm_stripe * dest;
-  c.sender_bytes = static_cast<std::uint64_t>(
-      stripes * 2.0 * static_cast<double>(b) * static_cast<double>(k) *
-      kWordBytes * static_cast<double>(sys.p - 1));
-
-  // Each worker returns its b x b/(p-1) slice of E to the block owner, then
-  // the owner's opMS (b^2 subtractions) is amortized across the workers.
-  c.result_bytes = static_cast<std::uint64_t>(b2 * kWordBytes);
-  const double e_send = static_cast<double>(b) * (static_cast<double>(b) / p1) *
-                        kWordBytes / sys.network.bytes_per_s;
-  const double opms = (b2 / p1) / r_mem;
-  c.worker_post = e_send + opms;
-
-  const double total_flops = 2.0 * b3;  // one opMM
-  const double fpga_share =
-      cfg.mode == DesignMode::ProcessorOnly
-          ? 0.0
-          : (cfg.mode == DesignMode::FpgaOnly
-                 ? 1.0
-                 : static_cast<double>(part.b_f) / static_cast<double>(b));
-  c.fpga_flops = total_flops * fpga_share;
-  c.cpu_flops = total_flops - c.fpga_flops;
-  return c;
-}
-
-long long resolve_bf(const SystemParams& sys, const LuConfig& cfg) {
-  if (cfg.b_f >= 0) return cfg.b_f;
-  switch (cfg.mode) {
-    case DesignMode::Hybrid:
-      return solve_mm_partition(sys, cfg.b).b_f;
-    case DesignMode::ProcessorOnly:
-      return 0;
-    case DesignMode::FpgaOnly:
-      return cfg.b;
-  }
-  return 0;
-}
-
-}  // namespace
 
 LuAnalyticReport lu_analytic(const SystemParams& sys, const LuConfig& cfg) {
   RCS_CHECK_MSG(cfg.n > 0 && cfg.b > 0 && cfg.n % cfg.b == 0,
@@ -96,13 +12,15 @@ LuAnalyticReport lu_analytic(const SystemParams& sys, const LuConfig& cfg) {
   RCS_CHECK_MSG(sys.p >= 2, "the distributed LU design needs p >= 2");
 
   LuAnalyticReport rep;
-  rep.partition = mm_partition_at(sys, cfg.b, resolve_bf(sys, cfg));
+  rep.partition = mm_partition_at(
+      sys, cfg.b, resolve_b_f(sys, cfg.mode, cfg.b, cfg.b_f));
   rep.interleave =
       solve_lu_interleave(sys, cfg.b, rep.partition, cfg.fanout);
   int l = cfg.l >= 0 ? cfg.l : rep.interleave.l;
   rep.interleave.l = l;
 
-  const OpmmCosts costs = opmm_costs(sys, cfg, rep.partition);
+  const OpmmCosts costs =
+      opmm_costs(sys, cfg.mode, cfg.fanout, rep.partition);
   const PanelTimes pt = panel_times(sys, cfg.b);
   const long long nb = cfg.n / cfg.b;
   const long long iterations =
@@ -203,13 +121,9 @@ LuAnalyticReport lu_analytic(const SystemParams& sys, const LuConfig& cfg) {
 
 double lu_single_opmm_latency(const SystemParams& sys, long long b,
                               long long b_f, SendFanout fanout) {
-  LuConfig cfg;
-  cfg.n = b;  // unused by opmm_costs
-  cfg.b = b;
-  cfg.mode = b_f == 0 ? DesignMode::ProcessorOnly : DesignMode::Hybrid;
-  cfg.fanout = fanout;
-  const MmPartition part = mm_partition_at(sys, b, b_f);
-  const OpmmCosts costs = opmm_costs(sys, cfg, part);
+  const OpmmCosts costs = opmm_costs(
+      sys, b_f == 0 ? DesignMode::ProcessorOnly : DesignMode::Hybrid, fanout,
+      mm_partition_at(sys, b, b_f));
   // One opMM with a cold pipeline: the workers start once the stripes are on
   // the wire, then compute.
   return costs.sender_seconds + costs.worker_seconds + costs.worker_post;

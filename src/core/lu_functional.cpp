@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/thread_pool.hpp"
+#include "core/functional_run.hpp"
 #include "fpga/matmul_array.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/getrf.hpp"
@@ -23,20 +23,6 @@ namespace rcs::core {
 namespace {
 
 using linalg::Matrix;
-
-/// Message tag: iteration-scoped purpose + sequence number.
-enum class Chan : int { CStripe = 1, DStripe = 2, EShare = 3, Gather = 4 };
-
-int make_tag(Chan chan, long long t, long long j) {
-  RCS_CHECK_MSG(t < (1 << 9) && j < (1 << 18),
-                "functional plane tag space exceeded (t=" << t << ", j=" << j
-                                                          << ")");
-  return static_cast<int>((t << 21) | (j << 3) | static_cast<long long>(chan));
-}
-
-int owner_of(long long u, long long v, int p) {
-  return static_cast<int>(std::min(u, v) % p);
-}
 
 /// Deterministic per-iteration list of opMM tasks (u, v), ordered by the
 /// panel pipeline: tasks become ready when both their opL (row u) and opU
@@ -52,29 +38,6 @@ std::vector<std::pair<long long, long long>> opmm_order(long long t,
   }
   return order;
 }
-
-/// Column range [c0, c1) of E assigned to worker index w (0-based among the
-/// p-1 workers) when b columns are split as evenly as possible.
-std::pair<long long, long long> worker_columns(long long b, int workers,
-                                               int w) {
-  const long long base = b / workers;
-  const long long rem = b % workers;
-  const long long c0 = w * base + std::min<long long>(w, rem);
-  const long long width = base + (w < rem ? 1 : 0);
-  return {c0, c0 + width};
-}
-
-struct RankStats {
-  sim::SimTime finish = 0.0;
-  double cpu_busy = 0.0;
-  double fpga_busy = 0.0;
-  double cpu_flops = 0.0;
-  double fpga_flops = 0.0;
-  std::uint64_t bytes_sent = 0;
-  std::uint64_t coordination = 0;
-  std::map<std::string, net::OverlapStats> overlap;
-  sim::FaultStats faults;
-};
 
 /// ABFT checksum scan of an FPGA opMM share E_f = C_f x D computed from
 /// zero. Both invariants are O(roundoff)-tight identities of the exact
@@ -183,71 +146,45 @@ LuFunctionalResult lu_functional(const SystemParams& sys, const LuConfig& cfg,
   const long long b = cfg.b;
   const long long nb = n / b;
   const int p = sys.p;
-  const int workers = p - 1;
 
   // Resolve the partition and interleave exactly like the analytic plane.
-  long long b_f = cfg.b_f;
-  if (b_f < 0) {
-    switch (cfg.mode) {
-      case DesignMode::Hybrid: b_f = solve_mm_partition(sys, b).b_f; break;
-      case DesignMode::ProcessorOnly: b_f = 0; break;
-      case DesignMode::FpgaOnly: b_f = b; break;
-    }
-  }
+  const long long b_f = resolve_b_f(sys, cfg.mode, b, cfg.b_f);
   const MmPartition part = mm_partition_at(sys, b, b_f);
   LuInterleave li = solve_lu_interleave(sys, b, part, cfg.fanout);
   const int l = cfg.l >= 0 ? cfg.l : li.l;
-  const long long b_p = b - b_f;
 
   const fpga::MatMulArray array(sys.mm_fpga);
-  const long long k = sys.mm_fpga.pe_count;
 
-  // Fault injection/tolerance switches. An empty plan is the fault-free
-  // path — the network and node layers skip every fault branch when the
-  // installed plan is null.
-  const sim::FaultPlan* plan =
-      cfg.faults != nullptr && !cfg.faults->empty() ? cfg.faults : nullptr;
+  // Fault tolerance switches (the plan itself is wired by the harness).
   const bool abft = cfg.fault_tolerance;
   const double straggler_s = cfg.straggler_timeout_s;
   RCS_CHECK_MSG(straggler_s >= 0.0, "negative straggler timeout");
   RCS_CHECK_MSG(straggler_s == 0.0 || cfg.fault_tolerance,
                 "straggler_timeout_s requires fault_tolerance");
 
-  // Spawn the shared compute pool before the rank threads exist: each
-  // worker's opMM share — the FPGA-emulation rows (MatMulArray) and the
-  // CPU rows (linalg::gemm) — runs through this one pool, so p concurrent
-  // ranks never oversubscribe the machine and never race the pool's lazy
-  // construction. Virtual-clock charges stay serial per rank, so simulated
-  // timings are independent of RCS_THREADS.
-  common::ThreadPool::global();
-
-  net::World world(p, sys.network);
-  world.set_message_logging(message_log != nullptr);
-  world.set_fault_plan(plan);
-  world.set_max_workers(cfg.max_workers);
-  std::vector<RankStats> stats(static_cast<std::size_t>(p));
-  std::vector<sim::TraceRecorder> rank_traces(
-      static_cast<std::size_t>(p),
-      sim::TraceRecorder(trace != nullptr && trace->enabled()));
   Matrix factored(n, n);
-
-  world.run([&](net::Comm& comm) {
+  const RunSetup setup{.p = p,
+                       .network = sys.network,
+                       .node = sys.node_params_mm(),
+                       .faults = cfg.faults,
+                       .max_workers = cfg.max_workers,
+                       .trace = trace,
+                       .message_log = message_log};
+  const RunTotals totals = run_ranks(setup, [&](Rank& rank) {
+    net::Comm& comm = rank.comm;
+    node::ComputeNode& node = rank.node;
+    sim::FaultStats& fstats = rank.faults;
     const int me = comm.rank();
-    comm.set_trace(&rank_traces[static_cast<std::size_t>(me)]);
-    node::ComputeNode node(sys.node_params_mm(), comm.clock(),
-                           &rank_traces[static_cast<std::size_t>(me)],
-                           "node" + std::to_string(me));
-    sim::FaultStats& fstats = stats[static_cast<std::size_t>(me)].faults;
-    node.set_faults(plan, me, &fstats);
 
     // When the plan schedules bit-flips, this rank's FPGA calls run through
     // a private hooked array that corrupts the scheduled call's result tile
     // in place. The shared const array stays on the fault-free path.
     std::unique_ptr<fpga::MatMulArray> injected;
-    if (plan != nullptr && plan->bitflip_count() > 0) {
+    if (cfg.faults != nullptr && cfg.faults->bitflip_count() > 0) {
       injected = std::make_unique<fpga::MatMulArray>(sys.mm_fpga);
       injected->set_fault_hook(
-          [plan, me, &fstats](std::uint64_t call, Span2D<double> tile) {
+          [plan = cfg.faults, me, &fstats](std::uint64_t call,
+                                           Span2D<double> tile) {
             if (const sim::BitFlip* f = plan->flip_for(me, call)) {
               sim::apply_bitflip(*f, tile);
               fstats.bitflips_injected += 1;
@@ -257,23 +194,7 @@ LuFunctionalResult lu_functional(const SystemParams& sys, const LuConfig& cfg,
     }
     const fpga::MatMulArray& mm = injected != nullptr ? *injected : array;
 
-    // Initial distribution (not timed, as in the paper's experiments): each
-    // rank copies its owned blocks out of the input matrix.
-    std::map<std::pair<long long, long long>, Matrix> blocks;
-    for (long long u = 0; u < nb; ++u) {
-      for (long long v = 0; v < nb; ++v) {
-        if (owner_of(u, v, p) == me) {
-          blocks.emplace(std::make_pair(u, v),
-                         Matrix::from_view(a.block(u * b, v * b, b, b)));
-        }
-      }
-    }
-    auto blk = [&](long long u, long long v) -> Matrix& {
-      auto it = blocks.find({u, v});
-      RCS_CHECK_MSG(it != blocks.end(), "rank " << me << " missing block ("
-                                                << u << "," << v << ")");
-      return it->second;
-    };
+    OwnedBlocks blk(a, b, p, me, /*lower=*/false);
 
     for (long long t = 0; t < nb; ++t) {
       const int panel = static_cast<int>(t % p);
@@ -306,20 +227,9 @@ LuFunctionalResult lu_functional(const SystemParams& sys, const LuConfig& cfg,
         auto serve = [&](long long count) {
           for (long long s = 0; s < count && served < ready; ++s, ++served) {
             const auto [u, v] = order[static_cast<std::size_t>(served)];
-            for (int r = 0; r < p; ++r) {
-              if (r == panel) continue;
-              if (dma) {
-                net::isend_matrix(comm, r, make_tag(Chan::CStripe, t, served),
-                                  blk(u, t).view());
-                net::isend_matrix(comm, r, make_tag(Chan::DStripe, t, served),
-                                  blk(t, v).view());
-              } else {
-                net::send_matrix(comm, r, make_tag(Chan::CStripe, t, served),
-                                 blk(u, t).view());
-                net::send_matrix(comm, r, make_tag(Chan::DStripe, t, served),
-                                 blk(t, v).view());
-              }
-            }
+            fan_out(comm, dma,
+                    {{make_tag(kCStripe, t, served), blk(u, t).view()},
+                     {make_tag(kDStripe, t, served), blk(t, v).view()}});
           }
         };
         const long long m = nb - 1 - t;
@@ -342,8 +252,7 @@ LuFunctionalResult lu_functional(const SystemParams& sys, const LuConfig& cfg,
         serve(total - served);
       } else {
         // --- Worker: one column share of every opMM of this iteration.
-        int widx = me < panel ? me : me - 1;  // index among the p-1 workers
-        const auto [c0, c1] = worker_columns(b, workers, widx);
+        const auto [c0, c1] = worker_columns(b, p, panel, me);
         const long long cw = c1 - c0;
         // Lookahead: double-buffer the stripe stream — task j+1's C/D
         // receives are posted before task j's opMM runs, so the panel's
@@ -352,8 +261,8 @@ LuFunctionalResult lu_functional(const SystemParams& sys, const LuConfig& cfg,
         // overlap, for the blocking-vs-lookahead comparison).
         net::Request c_req, d_req;
         if (cfg.lookahead && total > 0) {
-          c_req = comm.irecv(panel, make_tag(Chan::CStripe, t, 0), "opMM");
-          d_req = comm.irecv(panel, make_tag(Chan::DStripe, t, 0), "opMM");
+          c_req = comm.irecv(panel, make_tag(kCStripe, t, 0), "opMM");
+          d_req = comm.irecv(panel, make_tag(kDStripe, t, 0), "opMM");
         }
         for (long long j = 0; j < total; ++j) {
           const auto [u, v] = order[static_cast<std::size_t>(j)];
@@ -363,14 +272,14 @@ LuFunctionalResult lu_functional(const SystemParams& sys, const LuConfig& cfg,
             d = net::wait_matrix(d_req);
             if (j + 1 < total) {
               c_req =
-                  comm.irecv(panel, make_tag(Chan::CStripe, t, j + 1), "opMM");
+                  comm.irecv(panel, make_tag(kCStripe, t, j + 1), "opMM");
               d_req =
-                  comm.irecv(panel, make_tag(Chan::DStripe, t, j + 1), "opMM");
+                  comm.irecv(panel, make_tag(kDStripe, t, j + 1), "opMM");
             }
           } else {
-            c = net::recv_matrix(comm, panel, make_tag(Chan::CStripe, t, j),
+            c = net::recv_matrix(comm, panel, make_tag(kCStripe, t, j),
                                  "opMM");
-            d = net::recv_matrix(comm, panel, make_tag(Chan::DStripe, t, j),
+            d = net::recv_matrix(comm, panel, make_tag(kDStripe, t, j),
                                  "opMM");
           }
           Matrix e(b, cw);
@@ -378,37 +287,8 @@ LuFunctionalResult lu_functional(const SystemParams& sys, const LuConfig& cfg,
 
           {
             obs::PhaseSpan phase("lu", "opMM");
-            // Timing: stream the k-wide stripes; the FPGA pipelines behind
-            // the DRAM stream while the CPU computes its own rows.
-            for (long long s = 0; s < b; s += k) {
-              const long long ks = std::min(k, b - s);
-              if (b_f > 0) {
-                node.dram_to_fpga(static_cast<std::uint64_t>(
-                    (b_f * ks + ks * cw) * 8));
-                node.fpga_submit(
-                    static_cast<double>(mm.cycles(b_f, ks, cw)), "opMM");
-              }
-              if (b_p > 0) {
-                node.cpu_compute(node::CpuKernel::Dgemm,
-                                 2.0 * static_cast<double>(b_p * ks * cw),
-                                 "opMM");
-              }
-            }
-            // Functional compute (order-identical to the stripe stream).
-            if (b_f > 0) {
-              auto e_f = e.block(0, 0, b_f, cw);
-              auto c_f = c.block(0, 0, b_f, b);
-              if (use_soft_fp) {
-                mm.multiply_accumulate_soft(c_f, dshare, e_f);
-              } else {
-                mm.multiply_accumulate(c_f, dshare, e_f);
-              }
-              node.note_fpga_flops(2.0 * static_cast<double>(b_f * b * cw));
-            }
-            if (b_p > 0) {
-              linalg::gemm(c.block(b_f, 0, b_p, b), dshare,
-                           e.block(b_f, 0, b_p, cw));
-            }
+            hybrid_opmm_share(node, mm, c.view(), dshare, e.view(), b_f,
+                              /*nt=*/false, use_soft_fp, "opMM");
             if (b_f > 0) {
               node.fpga_wait();
               node.read_fpga_results("opMM partial product");
@@ -467,10 +347,10 @@ LuFunctionalResult lu_functional(const SystemParams& sys, const LuConfig& cfg,
           } else if (cfg.lookahead) {
             // The E share rides the worker's NIC so its CPU moves straight
             // on to the next task's opMM.
-            net::isend_matrix(comm, dst, make_tag(Chan::EShare, t, j),
+            net::isend_matrix(comm, dst, make_tag(kEShare, t, j),
                               e.view());
           } else {
-            net::send_matrix(comm, dst, make_tag(Chan::EShare, t, j),
+            net::send_matrix(comm, dst, make_tag(kEShare, t, j),
                              e.view());
           }
           if (straggler_s > 0.0 && dst == me) {
@@ -496,14 +376,13 @@ LuFunctionalResult lu_functional(const SystemParams& sys, const LuConfig& cfg,
         if (owner_of(u, v, p) != me) continue;
         for (int r = 0; r < p; ++r) {
           if (r == panel || r == me) continue;
-          const int widx = r < panel ? r : r - 1;
-          const auto [c0, c1] = worker_columns(b, workers, widx);
+          const auto [c0, c1] = worker_columns(b, p, panel, r);
           shares.push_back(EShare{j, r, c0, c1, net::Request()});
         }
       }
       if (cfg.lookahead) {
         for (EShare& s : shares) {
-          s.req = comm.irecv(s.r, make_tag(Chan::EShare, t, s.j), "opMS");
+          s.req = comm.irecv(s.r, make_tag(kEShare, t, s.j), "opMS");
         }
       }
       for (EShare& s : shares) {
@@ -514,13 +393,13 @@ LuFunctionalResult lu_functional(const SystemParams& sys, const LuConfig& cfg,
           e = cfg.lookahead
                   ? net::wait_matrix_deadline(s.req, straggler_s, &late)
                   : net::recv_matrix_deadline(
-                        comm, s.r, make_tag(Chan::EShare, t, s.j),
+                        comm, s.r, make_tag(kEShare, t, s.j),
                         straggler_s, &late, "opMS");
         } else {
           e = cfg.lookahead
                   ? net::wait_matrix(s.req)
                   : net::recv_matrix(
-                        comm, s.r, make_tag(Chan::EShare, t, s.j),
+                        comm, s.r, make_tag(kEShare, t, s.j),
                         "opMS");
         }
         if (late) {
@@ -564,66 +443,21 @@ LuFunctionalResult lu_functional(const SystemParams& sys, const LuConfig& cfg,
       if (!cfg.lookahead) comm.barrier();
     }
 
-    // Record simulated stats before the (untimed) gather; stop comm
-    // tracing so gather traffic stays out of the analyzed timeline.
-    comm.set_trace(nullptr);
-    RankStats& st = stats[static_cast<std::size_t>(me)];
-    st.finish = comm.clock().now();
-    st.cpu_busy = node.cpu_busy_total();
-    st.fpga_busy = node.fpga_busy_total();
-    st.cpu_flops = node.cpu_flops_total();
-    st.fpga_flops = node.fpga_flops_total();
-    st.bytes_sent = comm.bytes_sent();
-    st.coordination = node.coordination_events();
-    st.overlap = comm.overlap_stats();
-    st.faults += comm.fault_stats();  // link/crash/timeout side of the plan
-
-    // Gather the factored blocks at rank 0.
+    // The gather is untimed and stays out of the analyzed timeline.
+    rank.end_timed();
     obs::PhaseSpan phase("lu", "gather");
-    if (me == 0) {
-      for (long long u = 0; u < nb; ++u) {
-        for (long long v = 0; v < nb; ++v) {
-          const int o = owner_of(u, v, p);
-          Matrix block = o == 0
-                             ? std::move(blk(u, v))
-                             : net::recv_matrix(
-                                   comm, o, make_tag(Chan::Gather, 0,
-                                                     u * nb + v));
-          linalg::copy(block.view(), factored.block(u * b, v * b, b, b));
-        }
-      }
-    } else {
-      for (auto& [key, block] : blocks) {
-        net::send_matrix(comm, 0, make_tag(Chan::Gather, 0,
-                                           key.first * nb + key.second),
-                         block.view());
-      }
-    }
+    blk.gather(comm, factored);
   });
-
-  if (trace != nullptr) {
-    for (auto& rt : rank_traces) trace->merge_from(std::move(rt));
-  }
-  if (message_log != nullptr) *message_log = world.message_log();
 
   LuFunctionalResult res;
   res.factored = std::move(factored);
   res.partition = part;
   res.l = l;
+  res.run = totals.run;
   res.run.design = std::string("LU/") + to_string(cfg.mode) + "/functional" +
                    (cfg.lookahead ? "+lookahead" : "");
-  for (const RankStats& st : stats) {
-    res.run.seconds = std::max(res.run.seconds, st.finish);
-    res.run.cpu_busy_seconds += st.cpu_busy;
-    res.run.fpga_busy_seconds += st.fpga_busy;
-    res.run.cpu_flops += st.cpu_flops;
-    res.run.fpga_flops += st.fpga_flops;
-    res.run.bytes_on_network += st.bytes_sent;
-    res.run.coordination_events += st.coordination;
-    for (const auto& [ph, os] : st.overlap) res.overlap[ph] += os;
-    res.faults += st.faults;
-  }
-  res.run.total_flops = res.run.cpu_flops + res.run.fpga_flops;
+  res.overlap = totals.overlap;
+  res.faults = totals.faults;
   return res;
 }
 

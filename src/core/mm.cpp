@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <string>
-#include <vector>
 
 #include "common/error.hpp"
+#include "core/functional_run.hpp"
 #include "fpga/matmul_array.hpp"
 #include "linalg/blas.hpp"
 #include "net/matrix_channel.hpp"
@@ -13,57 +13,7 @@
 namespace rcs::core {
 
 namespace {
-
 using linalg::Matrix;
-
-enum class Chan : int { ABlock = 1, BBlock = 2, CShare = 3 };
-
-int make_tag(Chan chan, long long task, long long step) {
-  RCS_CHECK_MSG(task < (1 << 14) && step < (1 << 13), "mm tag space exceeded");
-  return static_cast<int>((task << 16) | (step << 3) |
-                          static_cast<long long>(chan));
-}
-
-std::pair<long long, long long> worker_columns(long long b, int workers,
-                                               int w) {
-  const long long base = b / workers;
-  const long long rem = b % workers;
-  const long long c0 = w * base + std::min<long long>(w, rem);
-  return {c0, c0 + base + (w < rem ? 1 : 0)};
-}
-
-long long resolve_bf(const SystemParams& sys, const MmConfig& cfg,
-                     long long b) {
-  if (cfg.b_f >= 0) return cfg.b_f;
-  switch (cfg.mode) {
-    case DesignMode::Hybrid: return solve_mm_partition(sys, b).b_f;
-    case DesignMode::ProcessorOnly: return 0;
-    case DesignMode::FpgaOnly: return b;
-  }
-  return 0;
-}
-
-/// One worker's latency for a single b x b block multiply-accumulate step
-/// (its column share), given the mode.
-double worker_step_seconds(const SystemParams& sys, const MmConfig& cfg,
-                           const MmPartition& part, long long b) {
-  const long long k = sys.mm_fpga.pe_count;
-  const double stripes = static_cast<double>(b) / static_cast<double>(k);
-  const double workers = sys.p >= 2 ? static_cast<double>(sys.p - 1) : 1.0;
-  const double b3 = static_cast<double>(b) * static_cast<double>(b) *
-                    static_cast<double>(b);
-  switch (cfg.mode) {
-    case DesignMode::Hybrid:
-      return stripes * part.stripe_period_seconds();
-    case DesignMode::ProcessorOnly:
-      return 2.0 * b3 /
-             (workers * sys.gpp.sustained(node::CpuKernel::Dgemm));
-    case DesignMode::FpgaOnly:
-      return stripes * std::max(part.t_f_stripe, part.t_mem_stripe);
-  }
-  return 0.0;
-}
-
 }  // namespace
 
 MmAnalyticReport mm_analytic(const SystemParams& sys, const MmConfig& cfg) {
@@ -72,12 +22,15 @@ MmAnalyticReport mm_analytic(const SystemParams& sys, const MmConfig& cfg) {
   const long long nb = cfg.n / b;
 
   MmAnalyticReport rep;
-  SystemParams solver_sys = sys;
-  rep.partition = mm_partition_at(solver_sys, b, resolve_bf(sys, cfg, b));
-  const MmPartition& part = rep.partition;
+  rep.partition =
+      mm_partition_at(sys, b, resolve_b_f(sys, cfg.mode, b, cfg.b_f));
+  // One block multiply-accumulate step is one opMM on the max(p - 1, 1)
+  // workers.
+  const OpmmCosts costs =
+      opmm_costs(sys, cfg.mode, cfg.fanout, rep.partition);
 
   const double b2 = static_cast<double>(b) * static_cast<double>(b);
-  const double step_w = worker_step_seconds(sys, cfg, part, b);
+  const double step_w = costs.worker_seconds;
   const long long steps = nb * nb * nb;  // block multiply-accumulate tasks
   const double n3 = static_cast<double>(cfg.n) * static_cast<double>(cfg.n) *
                     static_cast<double>(cfg.n);
@@ -90,12 +43,7 @@ MmAnalyticReport mm_analytic(const SystemParams& sys, const MmConfig& cfg) {
     // Root-fed pipeline: per step the root spends S distributing stripes,
     // the workers spend step_w computing; per output block one share
     // returns per worker and the root stores it.
-    const long long k = sys.mm_fpga.pe_count;
-    const double stripes = static_cast<double>(b) / static_cast<double>(k);
-    const double dest = cfg.fanout == SendFanout::SerialAll
-                            ? static_cast<double>(sys.p - 1)
-                            : 1.0;
-    const double s = stripes * part.t_comm_stripe * dest;
+    const double s = costs.sender_seconds;
     const double ret = b2 * kWordBytes / sys.network.bytes_per_s;  // shares
     const double period = std::max(s, step_w);
     rep.run.seconds = s + static_cast<double>(steps) * period +
@@ -105,14 +53,8 @@ MmAnalyticReport mm_analytic(const SystemParams& sys, const MmConfig& cfg) {
             static_cast<double>(sys.p - 1) +
         static_cast<double>(nb * nb) * b2 * kWordBytes);
   }
-  const double fpga_share =
-      cfg.mode == DesignMode::ProcessorOnly
-          ? 0.0
-          : (cfg.mode == DesignMode::FpgaOnly
-                 ? 1.0
-                 : static_cast<double>(part.b_f) / static_cast<double>(b));
   rep.run.total_flops = 2.0 * n3;
-  rep.run.fpga_flops = rep.run.total_flops * fpga_share;
+  rep.run.fpga_flops = rep.run.total_flops * costs.fpga_share;
   rep.run.cpu_flops = rep.run.total_flops - rep.run.fpga_flops;
   rep.run.fpga_busy_seconds =
       cfg.mode == DesignMode::ProcessorOnly
@@ -135,110 +77,53 @@ MmFunctionalResult mm_functional(const SystemParams& sys, const MmConfig& cfg,
                     bmat.cols() == static_cast<std::size_t>(n),
                 "mm operands must be n x n");
   const long long nb = n / b;
-  const long long b_f = resolve_bf(sys, cfg, b);
-  const long long b_p = b - b_f;
+  const long long b_f = resolve_b_f(sys, cfg.mode, b, cfg.b_f);
   const MmPartition part = mm_partition_at(sys, b, b_f);
   const fpga::MatMulArray array(sys.mm_fpga);
-  const long long k = sys.mm_fpga.pe_count;
+  const int p = sys.p;
+  // PaperSingle fan-out rides the RapidArray DMA engines (isend): the root
+  // CPU pays only setup; SerialAll serializes on the CPU (§4.3).
+  const bool dma = cfg.fanout == SendFanout::PaperSingle;
 
-  MmFunctionalResult res;
-  res.partition = part;
-  res.run.design = std::string("MM/") + to_string(cfg.mode) + "/functional";
-
-  // ---- Single node: the [22] hybrid multiply, no network. ----
-  if (sys.p == 1) {
-    net::VirtualClock clock;
-    sim::TraceRecorder local_trace(trace != nullptr && trace->enabled());
-    node::ComputeNode node(sys.node_params_mm(), clock, &local_trace,
-                           "node0");
-    Matrix c(n, n);
-    for (long long u = 0; u < nb; ++u) {
-      for (long long v = 0; v < nb; ++v) {
-        auto cuv = c.block(u * b, v * b, b, b);
-        for (long long w = 0; w < nb; ++w) {
-          auto auw = a.block(u * b, w * b, b, b);
-          auto bwv = bmat.block(w * b, v * b, b, b);
-          for (long long s = 0; s < b; s += k) {
-            const long long ks = std::min(k, b - s);
-            if (b_f > 0) {
-              node.dram_to_fpga(
-                  static_cast<std::uint64_t>((b_f * ks + ks * b) * 8));
-              node.fpga_submit(static_cast<double>(array.cycles(b_f, ks, b)),
-                               "mm");
-            }
-            if (b_p > 0) {
-              node.cpu_compute(node::CpuKernel::Dgemm,
-                               2.0 * static_cast<double>(b_p * ks * b), "mm");
-            }
+  Matrix c(n, n);
+  const RunSetup setup{.p = p,
+                       .network = sys.network,
+                       .node = sys.node_params_mm(),
+                       .trace = trace};
+  const RunTotals totals = run_ranks(setup, [&](Rank& rank) {
+    net::Comm& comm = rank.comm;
+    node::ComputeNode& node = rank.node;
+    const int me = comm.rank();
+    if (p == 1) {
+      // Single node: the [22] hybrid multiply accumulates straight into C,
+      // one FPGA handshake per block step, no network.
+      for (long long u = 0; u < nb; ++u) {
+        for (long long v = 0; v < nb; ++v) {
+          for (long long w = 0; w < nb; ++w) {
+            hybrid_opmm_share(node, array, a.block(u * b, w * b, b, b),
+                              bmat.block(w * b, v * b, b, b),
+                              c.block(u * b, v * b, b, b), b_f,
+                              /*nt=*/false, use_soft_fp, "mm");
+            if (b_f > 0) node.fpga_wait();
           }
-          if (b_f > 0) {
-            auto c_f = cuv.block(0, 0, b_f, b);
-            if (use_soft_fp) {
-              array.multiply_accumulate_soft(auw.block(0, 0, b_f, b), bwv,
-                                             c_f);
-            } else {
-              array.multiply_accumulate(auw.block(0, 0, b_f, b), bwv, c_f);
-            }
-            node.note_fpga_flops(2.0 * static_cast<double>(b_f * b * b));
-          }
-          if (b_p > 0) {
-            linalg::gemm(auw.block(b_f, 0, b_p, b), bwv,
-                         cuv.block(b_f, 0, b_p, b));
-          }
-          if (b_f > 0) node.fpga_wait();
         }
       }
-    }
-    if (trace != nullptr) trace->merge_from(std::move(local_trace));
-    res.c = std::move(c);
-    res.run.seconds = clock.now();
-    res.run.cpu_busy_seconds = node.cpu_busy_total();
-    res.run.fpga_busy_seconds = node.fpga_busy_total();
-    res.run.cpu_flops = node.cpu_flops_total();
-    res.run.fpga_flops = node.fpga_flops_total();
-    res.run.coordination_events = node.coordination_events();
-    res.run.total_flops = res.run.cpu_flops + res.run.fpga_flops;
-    return res;
-  }
-
-  // ---- Distributed: rank 0 hosts A/B/C, workers hold running column
-  // shares of each block product in on-board SRAM across the nb inner
-  // steps, exactly like the streaming accumulation of [21]. ----
-  const int p = sys.p;
-  const int workers = p - 1;
-  net::World world(p, sys.network);
-  Matrix c(n, n);
-  struct Stats {
-    sim::SimTime finish = 0.0;
-    double cpu_busy = 0.0, fpga_busy = 0.0, cpu_flops = 0.0, fpga_flops = 0.0;
-    std::uint64_t bytes = 0, coord = 0;
-  };
-  std::vector<Stats> stats(static_cast<std::size_t>(p));
-  std::vector<sim::TraceRecorder> rank_traces(
-      static_cast<std::size_t>(p),
-      sim::TraceRecorder(trace != nullptr && trace->enabled()));
-
-  world.run([&](net::Comm& comm) {
-    const int me = comm.rank();
-    node::ComputeNode node(sys.node_params_mm(), comm.clock(),
-                           &rank_traces[static_cast<std::size_t>(me)],
-                           "node" + std::to_string(me));
-    if (me == 0) {
-      long long task = 0;
+    } else if (me == 0) {
+      // Root: stream every step's blocks to the workers, then store their
+      // column shares of the finished output block. Block (u, v)'s step w
+      // is tagged (u, v * nb + w).
       for (long long u = 0; u < nb; ++u) {
-        for (long long v = 0; v < nb; ++v, ++task) {
+        for (long long v = 0; v < nb; ++v) {
           for (long long w = 0; w < nb; ++w) {
-            for (int r = 1; r < p; ++r) {
-              net::send_matrix(comm, r, make_tag(Chan::ABlock, task, w),
-                               a.block(u * b, w * b, b, b));
-              net::send_matrix(comm, r, make_tag(Chan::BBlock, task, w),
-                               bmat.block(w * b, v * b, b, b));
-            }
+            fan_out(comm, dma,
+                    {{make_tag(kCStripe, u, v * nb + w),
+                      a.block(u * b, w * b, b, b)},
+                     {make_tag(kDStripe, u, v * nb + w),
+                      bmat.block(w * b, v * b, b, b)}});
           }
           for (int r = 1; r < p; ++r) {
-            const auto [c0, c1] = worker_columns(b, workers, r - 1);
-            Matrix share =
-                net::recv_matrix(comm, r, make_tag(Chan::CShare, task, 0));
+            const auto [c0, c1] = worker_columns(b, p, 0, r);
+            Matrix share = net::recv_matrix(comm, r, make_tag(kEShare, u, v));
             linalg::copy(share.view(),
                          c.block(u * b, v * b + c0, b, c1 - c0));
             node.cpu_compute(node::CpuKernel::MemBound,
@@ -247,81 +132,37 @@ MmFunctionalResult mm_functional(const SystemParams& sys, const MmConfig& cfg,
         }
       }
     } else {
-      const auto [c0, c1] = worker_columns(b, workers, me - 1);
-      const long long cw = c1 - c0;
-      long long task = 0;
+      // Worker: hold a running column share of each block product in
+      // on-board SRAM across the nb inner steps, exactly like the streaming
+      // accumulation of [21].
+      const auto [c0, c1] = worker_columns(b, p, 0, me);
       for (long long u = 0; u < nb; ++u) {
-        for (long long v = 0; v < nb; ++v, ++task) {
-          Matrix e(b, cw);  // running share, lives in on-board SRAM
+        for (long long v = 0; v < nb; ++v) {
+          Matrix e(b, c1 - c0);
           for (long long w = 0; w < nb; ++w) {
-            Matrix ablk =
-                net::recv_matrix(comm, 0, make_tag(Chan::ABlock, task, w));
-            Matrix bblk =
-                net::recv_matrix(comm, 0, make_tag(Chan::BBlock, task, w));
-            auto bshare = bblk.block(0, c0, b, cw);
-            for (long long s = 0; s < b; s += k) {
-              const long long ks = std::min(k, b - s);
-              if (b_f > 0) {
-                node.dram_to_fpga(
-                    static_cast<std::uint64_t>((b_f * ks + ks * cw) * 8));
-                node.fpga_submit(
-                    static_cast<double>(array.cycles(b_f, ks, cw)), "mm");
-              }
-              if (b_p > 0) {
-                node.cpu_compute(node::CpuKernel::Dgemm,
-                                 2.0 * static_cast<double>(b_p * ks * cw),
-                                 "mm");
-              }
-            }
-            if (b_f > 0) {
-              auto e_f = e.block(0, 0, b_f, cw);
-              if (use_soft_fp) {
-                array.multiply_accumulate_soft(ablk.block(0, 0, b_f, b),
-                                               bshare, e_f);
-              } else {
-                array.multiply_accumulate(ablk.block(0, 0, b_f, b), bshare,
-                                          e_f);
-              }
-              node.note_fpga_flops(2.0 * static_cast<double>(b_f * b * cw));
-            }
-            if (b_p > 0) {
-              linalg::gemm(ablk.block(b_f, 0, b_p, b), bshare,
-                           e.block(b_f, 0, b_p, cw));
-            }
+            Matrix ablk = net::recv_matrix(
+                comm, 0, make_tag(kCStripe, u, v * nb + w));
+            Matrix bblk = net::recv_matrix(
+                comm, 0, make_tag(kDStripe, u, v * nb + w));
+            hybrid_opmm_share(node, array, ablk.view(),
+                              bblk.block(0, c0, b, c1 - c0), e.view(), b_f,
+                              /*nt=*/false, use_soft_fp, "mm");
           }
           if (b_f > 0) {
             node.fpga_wait();
             node.read_fpga_results("mm block share");
           }
-          net::send_matrix(comm, 0, make_tag(Chan::CShare, task, 0),
-                           e.view());
+          net::send_matrix(comm, 0, make_tag(kEShare, u, v), e.view());
         }
       }
     }
-    Stats& st = stats[static_cast<std::size_t>(me)];
-    st.finish = comm.clock().now();
-    st.cpu_busy = node.cpu_busy_total();
-    st.fpga_busy = node.fpga_busy_total();
-    st.cpu_flops = node.cpu_flops_total();
-    st.fpga_flops = node.fpga_flops_total();
-    st.bytes = comm.bytes_sent();
-    st.coord = node.coordination_events();
   });
 
-  if (trace != nullptr) {
-    for (auto& rt : rank_traces) trace->merge_from(std::move(rt));
-  }
+  MmFunctionalResult res;
   res.c = std::move(c);
-  for (const Stats& st : stats) {
-    res.run.seconds = std::max(res.run.seconds, st.finish);
-    res.run.cpu_busy_seconds += st.cpu_busy;
-    res.run.fpga_busy_seconds += st.fpga_busy;
-    res.run.cpu_flops += st.cpu_flops;
-    res.run.fpga_flops += st.fpga_flops;
-    res.run.bytes_on_network += st.bytes;
-    res.run.coordination_events += st.coord;
-  }
-  res.run.total_flops = res.run.cpu_flops + res.run.fpga_flops;
+  res.partition = part;
+  res.run = totals.run;
+  res.run.design = std::string("MM/") + to_string(cfg.mode) + "/functional";
   return res;
 }
 

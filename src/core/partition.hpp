@@ -64,6 +64,29 @@ MmPartition solve_mm_partition(const SystemParams& sys, long long b,
 MmPartition mm_partition_at(const SystemParams& sys, long long b,
                             long long b_f);
 
+/// The b_f a run uses: `b_f` when it is >= 0, otherwise the mode's choice
+/// (Eq. 4 for hybrid, 0 for processor-only, b for FPGA-only).
+long long resolve_b_f(const SystemParams& sys, DesignMode mode, long long b,
+                      long long b_f);
+
+/// Mode-resolved cost of one b x b opMM on the max(p - 1, 1) worker nodes
+/// (each computes a column share) fed by one sender node.
+struct OpmmCosts {
+  double worker_seconds = 0.0;  // one worker's latency per opMM
+  double sender_seconds = 0.0;  // sender CPU time to distribute one opMM
+  double worker_post = 0.0;     // E-share return + amortized opMS per opMM
+  double fpga_share = 0.0;      // fraction of the opMM's flops on FPGAs
+  double cpu_flops = 0.0;       // CPU flops per opMM (all workers combined)
+  double fpga_flops = 0.0;      // FPGA flops per opMM (all workers combined)
+  std::uint64_t sender_bytes = 0;  // network bytes per opMM from the sender
+  std::uint64_t result_bytes = 0;  // network bytes per opMM back to owners
+};
+
+/// Cost one opMM of `part` (its block size and b_f) under `mode`, with the
+/// sender's stripe distribution charged per `fanout`.
+OpmmCosts opmm_costs(const SystemParams& sys, DesignMode mode,
+                     SendFanout fanout, const MmPartition& part);
+
 /// Eq. 5 solution plus the quantities that go into it.
 struct LuInterleave {
   int l = 1;                 // opMM tasks served per panel operation
@@ -100,6 +123,12 @@ FwPartition solve_fw_partition(const SystemParams& sys, long long n,
 /// the baselines: l1 = ops_per_phase is processor-only, l1 = 0 FPGA-only).
 FwPartition fw_partition_at(const SystemParams& sys, long long n, long long b,
                             long long l1);
+
+/// The l1 a Floyd–Warshall run uses: `l1` when it is >= 0, otherwise the
+/// mode's choice (Eq. 6 for hybrid, all n/(b*p) tasks for processor-only,
+/// 0 for FPGA-only). Requires b*p | n.
+long long resolve_l1(const SystemParams& sys, DesignMode mode, long long n,
+                     long long b, long long l1);
 
 /// Panel-operation latencies on the processor (the Table 1 quantities).
 struct PanelTimes {

@@ -75,15 +75,9 @@ inline linalg::Matrix recv_matrix(Comm& comm, int src, int tag,
   return decode_matrix(comm.recv(src, tag, overlap_phase));
 }
 
-/// Nonblocking receive of a matrix: post with irecv_matrix, resolve with
-/// wait_matrix once the data is actually needed — the lookahead pipelines
-/// post the next block's receive before computing on the current one.
-inline Request irecv_matrix(Comm& comm, int src, int tag,
-                            const char* overlap_phase = nullptr) {
-  return comm.irecv(src, tag, overlap_phase);
-}
-
-/// Complete a posted matrix receive.
+/// Complete a matrix receive posted with Comm::irecv — the lookahead
+/// pipelines post the next block's receive before computing on the current
+/// one.
 inline linalg::Matrix wait_matrix(Request& req) {
   return decode_matrix(req.wait());
 }

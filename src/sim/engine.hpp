@@ -1,21 +1,13 @@
 #pragma once
-// Discrete-event simulation core.
-//
-// The reconfigurable-computing-system simulator is built from three pieces:
-//   * Engine   — a classic event calendar: schedule closures at simulated
-//                times, run until drained.
+// Simulated time and the resource primitives built on it:
 //   * Timeline — an exclusive resource (a CPU, an FPGA, a DMA engine): jobs
 //                reserve [start, end) intervals and serialize.
 //   * BandwidthLink — a shared transfer resource that serializes transfers at
 //                a fixed bytes/second rate plus a per-message latency.
 //
-// Simulated time is `SimTime`, in seconds (double). Determinism: events at
-// equal times fire in scheduling order.
+// Simulated time is `SimTime`, in seconds (double).
 
 #include <cstdint>
-#include <functional>
-#include <queue>
-#include <vector>
 
 #include "common/error.hpp"
 
@@ -23,52 +15,6 @@ namespace rcs::sim {
 
 /// Simulated time in seconds.
 using SimTime = double;
-
-/// Event-calendar simulator. Not thread-safe; one engine per simulation.
-class Engine {
- public:
-  /// Schedule `fn` to run at absolute simulated time `at` (>= now()).
-  void schedule(SimTime at, std::function<void()> fn);
-
-  /// Schedule `fn` to run `delay` seconds from now.
-  void schedule_in(SimTime delay, std::function<void()> fn) {
-    schedule(now_ + delay, std::move(fn));
-  }
-
-  /// Current simulated time.
-  SimTime now() const { return now_; }
-
-  /// Run until the calendar drains (or stop() is called). Returns the final
-  /// simulated time.
-  SimTime run();
-
-  /// Stop after the currently-firing event returns.
-  void stop() { stopped_ = true; }
-
-  /// Number of events fired so far.
-  std::uint64_t events_fired() const { return fired_; }
-
-  /// Number of events still pending.
-  std::size_t pending() const { return queue_.size(); }
-
- private:
-  struct Item {
-    SimTime at;
-    std::uint64_t seq;  // tie-break: FIFO among equal times
-    std::function<void()> fn;
-  };
-  struct Later {
-    bool operator()(const Item& a, const Item& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
-    }
-  };
-  std::priority_queue<Item, std::vector<Item>, Later> queue_;
-  SimTime now_ = 0.0;
-  std::uint64_t seq_ = 0;
-  std::uint64_t fired_ = 0;
-  bool stopped_ = false;
-};
 
 /// An exclusive resource with a busy-until horizon. Used by the analytic
 /// schedule simulator to model a node's processor, its FPGA, and its DMA

@@ -178,6 +178,23 @@ TEST(CholFunctionalDetail, ReportIsSelfConsistent) {
   EXPECT_LT(res.run.total_flops, n3 * 1.5);
 }
 
+TEST(CholFunctionalDetail, DmaFanoutSameResultLessSenderTime) {
+  const la::Matrix a = la::spd_matrix(96, 47);
+  core::CholConfig cfg;
+  cfg.n = 96;
+  cfg.b = 24;
+  cfg.mode = DesignMode::Hybrid;
+  cfg.b_f = 8;
+  cfg.l = 2;
+  core::CholConfig dma = cfg;
+  dma.fanout = core::SendFanout::PaperSingle;
+  const auto serial = core::cholesky_functional(xd1_p(4), cfg, a);
+  const auto viadma = core::cholesky_functional(xd1_p(4), dma, a);
+  EXPECT_TRUE(la::bit_equal(serial.factored.view(), viadma.factored.view()));
+  // The stripes ride the NIC, so the panel CPU moves on to its next trsm.
+  EXPECT_LT(viadma.run.seconds, serial.run.seconds);
+}
+
 // ---------------------------------------------------------------------------
 // Analytic plane
 

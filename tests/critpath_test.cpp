@@ -1,8 +1,8 @@
 // Tests for the critical-path analyzer (obs::cp) and its core bridge:
 // exact-match attribution on hand-built timelines with a known critical
-// path, structural invariants on real LU/FW runs, and byte-identical
-// analysis output across pool sizes and across repeated runs of a reused
-// World.
+// path, structural invariants on real LU/FW/Cholesky/MM runs, and
+// byte-identical analysis output across pool sizes and across repeated runs
+// of a reused World.
 
 #include <sstream>
 #include <string>
@@ -12,9 +12,12 @@
 
 #include "common/thread_pool.hpp"
 #include "core/analysis.hpp"
+#include "core/cholesky.hpp"
 #include "core/drift.hpp"
+#include "core/mm.hpp"
 #include "core/system.hpp"
 #include "graph/generate.hpp"
+#include "linalg/cholesky.hpp"
 #include "linalg/generate.hpp"
 #include "net/minimpi.hpp"
 #include "obs/critpath.hpp"
@@ -268,6 +271,45 @@ TEST(CritPathRuns, LuLookaheadInvariantsHold) {
   const rcs::linalg::Matrix a = rcs::linalg::diagonally_dominant(64, 42);
   const core::DriftReport rep = core::lu_drift_report(sys, cfg, a);
   expect_invariants(rep.analysis);
+}
+
+// Cholesky and MM run on the shared rank harness, so they record comm events
+// and their traces are analyzable like LU's and FW's.
+TEST(CritPathRuns, CholInvariantsHold) {
+  core::SystemParams sys = core::SystemParams::cray_xd1();
+  sys.p = 4;
+  core::CholConfig cfg;
+  cfg.n = 64;
+  cfg.b = 16;
+  cfg.mode = core::DesignMode::Hybrid;
+  cfg.b_f = 8;
+  const rcs::linalg::Matrix a = rcs::linalg::spd_matrix(64, 45);
+  sim::TraceRecorder rec(true);
+  const auto res = core::cholesky_functional(sys, cfg, a, false, &rec);
+  EXPECT_FALSE(rec.comm_events().empty());
+  const cp::Analysis an = core::analyze_run(rec, sys.p, res.run.seconds);
+  EXPECT_EQ(an.ranks, 4);
+  expect_invariants(an);
+  EXPECT_FALSE(an.critical_path.empty());
+}
+
+TEST(CritPathRuns, MmInvariantsHold) {
+  core::SystemParams sys = core::SystemParams::cray_xd1();
+  sys.p = 3;
+  core::MmConfig cfg;
+  cfg.n = 96;
+  cfg.b = 48;
+  cfg.mode = core::DesignMode::Hybrid;
+  cfg.b_f = 24;
+  const rcs::linalg::Matrix a = rcs::linalg::random_matrix(96, 96, 801);
+  const rcs::linalg::Matrix b = rcs::linalg::random_matrix(96, 96, 803);
+  sim::TraceRecorder rec(true);
+  const auto res = core::mm_functional(sys, cfg, a, b, false, &rec);
+  EXPECT_FALSE(rec.comm_events().empty());
+  const cp::Analysis an = core::analyze_run(rec, sys.p, res.run.seconds);
+  EXPECT_EQ(an.ranks, 3);
+  expect_invariants(an);
+  EXPECT_FALSE(an.critical_path.empty());
 }
 
 // --- Determinism ------------------------------------------------------------

@@ -113,6 +113,28 @@ TEST(MmFunctionalDetail, TraceCapturesBothSides) {
   EXPECT_GT(busy.count("node1.dram"), 0u);
 }
 
+TEST(MmFunctionalDetail, DmaFanoutSameResultLessSenderTime) {
+  const la::Matrix a = la::random_matrix(96, 96, 801);
+  const la::Matrix bm = la::random_matrix(96, 96, 803);
+  core::MmConfig cfg;
+  cfg.n = 96;
+  cfg.b = 48;
+  cfg.mode = DesignMode::Hybrid;
+  cfg.b_f = 24;
+  core::MmConfig dma = cfg;
+  dma.fanout = core::SendFanout::PaperSingle;
+  // The root only distributes and stores, so at the XD1's zero message
+  // latency its NIC serializes the fan-out exactly as its CPU would. With a
+  // per-message latency the NIC overlaps each setup with the previous
+  // transfer and the workers' operands land sooner.
+  SystemParams sys = xd1_p(4);
+  sys.network.latency_s = 1e-6;
+  const auto serial = core::mm_functional(sys, cfg, a, bm);
+  const auto viadma = core::mm_functional(sys, dma, a, bm);
+  EXPECT_TRUE(la::bit_equal(serial.c.view(), viadma.c.view()));
+  EXPECT_LT(viadma.run.seconds, serial.run.seconds);
+}
+
 TEST(MmFunctionalDetail, RejectsBadShapes) {
   const la::Matrix a = la::random_matrix(32, 32, 713);
   const la::Matrix bad = la::random_matrix(32, 16, 715);

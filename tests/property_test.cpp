@@ -176,23 +176,6 @@ TEST_P(RandomSystems, CholeskyHybridNeverLosesToBothBaselines) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomSystems, ::testing::Values(0, 1, 2));
 
-TEST(EngineStress, HundredThousandEventsStayOrdered) {
-  rcs::sim::Engine eng;
-  rcs::Rng rng(123);
-  double last = -1.0;
-  bool ordered = true;
-  for (int i = 0; i < 100000; ++i) {
-    eng.schedule(rng.uniform(0.0, 1e6), [&eng, &last, &ordered] {
-      if (eng.now() < last) ordered = false;
-      last = eng.now();
-    });
-  }
-  eng.run();
-  EXPECT_TRUE(ordered);
-  EXPECT_EQ(eng.events_fired(), 100000u);
-  EXPECT_EQ(eng.pending(), 0u);
-}
-
 // ---------------------------------------------------------------------------
 // MiniMPI fuzzing
 

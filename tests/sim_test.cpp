@@ -1,5 +1,5 @@
-// Tests for the discrete-event core: event ordering and determinism,
-// resource timelines, bandwidth links, and trace recording.
+// Tests for the simulation core: resource timelines, bandwidth links, and
+// trace recording.
 
 #include <sstream>
 #include <string>
@@ -13,62 +13,6 @@
 namespace sim = rcs::sim;
 
 namespace {
-
-TEST(Engine, FiresInTimeOrder) {
-  sim::Engine eng;
-  std::vector<int> order;
-  eng.schedule(3.0, [&] { order.push_back(3); });
-  eng.schedule(1.0, [&] { order.push_back(1); });
-  eng.schedule(2.0, [&] { order.push_back(2); });
-  EXPECT_DOUBLE_EQ(eng.run(), 3.0);
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(eng.events_fired(), 3u);
-}
-
-TEST(Engine, EqualTimesFireFifo) {
-  sim::Engine eng;
-  std::vector<int> order;
-  for (int i = 0; i < 10; ++i) eng.schedule(1.0, [&, i] { order.push_back(i); });
-  eng.run();
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
-}
-
-TEST(Engine, EventsCanScheduleEvents) {
-  sim::Engine eng;
-  int depth = 0;
-  std::function<void()> chain = [&] {
-    if (++depth < 5) eng.schedule_in(1.0, chain);
-  };
-  eng.schedule(0.0, chain);
-  EXPECT_DOUBLE_EQ(eng.run(), 4.0);
-  EXPECT_EQ(depth, 5);
-}
-
-TEST(Engine, CannotScheduleInThePast) {
-  sim::Engine eng;
-  eng.schedule(5.0, [&] {
-    EXPECT_THROW(eng.schedule(1.0, [] {}), rcs::Error);
-  });
-  eng.run();
-}
-
-TEST(Engine, StopHaltsProcessing) {
-  sim::Engine eng;
-  int fired = 0;
-  eng.schedule(1.0, [&] { ++fired; eng.stop(); });
-  eng.schedule(2.0, [&] { ++fired; });
-  eng.run();
-  EXPECT_EQ(fired, 1);
-  EXPECT_EQ(eng.pending(), 1u);
-}
-
-TEST(Engine, NowAdvancesDuringRun) {
-  sim::Engine eng;
-  double seen = -1.0;
-  eng.schedule(2.5, [&] { seen = eng.now(); });
-  eng.run();
-  EXPECT_DOUBLE_EQ(seen, 2.5);
-}
 
 TEST(Timeline, SerializesWork) {
   sim::Timeline tl;

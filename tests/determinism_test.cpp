@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "common/thread_pool.hpp"
+#include "core/analysis.hpp"
 #include "core/cholesky.hpp"
 #include "core/fw_functional.hpp"
 #include "core/lu_functional.hpp"
@@ -24,6 +25,7 @@
 #include "linalg/generate.hpp"
 #include "linalg/simd.hpp"
 #include "net/minimpi.hpp"
+#include "obs/critpath.hpp"
 #include "sim/faults.hpp"
 #include "sim/trace.hpp"
 
@@ -378,10 +380,11 @@ TEST(Determinism, RankSchedulerInvariantAcrossMaxWorkers) {
 
 // --- Pinned runs -------------------------------------------------------------
 // Every functional plane's simulated schedule is pinned to fixed values: the
-// FNV-1a digest of its trace CSV, its makespan, its network bytes and its
-// coordination events, plus each app's analytic makespan at its paper point.
-// A refactor of the shared run harness or opMM routine must leave all of
-// them exactly where they are.
+// FNV-1a digests of its trace CSV, its critical-path analysis JSON and its
+// Chrome trace export, its makespan, its network bytes and its coordination
+// events, plus each app's analytic makespan at its paper point. A refactor of
+// the shared run harness, the opMM routine, the trace recorder or the
+// analyzer must leave all of them exactly where they are.
 
 std::uint64_t fnv1a(const std::string& s) {
   std::uint64_t h = 0xcbf29ce484222325ull;
@@ -394,16 +397,34 @@ std::uint64_t fnv1a(const std::string& s) {
 
 struct Pin {
   std::uint64_t csv_digest;
+  std::uint64_t analysis_digest;
+  std::uint64_t chrome_digest;
   double seconds;
   std::uint64_t bytes_on_network;
   std::uint64_t coordination_events;
 };
 
+std::uint64_t csv_digest(const sim::TraceRecorder& rec) {
+  std::ostringstream os;
+  rec.write_csv(os);
+  return fnv1a(os.str());
+}
+
+std::uint64_t analysis_digest(const rcs::obs::cp::Analysis& an) {
+  std::ostringstream os;
+  an.write_json(os);
+  return fnv1a(os.str());
+}
+
 void expect_pinned(const std::string& what, const sim::TraceRecorder& rec,
-                   const core::RunReport& run, const Pin& pin) {
-  std::ostringstream csv;
-  rec.write_csv(csv);
-  EXPECT_EQ(fnv1a(csv.str()), pin.csv_digest) << what;
+                   const core::RunReport& run, int p, const Pin& pin) {
+  EXPECT_EQ(csv_digest(rec), pin.csv_digest) << what;
+  EXPECT_EQ(analysis_digest(core::analyze_run(rec, p, run.seconds)),
+            pin.analysis_digest)
+      << what;
+  std::ostringstream chrome;
+  rec.write_chrome_json(chrome);
+  EXPECT_EQ(fnv1a(chrome.str()), pin.chrome_digest) << what;
   EXPECT_DOUBLE_EQ(run.seconds, pin.seconds) << what;
   EXPECT_EQ(run.bytes_on_network, pin.bytes_on_network) << what;
   EXPECT_EQ(run.coordination_events, pin.coordination_events) << what;
@@ -416,13 +437,15 @@ TEST(PinnedRuns, LuFunctional) {
   cfg.b = 16;
   cfg.mode = core::DesignMode::Hybrid;
   const Pin pins[] = {
-      {12497497609675364495ull, 7.8517817378917338e-05, 131200u, 0u},
-      {13316973553328090415ull, 7.0114739601139623e-05, 131184u, 0u}};
+      {12497497609675364495ull, 4945018549148650624ull,
+       17272035338400582040ull, 7.8517817378917338e-05, 131200u, 0u},
+      {13316973553328090415ull, 17121883204248662047ull,
+       16510668468056530144ull, 7.0114739601139623e-05, 131184u, 0u}};
   for (const bool lookahead : {false, true}) {
     cfg.lookahead = lookahead;
     sim::TraceRecorder rec(true);
     const auto res = core::lu_functional(xd1_p(3), cfg, a, false, &rec);
-    expect_pinned(lookahead ? "lookahead" : "blocking", rec, res.run,
+    expect_pinned(lookahead ? "lookahead" : "blocking", rec, res.run, 3,
                   pins[lookahead ? 1 : 0]);
   }
   // Eq. 4 solves b = 16 to b_f = 0; pin a run with an FPGA share too.
@@ -430,8 +453,9 @@ TEST(PinnedRuns, LuFunctional) {
   cfg.b_f = 8;
   sim::TraceRecorder rec(true);
   const auto res = core::lu_functional(xd1_p(3), cfg, a, false, &rec);
-  expect_pinned("b_f=8", rec, res.run,
-                {12573201998406669646ull, 8.3539355840455762e-05, 131200u,
+  expect_pinned("b_f=8", rec, res.run, 3,
+                {12573201998406669646ull, 121677093908109408ull,
+                 13615211582964395298ull, 8.3539355840455762e-05, 131200u,
                  84u});
 }
 
@@ -442,13 +466,15 @@ TEST(PinnedRuns, FwFunctional) {
   cfg.b = 16;
   cfg.mode = core::DesignMode::Hybrid;
   const Pin pins[] = {
-      {3591938345523819518ull, 0.00053031149122807005, 33032u, 92u},
-      {16502589374968856619ull, 0.0004987938245614034, 33024u, 92u}};
+      {3591938345523819518ull, 9459927985753829138ull,
+       15966399383404741032ull, 0.00053031149122807005, 33032u, 92u},
+      {16502589374968856619ull, 6615586013176680816ull,
+       2659846043914313685ull, 0.0004987938245614034, 33024u, 92u}};
   for (const bool lookahead : {false, true}) {
     cfg.lookahead = lookahead;
     sim::TraceRecorder rec(true);
     const auto res = core::fw_functional(xd1_p(2), cfg, d0, false, &rec);
-    expect_pinned(lookahead ? "lookahead" : "blocking", rec, res.run,
+    expect_pinned(lookahead ? "lookahead" : "blocking", rec, res.run, 2,
                   pins[lookahead ? 1 : 0]);
   }
 }
@@ -462,8 +488,9 @@ TEST(PinnedRuns, CholFunctional) {
   cfg.b_f = 8;
   sim::TraceRecorder rec(true);
   const auto res = core::cholesky_functional(xd1_p(4), cfg, a, false, &rec);
-  expect_pinned("chol", rec, res.run,
-                {15121164426357715959ull, 7.7413004843304779e-05, 137880u,
+  expect_pinned("chol", rec, res.run, 4,
+                {15121164426357715959ull, 13170726511743599142ull,
+                 8880567308735367561ull, 7.7413004843304779e-05, 137880u,
                  90u});
 }
 
@@ -479,8 +506,9 @@ TEST(PinnedRuns, MmFunctional) {
   const la::Matrix b1 = la::random_matrix(64, 64, 707);
   sim::TraceRecorder rec1(true);
   const auto one = core::mm_functional(xd1_p(1), cfg, a1, b1, false, &rec1);
-  expect_pinned("p=1", rec1, one.run,
-                {12450039251313160539ull, 0.00013193846153846154, 0u, 9u});
+  expect_pinned("p=1", rec1, one.run, 1,
+                {12450039251313160539ull, 10353160638718084088ull,
+                 8625503926333584822ull, 0.00013193846153846154, 0u, 9u});
 
   // Root-fed distributed multiply over two workers.
   cfg.n = 96;
@@ -490,9 +518,29 @@ TEST(PinnedRuns, MmFunctional) {
   const la::Matrix b3 = la::random_matrix(96, 96, 803);
   sim::TraceRecorder rec3(true);
   const auto three = core::mm_functional(xd1_p(3), cfg, a3, b3, false, &rec3);
-  expect_pinned("p=3", rec3, three.run,
-                {8164378654010838004ull, 0.00045411692307692296, 664192u,
+  expect_pinned("p=3", rec3, three.run, 3,
+                {8164378654010838004ull, 15487512789177810ull,
+                 15628955785727247086ull, 0.00045411692307692296, 664192u,
                  104u});
+}
+
+// A fiber-scheduled world (p > World::kAutoFiberThreshold) at the reduced
+// lu_wide benchmark shape: mostly zero-width worker shares and thousands of
+// trace events, the same mix the recorder and analyzer see at p = 1024.
+TEST(PinnedRuns, LuFunctionalFiberWorld) {
+  const la::Matrix a = la::diagonally_dominant(64, 1234);
+  core::LuConfig cfg;
+  cfg.n = 64;
+  cfg.b = 16;
+  cfg.mode = core::DesignMode::Hybrid;
+  sim::TraceRecorder rec(true);
+  const auto res = core::lu_functional(xd1_p(64), cfg, a, false, &rec);
+  const rcs::obs::cp::Analysis an =
+      core::analyze_run(rec, 64, res.run.seconds);
+  EXPECT_EQ(csv_digest(rec), 6646146629144989526ull);
+  EXPECT_EQ(analysis_digest(an), 3103981286552281356ull);
+  EXPECT_EQ(rec.event_count(), 8934u);
+  EXPECT_EQ(an.critical_path.size(), 1856u);
 }
 
 TEST(PinnedRuns, AnalyticPaperPoints) {

@@ -281,7 +281,7 @@ int run_identity_guards() {
 /// exit-codes on) the full invariant check.
 void write_scaling_point(std::ostream& out, const rcs::bench::ScalingPoint& pt,
                          bool last) {
-  char buf[512];
+  char buf[768];
   std::snprintf(
       buf, sizeof(buf),
       "    {\"design\": \"%s\", \"p\": %d, \"n\": %lld, \"b\": %lld, "
@@ -295,7 +295,8 @@ void write_scaling_point(std::ostream& out, const rcs::bench::ScalingPoint& pt,
         buf, sizeof(buf),
         ", \"simulated_s\": %.9g, \"sim_over_predicted\": %.4f, "
         "\"bytes_on_network\": %llu, \"trace_events\": %llu, "
-        "\"sim_wall_s\": %.4f, \"analysis_summary\": {\"makespan_s\": %.9g, "
+        "\"sim_wall_s\": %.4f, \"analyze_s\": %.4f, "
+        "\"analysis_summary\": {\"makespan_s\": %.9g, "
         "\"critical_path_s\": %.9g, \"cp_idle_s\": %.9g, "
         "\"resource_seconds_s\": %.9g, \"mean_utilization\": %.6f, "
         "\"imbalance_max_over_mean\": %.6f, \"jain_fairness\": %.6f, "
@@ -303,7 +304,7 @@ void write_scaling_point(std::ostream& out, const rcs::bench::ScalingPoint& pt,
         pt.simulated_s, pt.sim_over_predicted(),
         static_cast<unsigned long long>(pt.bytes_on_network),
         static_cast<unsigned long long>(pt.trace_events), pt.wall_s,
-        pt.analysis.makespan_s, pt.analysis.critical_path_s,
+        pt.analyze_s, pt.analysis.makespan_s, pt.analysis.critical_path_s,
         pt.analysis.cp_idle_s, pt.analysis.resource_seconds_s,
         pt.analysis.mean_utilization, pt.analysis.imbalance_max_over_mean,
         pt.analysis.jain_fairness,

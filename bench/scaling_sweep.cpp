@@ -36,9 +36,9 @@ int main(int argc, char** argv) {
 
   std::cout << "Scaling sweep — predicted vs simulated makespan "
                "(LU n=128 b=16; FW b=8, n=8p)\n\n";
-  std::printf("%-3s %5s %6s %-14s %12s %12s %8s %10s %9s %8s\n", "dsn", "p",
-              "n", "partition", "predicted_s", "simulated_s", "sim/pred",
-              "net_bytes", "trace_ev", "wall_s");
+  std::printf("%-3s %5s %6s %-14s %12s %12s %8s %10s %9s %8s %9s\n", "dsn",
+              "p", "n", "partition", "predicted_s", "simulated_s", "sim/pred",
+              "net_bytes", "trace_ev", "wall_s", "analyze_s");
   bool invariants_ok = true;
   for (const auto& pt : points) {
     char part[32];
@@ -49,12 +49,12 @@ int main(int argc, char** argv) {
     }
     if (pt.simulated) {
       std::printf("%-3s %5d %6lld %-14s %12.6g %12.6g %8.3f %10llu %9llu "
-                  "%8.2f\n",
+                  "%8.2f %9.3f\n",
                   pt.design.c_str(), pt.p, pt.n, part, pt.predicted_s,
                   pt.simulated_s, pt.sim_over_predicted(),
                   static_cast<unsigned long long>(pt.bytes_on_network),
                   static_cast<unsigned long long>(pt.trace_events),
-                  pt.wall_s);
+                  pt.wall_s, pt.analyze_s);
       invariants_ok = invariants_ok && pt.analysis.invariants_hold();
     } else {
       std::printf("%-3s %5d %6lld %-14s %12.6g %12s\n", pt.design.c_str(),

@@ -56,6 +56,7 @@ struct ScalingPoint {
   std::uint64_t bytes_on_network = 0;
   std::uint64_t trace_events = 0;  // recorded spans + comm events
   double wall_s = 0.0;             // host seconds to simulate the run
+  double analyze_s = 0.0;          // host seconds of its analyze_run
   obs::cp::Analysis analysis;      // valid when simulated
 
   /// Simulated-over-predicted ratio (1.0 = the run meets the model's bound;
@@ -111,7 +112,9 @@ inline ScalingPoint lu_scaling_point(int p, long long n, long long b,
   pt.trace_events = rec.event_count();
   pt.b_f = res.partition.b_f;  // the split the run actually used
   pt.l = res.l;
+  const double t1 = detail::wall_now();
   pt.analysis = core::analyze_run(rec, p, res.run.seconds);
+  pt.analyze_s = detail::wall_now() - t1;
   return pt;
 }
 
@@ -152,7 +155,9 @@ inline ScalingPoint fw_scaling_point(int p, long long b, bool simulate) {
   pt.trace_events = rec.event_count();
   pt.l1 = res.partition.l1;
   pt.l2 = res.partition.l2;
+  const double t1 = detail::wall_now();
   pt.analysis = core::analyze_run(rec, p, res.run.seconds);
+  pt.analyze_s = detail::wall_now() - t1;
   return pt;
 }
 

@@ -70,9 +70,7 @@ RunTotals run_ranks(const RunSetup& setup,
     rank.end_timed();
   });
 
-  if (setup.trace != nullptr) {
-    for (auto& t : traces) setup.trace->merge_from(std::move(t));
-  }
+  if (setup.trace != nullptr) setup.trace->merge_from(traces);
   if (setup.message_log != nullptr) *setup.message_log = world.message_log();
 
   RunTotals total;

@@ -72,10 +72,11 @@ void Comm::note_send_trace(sim::CommEvent::Kind kind, int dst, SimTime t0,
   ev.depart = depart;
   ev.arrival = arrival;
   ev.bytes = bytes;
-  ev.phase = coll_label_ != nullptr
-                 ? coll_label_
-                 : (kind == sim::CommEvent::Kind::NicSend ? "isend" : "send");
-  trace_->add_comm(std::move(ev));
+  ev.phase = trace_->intern(
+      coll_label_ != nullptr
+          ? coll_label_
+          : (kind == sim::CommEvent::Kind::NicSend ? "isend" : "send"));
+  trace_->add_comm(ev);
 }
 
 void Comm::note_recv_trace(const Message& msg, SimTime before,
@@ -92,10 +93,11 @@ void Comm::note_recv_trace(const Message& msg, SimTime before,
   ev.depart = msg.src >= 0 ? msg.depart : ev.t1;
   ev.arrival = msg.src >= 0 ? msg.arrival : ev.t1;
   ev.bytes = msg.payload.size();
-  ev.phase = overlap_phase != nullptr
-                 ? overlap_phase
-                 : (coll_label_ != nullptr ? coll_label_ : "recv");
-  trace_->add_comm(std::move(ev));
+  ev.phase = trace_->intern(
+      overlap_phase != nullptr
+          ? overlap_phase
+          : (coll_label_ != nullptr ? coll_label_ : "recv"));
+  trace_->add_comm(ev);
 }
 
 void Comm::check_crash() {

@@ -5,11 +5,18 @@
 namespace rcs::node {
 
 ComputeNode::ComputeNode(NodeParams params, net::VirtualClock& clock,
-                         sim::TraceRecorder* trace, std::string name)
+                         sim::TraceRecorder* trace, const std::string& name)
     : params_(std::move(params)),
       clock_(clock),
-      trace_(trace),
-      name_(std::move(name)) {}
+      trace_(trace != nullptr && trace->enabled() ? trace : nullptr) {
+  if (trace_ == nullptr) return;
+  cpu_id_ = trace_->intern(name + ".cpu");
+  dram_id_ = trace_->intern(name + ".dram");
+  fpga_id_ = trace_->intern(name + ".fpga");
+  fpga_wait_id_ = trace_->intern(name + ".fpga_wait");
+  dram_label_ = trace_->intern("dram->fpga");
+  fpga_wait_label_ = trace_->intern("fpga.wait");
+}
 
 void ComputeNode::set_faults(const sim::FaultPlan* plan, int rank,
                              sim::FaultStats* stats) {
@@ -52,7 +59,7 @@ void ComputeNode::cpu_compute(CpuKernel kernel, double flops,
   cpu_busy_total_ += dt;
   cpu_flops_total_ += flops;
   if (trace_ != nullptr)
-    trace_->add(name_ + ".cpu", start, clock_.now(), label);
+    trace_->add(cpu_id_, start, clock_.now(), trace_->intern(label));
 }
 
 void ComputeNode::dram_to_fpga(std::uint64_t bytes) {
@@ -64,7 +71,7 @@ void ComputeNode::dram_to_fpga(std::uint64_t bytes) {
   clock_.advance(dt);
   cpu_busy_total_ += dt;
   if (trace_ != nullptr)
-    trace_->add(name_ + ".dram", start, clock_.now(), "dram->fpga");
+    trace_->add(dram_id_, start, clock_.now(), dram_label_);
 }
 
 sim::SimTime ComputeNode::fpga_submit(double cycles, const char* label) {
@@ -80,7 +87,7 @@ sim::SimTime ComputeNode::fpga_submit(double cycles, const char* label) {
   fpga_busy_until_ = start + dt;
   fpga_busy_total_ += dt;
   if (trace_ != nullptr)
-    trace_->add(name_ + ".fpga", start, fpga_busy_until_, label);
+    trace_->add(fpga_id_, start, fpga_busy_until_, trace_->intern(label));
   return fpga_busy_until_;
 }
 
@@ -95,7 +102,7 @@ void ComputeNode::fpga_wait() {
   // this one shows the part the CPU could not hide behind its own work —
   // the "FPGA compute" bucket of the critical-path analyzer.
   if (trace_ != nullptr && clock_.now() > start) {
-    trace_->add(name_ + ".fpga_wait", start, clock_.now(), "fpga.wait");
+    trace_->add(fpga_wait_id_, start, clock_.now(), fpga_wait_label_);
   }
   pending_submissions_ = 0;
 }

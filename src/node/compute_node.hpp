@@ -52,9 +52,10 @@ struct NodeParams {
 class ComputeNode {
  public:
   /// `clock` is the rank's virtual clock (shared with its Comm); `trace`
-  /// may be null. `name` prefixes trace resources ("node3.cpu", ...).
+  /// may be null, and a recorder that is disabled when the node is built
+  /// is never written. `name` prefixes trace resources ("node3.cpu", ...).
   ComputeNode(NodeParams params, net::VirtualClock& clock,
-              sim::TraceRecorder* trace, std::string name);
+              sim::TraceRecorder* trace, const std::string& name);
 
   const NodeParams& params() const { return params_; }
   const fpga::DeviceConfig& fpga_device() const { return params_.fpga; }
@@ -115,8 +116,11 @@ class ComputeNode {
 
   NodeParams params_;
   net::VirtualClock& clock_;
-  sim::TraceRecorder* trace_;
-  std::string name_;
+  sim::TraceRecorder* trace_;  // null unless recording
+  // Trace resources "<name>.{cpu,dram,fpga,fpga_wait}" and the fixed
+  // labels, interned once (valid when trace_ is set).
+  sim::NameId cpu_id_ = 0, dram_id_ = 0, fpga_id_ = 0, fpga_wait_id_ = 0;
+  sim::NameId dram_label_ = 0, fpga_wait_label_ = 0;
   const sim::FaultPlan* fault_plan_ = nullptr;
   int fault_rank_ = -1;
   sim::FaultStats* fault_stats_ = nullptr;

@@ -5,7 +5,9 @@
 // this analyzer says why the measured makespan is what it is. Input is a
 // Timeline: every clock-occupying interval on every rank (compute spans,
 // exposed FPGA waits, transfer serialization and stalls) plus the wire
-// intervals of every message. Output is an Analysis:
+// intervals of every message. Intervals name their phase by an index into
+// the Timeline's label table, so analysis makes no per-interval string
+// copies or comparisons. Output is an Analysis:
 //
 //   * per-rank attribution — the interval [0, makespan] of each rank
 //     partitioned into buckets (CPU compute, exposed FPGA time, visible
@@ -33,12 +35,13 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace rcs::obs::cp {
 
 /// Attribution buckets partitioning a rank's timeline.
-enum class Bucket {
+enum class Bucket : std::uint8_t {
   Cpu,              // CPU compute (kernel flops)
   Fpga,             // exposed FPGA time (CPU blocked in fpga_wait)
   TransferVisible,  // data movement the clock had to wait for
@@ -48,7 +51,7 @@ enum class Bucket {
 
 /// What kind of operation produced an interval — receives are special on
 /// the critical-path walk (arrival-bound receives jump to the sender).
-enum class Op { Compute, Send, Recv };
+enum class Op : std::uint8_t { Compute, Send, Recv };
 
 /// One clock-occupying interval on a rank's timeline. Intervals on one rank
 /// must not overlap (they are [clock-before, clock-after] of sequential
@@ -56,13 +59,13 @@ enum class Op { Compute, Send, Recv };
 /// wire interval of a fully hidden transfer.
 struct Interval {
   int rank = -1;
-  double start = 0.0;
-  double end = 0.0;
   Bucket bucket = Bucket::Cpu;
   Op op = Op::Compute;
-  std::string label;      // phase name ("opMM", "barrier", "send", ...)
-  int peer = -1;          // message peer for transfer intervals
-  double depart = -1.0;   // wire interval (transfer intervals only)
+  double start = 0.0;
+  double end = 0.0;
+  std::uint32_t label = 0;  // Timeline::labels index ("opMM", "send", ...)
+  int peer = -1;            // message peer for transfer intervals
+  double depart = -1.0;     // wire interval (transfer intervals only)
   double arrival = -1.0;
 };
 
@@ -81,9 +84,15 @@ struct Timeline {
   double makespan = 0.0;
   std::vector<Interval> intervals;
   std::vector<Wire> wires;
+  /// Distinct phase names; Interval::label indexes this table.
+  std::vector<std::string> labels;
   /// Resource-busy seconds that run concurrently with the rank timelines
   /// (the FPGA pipelines' true busy time); added into resource_seconds_s.
   double concurrent_fpga_s = 0.0;
+
+  /// The index of `name` in `labels`, appended on first use (a linear
+  /// search: the table holds a few names).
+  std::uint32_t intern_label(std::string_view name);
 };
 
 /// Makespan attribution for one rank: the buckets partition [0, makespan].
@@ -178,7 +187,8 @@ struct Analysis {
 };
 
 /// Run the analysis. The timeline's intervals may be in any order; per-rank
-/// they must be non-overlapping. Returns an empty Analysis (invariants
+/// they must be non-overlapping, and each label must index `labels`
+/// (std::out_of_range otherwise). Returns an empty Analysis (invariants
 /// trivially true) when makespan <= 0 or ranks <= 0.
 Analysis analyze(const Timeline& timeline);
 

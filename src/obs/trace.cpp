@@ -144,7 +144,7 @@ PhaseSpan::~PhaseSpan() {
   }
 }
 
-std::string json_escape(const std::string& s) {
+std::string json_escape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
   for (char c : s) {
@@ -167,6 +167,37 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
+ChromeTraceWriter::ChromeTraceWriter(std::ostream& os) : os_(os) {
+  os_ << "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [";
+}
+
+void ChromeTraceWriter::next() {
+  if (!first_) os_ << ',';
+  first_ = false;
+  os_ << '\n';
+}
+
+void ChromeTraceWriter::lane(int tid, std::string_view name) {
+  next();
+  os_ << "{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": "
+      << tid << ", \"args\": {\"name\": \"" << json_escape(name) << "\"}}";
+}
+
+void ChromeTraceWriter::event(std::string_view name, std::string_view category,
+                              double ts_us, double dur_us, int tid) {
+  next();
+  // Strings are streamed (never through a fixed buffer — a long name must
+  // not truncate mid-escape into invalid JSON); only numbers use snprintf.
+  char ts[32], dur[32];
+  std::snprintf(ts, sizeof(ts), "%.15g", ts_us);
+  std::snprintf(dur, sizeof(dur), "%.15g", dur_us);
+  os_ << "{\"name\": \"" << json_escape(name) << "\", \"cat\": \""
+      << json_escape(category) << "\", \"ph\": \"X\", \"ts\": " << ts
+      << ", \"dur\": " << dur << ", \"pid\": 1, \"tid\": " << tid << '}';
+}
+
+void ChromeTraceWriter::finish() { os_ << "\n]}\n"; }
+
 void write_chrome_trace(std::ostream& os) {
   TraceState& s = state();
   std::vector<std::shared_ptr<ThreadBuffer>> buffers;
@@ -174,36 +205,15 @@ void write_chrome_trace(std::ostream& os) {
     std::lock_guard<std::mutex> lock(s.mu);
     buffers = s.buffers;
   }
-  os << "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n";
-  bool first = true;
-  auto sep = [&] {
-    if (!first) os << ",\n";
-    first = false;
-  };
-  // Strings are streamed (never through a fixed buffer — a long lane or
-  // span name must not truncate mid-escape into invalid JSON); only the
-  // numeric fields go through snprintf.
-  char num[64];
-  for (const auto& b : buffers) {
-    sep();
-    os << "{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": "
-       << b->tid << ", \"args\": {\"name\": \"" << json_escape(b->lane)
-       << "\"}}";
-  }
+  ChromeTraceWriter out(os);
+  for (const auto& b : buffers) out.lane(b->tid, b->lane);
   for (const auto& b : buffers) {
     for (const Event& e : b->events) {
-      sep();
-      std::snprintf(num, sizeof(num), "%.3f",
-                    static_cast<double>(e.t0_ns) / 1e3);
-      os << "{\"name\": \"" << json_escape(e.name) << "\", \"cat\": \""
-         << json_escape(e.cat) << "\", \"ph\": \"X\", \"ts\": " << num;
-      std::snprintf(num, sizeof(num), "%.3f",
-                    static_cast<double>(e.t1_ns - e.t0_ns) / 1e3);
-      os << ", \"dur\": " << num << ", \"pid\": 1, \"tid\": " << b->tid
-         << '}';
+      out.event(e.name, e.cat, static_cast<double>(e.t0_ns) / 1e3,
+                static_cast<double>(e.t1_ns - e.t0_ns) / 1e3, b->tid);
     }
   }
-  os << "\n]}\n";
+  out.finish();
 }
 
 bool write_chrome_trace_file(const std::string& path) {

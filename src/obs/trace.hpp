@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "obs/metrics.hpp"
 
@@ -113,6 +114,33 @@ class PhaseSpan {
 /// instrumented work is running.
 void write_chrome_trace(std::ostream& os);
 
+/// Streams Chrome trace-event JSON: "thread_name" metadata naming each lane,
+/// then complete ("X") events. Both exporters write through it — the
+/// wall-clock tracer above and sim::TraceRecorder's simulated-time export.
+/// Names are JSON-escaped; times are microseconds with 15 significant digits,
+/// so distinct timestamps late in a long run stay distinct.
+class ChromeTraceWriter {
+ public:
+  /// Writes the document header.
+  explicit ChromeTraceWriter(std::ostream& os);
+
+  /// Name lane `tid`.
+  void lane(int tid, std::string_view name);
+
+  /// One event of `dur_us` microseconds starting at `ts_us` on lane `tid`.
+  void event(std::string_view name, std::string_view category, double ts_us,
+             double dur_us, int tid);
+
+  /// Close the document; call once, after the last event.
+  void finish();
+
+ private:
+  void next();
+
+  std::ostream& os_;
+  bool first_ = true;
+};
+
 /// write_chrome_trace to a file; returns false when the file can't open.
 bool write_chrome_trace_file(const std::string& path);
 
@@ -124,6 +152,6 @@ std::size_t trace_event_count();
 
 /// Minimal JSON string escaping (quotes, backslash, control chars) shared by
 /// the telemetry exporters.
-std::string json_escape(const std::string& s);
+std::string json_escape(std::string_view s);
 
 }  // namespace rcs::obs

@@ -27,36 +27,80 @@ std::string csv_field(const std::string& s) {
 
 }  // namespace
 
-void TraceRecorder::add(std::string resource, SimTime start, SimTime end,
-                        std::string label) {
-  if (!enabled_) return;
-  RCS_CHECK_MSG(end >= start, "trace span ends before it starts: " << label);
-  spans_.push_back(
-      TraceSpan{std::move(resource), start, end, std::move(label)});
+NameId TraceRecorder::intern(std::string_view name) {
+  if (const auto it = ids_.find(name); it != ids_.end()) return it->second;
+  const auto id = static_cast<NameId>(names_.size());
+  names_.emplace_back(name);
+  ids_.emplace(names_.back(), id);
+  return id;
 }
 
-void TraceRecorder::add_comm(CommEvent ev) {
+void TraceRecorder::add(NameId resource, SimTime start, SimTime end,
+                        NameId label) {
+  if (!enabled_) return;
+  RCS_CHECK_MSG(end >= start,
+                "trace span ends before it starts: " << names_[label]);
+  spans_.push_back(TraceSpan{resource, label, start, end});
+}
+
+void TraceRecorder::add(std::string_view resource, SimTime start, SimTime end,
+                        std::string_view label) {
+  if (!enabled_) return;
+  add(intern(resource), start, end, intern(label));
+}
+
+void TraceRecorder::add_comm(const CommEvent& ev) {
   if (!enabled_) return;
   RCS_CHECK_MSG(ev.t1 >= ev.t0,
-                "comm event ends before it starts: " << ev.phase);
-  comm_events_.push_back(std::move(ev));
+                "comm event ends before it starts: " << names_[ev.phase]);
+  comm_events_.push_back(ev);
 }
 
-void TraceRecorder::merge_from(TraceRecorder&& other) {
-  spans_.insert(spans_.end(),
-                std::make_move_iterator(other.spans_.begin()),
-                std::make_move_iterator(other.spans_.end()));
-  other.spans_.clear();
-  comm_events_.insert(comm_events_.end(),
-                      std::make_move_iterator(other.comm_events_.begin()),
-                      std::make_move_iterator(other.comm_events_.end()));
-  other.comm_events_.clear();
+void TraceRecorder::merge_from(std::span<TraceRecorder> parts) {
+  std::size_t spans = spans_.size(), comm_events = comm_events_.size();
+  for (const TraceRecorder& part : parts) {
+    spans += part.spans_.size();
+    comm_events += part.comm_events_.size();
+  }
+  spans_.reserve(spans);
+  comm_events_.reserve(comm_events);
+  std::vector<NameId> remap;
+  for (TraceRecorder& part : parts) {
+    remap.clear();
+    for (const std::string& n : part.names_) remap.push_back(intern(n));
+    for (const TraceSpan& s : part.spans_) {
+      spans_.push_back(
+          TraceSpan{remap[s.resource], remap[s.label], s.start, s.end});
+    }
+    for (const CommEvent& ev : part.comm_events_) {
+      comm_events_.push_back(ev);
+      comm_events_.back().phase = remap[ev.phase];
+    }
+    part.clear();
+  }
+}
+
+std::map<std::string, SimTime> TraceRecorder::busy_by(
+    NameId TraceSpan::*key) const {
+  std::vector<SimTime> busy(names_.size(), 0.0);
+  std::vector<char> seen(names_.size(), 0);
+  for (const auto& s : spans_) {
+    busy[s.*key] += s.end - s.start;
+    seen[s.*key] = 1;
+  }
+  std::map<std::string, SimTime> out;
+  for (std::size_t id = 0; id < names_.size(); ++id) {
+    if (seen[id]) out.emplace(names_[id], busy[id]);
+  }
+  return out;
 }
 
 std::map<std::string, SimTime> TraceRecorder::busy_by_resource() const {
-  std::map<std::string, SimTime> busy;
-  for (const auto& s : spans_) busy[s.resource] += s.end - s.start;
-  return busy;
+  return busy_by(&TraceSpan::resource);
+}
+
+std::map<std::string, SimTime> TraceRecorder::busy_by_label() const {
+  return busy_by(&TraceSpan::label);
 }
 
 std::map<std::string, double> TraceRecorder::utilization(
@@ -75,50 +119,40 @@ void TraceRecorder::write_csv(std::ostream& os) const {
                    [](const TraceSpan* a, const TraceSpan* b) {
                      return a->start < b->start;
                    });
+  std::vector<std::string> fields(names_.size());
+  for (std::size_t id = 0; id < names_.size(); ++id) {
+    fields[id] = csv_field(names_[id]);
+  }
   os << "resource,start,end,label\n";
   for (const TraceSpan* s : order) {
-    os << csv_field(s->resource) << ',' << s->start << ',' << s->end << ','
-       << csv_field(s->label) << '\n';
+    os << fields[s->resource] << ',' << s->start << ',' << s->end << ','
+       << fields[s->label] << '\n';
   }
-}
-
-std::map<std::string, SimTime> TraceRecorder::busy_by_label() const {
-  std::map<std::string, SimTime> busy;
-  for (const auto& s : spans_) busy[s.label] += s.end - s.start;
-  return busy;
 }
 
 void TraceRecorder::write_chrome_json(std::ostream& os) const {
-  // Stable lane numbering: resources in sorted order.
-  std::map<std::string, int> lanes;
-  for (const auto& s : spans_) lanes.emplace(s.resource, 0);
+  // Stable lane numbering: the spans' resources in name order.
+  std::vector<int> tid(names_.size(), 0);
+  for (const auto& s : spans_) tid[s.resource] = 1;
+  std::vector<NameId> lanes;
+  for (std::size_t id = 0; id < names_.size(); ++id) {
+    if (tid[id] != 0) lanes.push_back(static_cast<NameId>(id));
+  }
+  std::sort(lanes.begin(), lanes.end(), [this](NameId a, NameId b) {
+    return names_[a] < names_[b];
+  });
+
+  obs::ChromeTraceWriter out(os);
   int next = 1;
-  for (auto& [res, tid] : lanes) tid = next++;
-
-  // Default stream precision (6 significant digits) would collapse distinct
-  // microsecond timestamps late in a long run; 15 digits round-trips them.
-  const auto prec = os.precision();
-  os.precision(15);
-
-  os << "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [";
-  bool first = true;
-  for (const auto& [res, tid] : lanes) {
-    if (!first) os << ',';
-    first = false;
-    os << "\n{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": "
-       << tid << ", \"args\": {\"name\": \"" << obs::json_escape(res)
-       << "\"}}";
+  for (const NameId id : lanes) {
+    tid[id] = next++;
+    out.lane(tid[id], names_[id]);
   }
   for (const auto& s : spans_) {
-    if (!first) os << ',';
-    first = false;
-    os << "\n{\"name\": \"" << obs::json_escape(s.label)
-       << "\", \"cat\": \"sim\", \"ph\": \"X\", \"ts\": " << s.start * 1e6
-       << ", \"dur\": " << (s.end - s.start) * 1e6
-       << ", \"pid\": 1, \"tid\": " << lanes[s.resource] << '}';
+    out.event(names_[s.label], "sim", s.start * 1e6, (s.end - s.start) * 1e6,
+              tid[s.resource]);
   }
-  os << "\n]}\n";
-  os.precision(prec);
+  out.finish();
 }
 
 }  // namespace rcs::sim

@@ -4,6 +4,7 @@
 // byte-identical analysis output across pool sizes and across repeated runs
 // of a reused World.
 
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -31,22 +32,22 @@ namespace common = rcs::common;
 
 namespace {
 
-cp::Interval interval(int rank, double start, double end, cp::Bucket bucket,
-                      const char* label) {
+cp::Interval interval(cp::Timeline& tl, int rank, double start, double end,
+                      cp::Bucket bucket, const char* label) {
   cp::Interval iv;
   iv.rank = rank;
   iv.start = start;
   iv.end = end;
   iv.bucket = bucket;
-  iv.label = label;
+  iv.label = tl.intern_label(label);
   return iv;
 }
 
-cp::Interval comm_interval(int rank, double start, double end, cp::Op op,
-                           int peer, double depart, double arrival,
-                           const char* label) {
-  cp::Interval iv = interval(rank, start, end, cp::Bucket::TransferVisible,
-                             label);
+cp::Interval comm_interval(cp::Timeline& tl, int rank, double start,
+                           double end, cp::Op op, int peer, double depart,
+                           double arrival, const char* label) {
+  cp::Interval iv = interval(tl, rank, start, end,
+                             cp::Bucket::TransferVisible, label);
   iv.op = op;
   iv.peer = peer;
   iv.depart = depart;
@@ -69,14 +70,14 @@ cp::Timeline known_timeline() {
   cp::Timeline tl;
   tl.ranks = 2;
   tl.makespan = 10.0;
-  tl.intervals.push_back(interval(0, 0.0, 4.0, cp::Bucket::Cpu, "a"));
+  tl.intervals.push_back(interval(tl, 0, 0.0, 4.0, cp::Bucket::Cpu, "a"));
   tl.intervals.push_back(
-      comm_interval(0, 4.0, 5.0, cp::Op::Send, 1, 4.0, 6.0, "send"));
-  tl.intervals.push_back(interval(0, 5.0, 7.0, cp::Bucket::Cpu, "b"));
-  tl.intervals.push_back(interval(1, 0.0, 2.0, cp::Bucket::Cpu, "c"));
+      comm_interval(tl, 0, 4.0, 5.0, cp::Op::Send, 1, 4.0, 6.0, "send"));
+  tl.intervals.push_back(interval(tl, 0, 5.0, 7.0, cp::Bucket::Cpu, "b"));
+  tl.intervals.push_back(interval(tl, 1, 0.0, 2.0, cp::Bucket::Cpu, "c"));
   tl.intervals.push_back(
-      comm_interval(1, 2.0, 6.0, cp::Op::Recv, 0, 4.0, 6.0, "recv"));
-  tl.intervals.push_back(interval(1, 6.0, 10.0, cp::Bucket::Cpu, "d"));
+      comm_interval(tl, 1, 2.0, 6.0, cp::Op::Recv, 0, 4.0, 6.0, "recv"));
+  tl.intervals.push_back(interval(tl, 1, 6.0, 10.0, cp::Bucket::Cpu, "d"));
   tl.wires.push_back(cp::Wire{0, 1, 4.0, 6.0, 100});
   return tl;
 }
@@ -150,11 +151,11 @@ TEST(CritPath, RecoveryAndFpgaBucketsAndIdleTail) {
   cp::Timeline tl;
   tl.ranks = 1;
   tl.makespan = 10.0;
-  tl.intervals.push_back(interval(0, 0.0, 2.0, cp::Bucket::Cpu, "x"));
+  tl.intervals.push_back(interval(tl, 0, 0.0, 2.0, cp::Bucket::Cpu, "x"));
   tl.intervals.push_back(
-      interval(0, 2.0, 5.0, cp::Bucket::FaultRecovery, "abft.repair"));
-  tl.intervals.push_back(interval(0, 5.0, 9.0, cp::Bucket::Fpga,
-                                  "fpga.wait"));
+      interval(tl, 0, 2.0, 5.0, cp::Bucket::FaultRecovery, "abft.repair"));
+  tl.intervals.push_back(
+      interval(tl, 0, 5.0, 9.0, cp::Bucket::Fpga, "fpga.wait"));
   tl.concurrent_fpga_s = 4.0;  // device busy span backing the exposed wait
 
   const cp::Analysis an = cp::analyze(tl);
@@ -183,11 +184,11 @@ TEST(CritPath, ZeroLengthRecvCarriesHiddenTransfer) {
   cp::Timeline tl;
   tl.ranks = 1;
   tl.makespan = 10.0;
-  tl.intervals.push_back(interval(0, 0.0, 10.0, cp::Bucket::Cpu, "busy"));
+  tl.intervals.push_back(interval(tl, 0, 0.0, 10.0, cp::Bucket::Cpu, "busy"));
   // Fully hidden transfer: the wait found the message already arrived, so
   // the recv interval is zero-length and contributes no visible time.
   tl.intervals.push_back(
-      comm_interval(0, 5.0, 5.0, cp::Op::Recv, 0, 3.0, 5.0, "recv"));
+      comm_interval(tl, 0, 5.0, 5.0, cp::Op::Recv, 0, 3.0, 5.0, "recv"));
 
   const cp::Analysis an = cp::analyze(tl);
   const cp::RankAttribution& r0 = an.per_rank[0];
@@ -196,6 +197,55 @@ TEST(CritPath, ZeroLengthRecvCarriesHiddenTransfer) {
   EXPECT_DOUBLE_EQ(r0.cpu_s, 10.0);
   EXPECT_TRUE(an.buckets_sum_to_makespan);
   EXPECT_TRUE(an.invariants_hold());
+}
+
+/// A NIC chain: rank 0 queues isends whose wires back up behind each other,
+/// and rank 1's receive of the last message binds its clock. At t = 5 the
+/// walk on rank 0 finds no CPU interval, only wires arriving there:
+///   0->2 [3,5]  loses to a later departure
+///   0->3 [4,5]  ties on departure with 0->2 [4,5], which has the lower dst
+///   0->1 [5,5]  latest departure, but zero-length: never followed
+/// Wires arriving before the window ([2,3], [3,4]) and after it ([5,6])
+/// must not be chosen there; the first two continue the chain.
+TEST(CritPath, NicChainPicksLatestDepartureThenLowerDst) {
+  cp::Timeline tl;
+  tl.ranks = 4;
+  tl.makespan = 10.0;
+  tl.intervals.push_back(interval(tl, 0, 0.0, 2.0, cp::Bucket::Cpu, "a"));
+  tl.intervals.push_back(
+      comm_interval(tl, 1, 1.0, 6.0, cp::Op::Recv, 0, 5.0, 6.0, "recv"));
+  tl.intervals.push_back(interval(tl, 1, 6.0, 10.0, cp::Bucket::Cpu, "d"));
+  tl.wires.push_back(cp::Wire{0, 1, 2.0, 3.0, 8});
+  tl.wires.push_back(cp::Wire{0, 3, 3.0, 4.0, 8});
+  tl.wires.push_back(cp::Wire{0, 2, 3.0, 5.0, 8});
+  tl.wires.push_back(cp::Wire{0, 3, 4.0, 5.0, 8});
+  tl.wires.push_back(cp::Wire{0, 2, 4.0, 5.0, 8});
+  tl.wires.push_back(cp::Wire{0, 1, 5.0, 5.0, 8});
+  tl.wires.push_back(cp::Wire{0, 1, 5.0, 6.0, 8});
+
+  const cp::Analysis an = cp::analyze(tl);
+  EXPECT_DOUBLE_EQ(an.critical_path_s, 10.0);
+  EXPECT_DOUBLE_EQ(an.cp_idle_s, 0.0);
+  struct Expect {
+    const char* kind;
+    int rank, peer;
+    const char* label;
+    double start, end;
+  };
+  const Expect expect[] = {
+      {"cpu", 0, -1, "a", 0.0, 2.0},     {"wire", 0, 1, "nic", 2.0, 3.0},
+      {"wire", 0, 3, "nic", 3.0, 4.0},   {"wire", 0, 2, "nic", 4.0, 5.0},
+      {"wire", 0, 1, "recv", 5.0, 6.0},  {"cpu", 1, -1, "d", 6.0, 10.0}};
+  ASSERT_EQ(an.critical_path.size(), std::size(expect));
+  for (std::size_t i = 0; i < std::size(expect); ++i) {
+    const cp::Segment& seg = an.critical_path[i];
+    EXPECT_EQ(seg.kind, expect[i].kind) << i;
+    EXPECT_EQ(seg.rank, expect[i].rank) << i;
+    EXPECT_EQ(seg.peer, expect[i].peer) << i;
+    EXPECT_EQ(seg.label, expect[i].label) << i;
+    EXPECT_DOUBLE_EQ(seg.start, expect[i].start) << i;
+    EXPECT_DOUBLE_EQ(seg.end, expect[i].end) << i;
+  }
 }
 
 TEST(CritPath, EmptyTimelineIsHarmless) {
@@ -349,7 +399,7 @@ TEST(CritPathDeterminism, AnalysisJsonIdenticalAcrossReusedWorldRuns) {
       }
     });
     sim::TraceRecorder merged(true);
-    for (sim::TraceRecorder& t : traces) merged.merge_from(std::move(t));
+    merged.merge_from(traces);
     return analysis_json(core::analyze_run(merged, 2, world.makespan()));
   };
 

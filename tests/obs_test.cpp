@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <span>
 #include <sstream>
 #include <string>
 
@@ -443,17 +444,23 @@ TEST(SimTrace, CommEventsRecordedMergedAndCleared) {
   ev.depart = 1.0;
   ev.arrival = 2.0;
   ev.bytes = 64;
-  ev.phase = "send";
+  ev.phase = rec.intern("send");
   rec.add_comm(ev);
   ASSERT_EQ(rec.comm_events().size(), 1u);
   EXPECT_EQ(rec.comm_events()[0].peer, 1);
 
+  // The other recorder's ids mean nothing here: merging remaps them.
   rcs::sim::TraceRecorder other(true);
   ev.rank = 1;
   ev.kind = rcs::sim::CommEvent::Kind::Recv;
+  ev.phase = other.intern("recv");
   other.add_comm(ev);
-  rec.merge_from(std::move(other));
-  EXPECT_EQ(rec.comm_events().size(), 2u);
+  ev.phase = other.intern("send");
+  other.add_comm(ev);
+  rec.merge_from(std::span(&other, 1));
+  ASSERT_EQ(rec.comm_events().size(), 3u);
+  EXPECT_EQ(rec.name(rec.comm_events()[1].phase), "recv");
+  EXPECT_EQ(rec.comm_events()[2].phase, rec.comm_events()[0].phase);
 
   // Disabled recorders drop comm events like they drop spans.
   rcs::sim::TraceRecorder off(false);

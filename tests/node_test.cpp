@@ -170,6 +170,20 @@ TEST(ComputeNode, TraceRecordsSpans) {
   EXPECT_DOUBLE_EQ(busy["n3.fpga"], 1.0);
 }
 
+// A node on a disabled recorder neither records nor interns names, so a
+// run without tracing pays nothing per charge.
+TEST(ComputeNode, DisabledTraceIsNeverWritten) {
+  rcs::net::VirtualClock clock;
+  rcs::sim::TraceRecorder trace(false);
+  node::ComputeNode n(test_params(), clock, &trace, "n3");
+  n.cpu_compute(CpuKernel::Dgemm, 1e9, "gemm");
+  n.dram_to_fpga(1'000'000'000);
+  n.fpga_submit(1e8, "mm");
+  n.fpga_wait();
+  EXPECT_TRUE(trace.spans().empty());
+  EXPECT_TRUE(trace.names().empty());
+}
+
 TEST(ComputeNode, FpgaStartsAfterSubmissionTime) {
   rcs::net::VirtualClock clock;
   node::ComputeNode n(test_params(), clock, nullptr, "n0");

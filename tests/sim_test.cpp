@@ -1,6 +1,7 @@
 // Tests for the simulation core: resource timelines, bandwidth links, and
 // trace recording.
 
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -68,6 +69,26 @@ TEST(Trace, RecordsWhenEnabled) {
   auto util = tr.utilization(5.0);
   EXPECT_DOUBLE_EQ(util["cpu"], 0.5);
   EXPECT_DOUBLE_EQ(util["fpga"], 0.8);
+}
+
+TEST(Trace, NamesAreInternedOnceAndMergeRemapsIds) {
+  sim::TraceRecorder a(true);
+  a.add("cpu", 0.0, 1.0, "work");
+  a.add("fpga", 0.0, 2.0, "work");
+  ASSERT_EQ(a.names().size(), 3u);  // cpu, work, fpga
+  EXPECT_EQ(a.spans()[0].label, a.spans()[1].label);
+  EXPECT_EQ(a.intern("fpga"), a.spans()[1].resource);
+  EXPECT_EQ(a.name(a.spans()[1].resource), "fpga");
+
+  // b numbers its names differently; merging maps them onto a's table.
+  sim::TraceRecorder b(true);
+  b.add("fpga", 1.0, 3.0, "kernel");
+  a.merge_from(std::span(&b, 1));
+  ASSERT_EQ(a.spans().size(), 3u);
+  EXPECT_EQ(a.spans()[2].resource, a.spans()[1].resource);
+  EXPECT_EQ(a.name(a.spans()[2].label), "kernel");
+  EXPECT_TRUE(b.spans().empty());
+  EXPECT_DOUBLE_EQ(a.busy_by_resource().at("fpga"), 4.0);
 }
 
 TEST(Trace, DisabledRecorderIsNoop) {

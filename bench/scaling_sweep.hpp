@@ -9,9 +9,7 @@
 // a real run over MiniMPI, its critical-path analysis, and the wall-clock
 // cost of simulating it. The large-p points are what the fiber rank
 // scheduler exists for: a p=1024 world is 1024 rank contexts multiplexed
-// over a handful of OS threads in one process (World::set_max_workers auto
-// mode), where thread-per-rank would need 1024 stacks' worth of kernel
-// threads.
+// over the pool's handful of OS threads in one process.
 //
 // Design-point shapes:
 //   * LU keeps (n, b) fixed and grows p: each opMM's b columns are split

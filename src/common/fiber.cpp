@@ -81,6 +81,15 @@ std::size_t page_size() {
   return ps;
 }
 
+/// Usable stack per fiber, a whole number of pages. A PROT_NONE guard page
+/// sits below every stack so overflow faults instead of corrupting a
+/// neighbouring fiber.
+#if defined(RCS_TSAN_FIBERS) || defined(RCS_ASAN_FIBERS)
+constexpr std::size_t kStackBytes = 1024 * 1024;  // sanitizer frames are larger
+#else
+constexpr std::size_t kStackBytes = 256 * 1024;
+#endif
+
 #ifdef RCS_ASAN_FIBERS
 void init_worker_stack_bounds(WorkerContext& wc) {
   if (wc.stack_size != 0) return;
@@ -304,15 +313,10 @@ void Fiber::wake() {
 
 namespace {
 
-std::size_t round_up_pages(std::size_t bytes) {
-  const std::size_t ps = detail::page_size();
-  return (bytes + ps - 1) / ps * ps;
-}
-
-detail::FiberImpl* make_fiber(std::size_t stack_bytes) {
+detail::FiberImpl* make_fiber() {
   auto f = std::make_unique<FiberImpl>();
   const std::size_t ps = detail::page_size();
-  f->map_size = round_up_pages(stack_bytes) + ps;  // + guard page
+  f->map_size = detail::kStackBytes + ps;  // + guard page
   void* base = mmap(nullptr, f->map_size, PROT_READ | PROT_WRITE,
                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0);
   RCS_CHECK_MSG(base != MAP_FAILED, "fiber stack mmap of " << f->map_size
@@ -342,32 +346,16 @@ void destroy_fiber(detail::FiberImpl* f) {
 
 }  // namespace
 
-std::size_t FiberScheduler::default_stack_bytes() {
-#if defined(RCS_TSAN_FIBERS) || defined(RCS_ASAN_FIBERS)
-  std::size_t kb = 1024;  // sanitizer frames are several times larger
-#else
-  std::size_t kb = 256;
-#endif
-  if (const char* env = std::getenv("RCS_FIBER_STACK_KB")) {
-    const long long v = std::atoll(env);
-    if (v >= 64) kb = static_cast<std::size_t>(v);
-  }
-  return kb * 1024;
-}
-
 void FiberScheduler::run(int n, const Options& opt,
                          const std::function<void(int)>& task) {
   RCS_CHECK_MSG(n >= 0, "negative fiber count");
   if (n == 0) return;
-  const std::size_t stack =
-      opt.stack_bytes != 0 ? round_up_pages(opt.stack_bytes)
-                           : default_stack_bytes();
   FiberSchedulerImpl impl;
   std::vector<FiberImpl*> fibers;
   fibers.reserve(static_cast<std::size_t>(n));
   const bool lanes = opt.lane_name && obs::trace_enabled();
   for (int i = 0; i < n; ++i) {
-    FiberImpl* f = make_fiber(stack);
+    FiberImpl* f = make_fiber();
     f->sched = &impl;
     f->body = [&task, i] { task(i); };
     if (lanes) f->lane = obs::make_lane(opt.lane_name(i));

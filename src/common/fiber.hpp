@@ -2,10 +2,11 @@
 // Cooperative stackful fibers for the MiniMPI rank scheduler.
 //
 // A Fiber is a resumable user-level context (ucontext/makecontext) with its
-// own mmap'd, guard-paged stack. FiberScheduler::run multiplexes n fiber
-// tasks over a small fixed set of cooperative worker loops hosted on the
-// process-global common::ThreadPool, so a p=1024 MiniMPI world needs p
-// stacks but only a handful of OS threads.
+// own mmap'd, guard-paged stack of 256 KiB (1 MiB under ASan/TSan, whose
+// instrumentation needs more frame space). FiberScheduler::run multiplexes
+// n fiber tasks over a small fixed set of cooperative worker loops hosted
+// on the process-global common::ThreadPool, so a p=1024 MiniMPI world
+// needs p stacks but only a handful of OS threads.
 //
 // Blocking protocol: a task that must wait registers itself with whoever
 // will wake it (e.g. a mailbox waiter list) *under that structure's mutex*,
@@ -37,7 +38,6 @@
 // corresponding sanitizer is compiled in, so RCS_SANITIZE=thread|address
 // builds understand the custom stacks.
 
-#include <cstddef>
 #include <functional>
 #include <mutex>
 #include <string>
@@ -56,7 +56,7 @@ class Fiber {
  public:
   /// The fiber running on the calling thread, or nullptr when the caller is
   /// an ordinary thread. Cheap (one thread-local load) — blocking sites use
-  /// it to choose between cv.wait and Fiber::park.
+  /// it to register the fiber they are about to park.
   static Fiber* current();
 
   /// Suspend the current fiber until wake(). `lock` must be held; it is
@@ -91,12 +91,6 @@ class FiberScheduler {
     /// Worker loops to host on the global ThreadPool. Effective concurrency
     /// is min(workers, pool threads); extra loops just drain and exit.
     int workers = 1;
-    /// Per-fiber stack size in bytes; 0 = default (RCS_FIBER_STACK_KB, or
-    /// 256 KiB — 1 MiB under ASan/TSan, whose instrumentation needs more
-    /// frame space). Rounded up to whole pages; a PROT_NONE guard page sits
-    /// below every stack so overflow faults instead of corrupting a
-    /// neighbouring fiber.
-    std::size_t stack_bytes = 0;
     /// Optional per-task obs trace-lane name (e.g. "rank 3"). When set and
     /// tracing is enabled, each fiber records into its own lane regardless
     /// of which worker thread resumes it.
@@ -108,9 +102,6 @@ class FiberScheduler {
   /// (after all fibers finish — a throwing task does not cancel the rest).
   static void run(int n, const Options& opt,
                   const std::function<void(int)>& task);
-
-  /// The default per-fiber stack size run() would use for stack_bytes == 0.
-  static std::size_t default_stack_bytes();
 };
 
 }  // namespace rcs::common

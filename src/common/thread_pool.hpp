@@ -2,13 +2,14 @@
 // Intra-node parallel compute runtime: a persistent worker pool with a
 // static-chunked `parallel_for` primitive.
 //
-// The functional plane runs one std::thread per MiniMPI rank, and several
-// ranks can reach a compute kernel at the same simulated instant. To keep
-// the machine from oversubscribing (p ranks x t threads each), all kernels
-// share ONE process-global pool: concurrent `parallel_for` calls from
-// different rank threads enqueue into the same worker set, and a call made
-// from inside a pool worker (nested parallelism) degrades to serial
-// execution instead of deadlocking or spawning more threads.
+// The functional plane runs its MiniMPI ranks as fibers whose worker loops
+// are hosted on this pool, and several ranks can reach a compute kernel at
+// the same simulated instant. To keep the machine from oversubscribing
+// (p ranks x t threads each), all kernels share ONE process-global pool:
+// concurrent `parallel_for` calls from different ranks enqueue into the
+// same worker set, and a call made from inside a pool worker (nested
+// parallelism) degrades to serial execution instead of deadlocking or
+// spawning more threads.
 //
 // Determinism contract: `parallel_for` splits [begin, end) into contiguous
 // chunks that partition the range, so a body that writes only its own chunk

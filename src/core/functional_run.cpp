@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "common/thread_pool.hpp"
 #include "fpga/matmul_array.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/cholesky.hpp"
@@ -42,17 +41,9 @@ RunTotals run_ranks(const RunSetup& setup,
                                                         : nullptr;
   const auto p = static_cast<std::size_t>(setup.p);
 
-  // Spawn the shared compute pool before the ranks exist: every rank's
-  // kernels land on one process-wide worker set (p concurrent ranks never
-  // oversubscribe the machine) and never race the pool's lazy construction.
-  // Virtual-clock charges stay serial per rank, so simulated timings are
-  // independent of RCS_THREADS.
-  common::ThreadPool::global();
-
   net::World world(setup.p, setup.network);
   world.set_message_logging(setup.message_log != nullptr);
   world.set_fault_plan(plan);
-  world.set_max_workers(setup.max_workers);
   std::vector<RunTotals> ranks(p);
   std::vector<sim::TraceRecorder> traces(
       p, sim::TraceRecorder(setup.trace != nullptr && setup.trace->enabled()));

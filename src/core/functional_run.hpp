@@ -35,7 +35,6 @@ struct RunSetup {
   /// Fault plan (must outlive the run); null or empty is the fault-free
   /// path.
   const sim::FaultPlan* faults = nullptr;
-  int max_workers = 0;  // net::World::set_max_workers
   /// When non-null and enabled, receives every rank's node spans and comm
   /// events, merged in rank order.
   sim::TraceRecorder* trace = nullptr;

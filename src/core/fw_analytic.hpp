@@ -58,11 +58,6 @@ struct FwConfig {
   /// structure re-runs the lost work by construction, so distances stay
   /// bit-identical under any slowdown.
   bool fault_tolerance = false;
-  /// Rank scheduling for the functional plane (net::World::set_max_workers):
-  /// 0 = auto, >0 = fiber scheduler with that many worker loops,
-  /// World::kThreadPerRank = force one OS thread per rank. Outputs and
-  /// simulated clocks are identical in every mode.
-  int max_workers = 0;
 };
 
 /// Analytic run outcome.

@@ -86,7 +86,6 @@ FwFunctionalResult fw_functional(const SystemParams& sys, const FwConfig& cfg,
                        .network = sys.network,
                        .node = sys.node_params_fw(),
                        .faults = cfg.faults,
-                       .max_workers = cfg.max_workers,
                        .trace = trace,
                        .message_log = message_log};
   const RunTotals totals = run_ranks(setup, [&](Rank& rank) {

@@ -65,12 +65,6 @@ struct LuConfig {
   /// their stashed stripes (Eq. 4 split, bit-identical). 0 = wait forever.
   /// Requires fault_tolerance.
   double straggler_timeout_s = 0.0;
-  /// Rank scheduling for the functional plane (net::World::set_max_workers):
-  /// 0 = auto (thread-per-rank for small worlds, fiber scheduler above
-  /// World::kAutoFiberThreshold ranks), >0 = fiber scheduler with that many
-  /// worker loops, World::kThreadPerRank = force one OS thread per rank.
-  /// Outputs and simulated clocks are identical in every mode.
-  int max_workers = 0;
 };
 
 /// Analytic run outcome.

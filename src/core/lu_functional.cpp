@@ -167,7 +167,6 @@ LuFunctionalResult lu_functional(const SystemParams& sys, const LuConfig& cfg,
                        .network = sys.network,
                        .node = sys.node_params_mm(),
                        .faults = cfg.faults,
-                       .max_workers = cfg.max_workers,
                        .trace = trace,
                        .message_log = message_log};
   const RunTotals totals = run_ranks(setup, [&](Rank& rank) {

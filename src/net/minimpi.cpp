@@ -1,10 +1,8 @@
 #include "net/minimpi.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <exception>
 #include <string>
-#include <thread>
 
 #include "common/thread_pool.hpp"
 #include "obs/trace.hpp"
@@ -13,7 +11,9 @@ namespace rcs::net {
 
 namespace {
 
-/// World-level telemetry: totals over all ranks plus per-collective counts.
+/// World-level telemetry: totals over all ranks, per-collective counts,
+/// and the distribution of per-rank totals (one sample per rank per run, so
+/// the registry stays the same size at any world size).
 struct NetMetrics {
   obs::Counter& msgs;
   obs::Counter& bytes;
@@ -21,6 +21,8 @@ struct NetMetrics {
   obs::Counter& barriers;
   obs::Counter& allgathers;
   obs::Counter& reduces;
+  obs::Histogram& rank_msgs;
+  obs::Histogram& rank_bytes;
 
   static NetMetrics& get() {
     auto& reg = obs::Registry::global();
@@ -29,7 +31,9 @@ struct NetMetrics {
                         reg.counter("net.collectives.bcast"),
                         reg.counter("net.collectives.barrier"),
                         reg.counter("net.collectives.allgather"),
-                        reg.counter("net.collectives.reduce")};
+                        reg.counter("net.collectives.reduce"),
+                        reg.histogram("net.rank_msgs_sent"),
+                        reg.histogram("net.rank_bytes_sent")};
     return m;
   }
 };
@@ -40,14 +44,6 @@ int Comm::size() const { return world_->size(); }
 
 void Comm::note_send_metrics(std::uint64_t bytes) {
   if (!obs::metrics_enabled()) return;
-  if (metric_msgs_ == nullptr) {
-    auto& reg = obs::Registry::global();
-    const std::string prefix = "net.rank" + std::to_string(rank_);
-    metric_msgs_ = &reg.counter(prefix + ".msgs_sent");
-    metric_bytes_ = &reg.counter(prefix + ".bytes_sent");
-  }
-  metric_msgs_->add(1);
-  metric_bytes_->add(bytes);
   NetMetrics& nm = NetMetrics::get();
   nm.msgs.add(1);
   nm.bytes.add(bytes);
@@ -152,6 +148,7 @@ void Comm::send_bytes_any_tag(int dst, int tag, const void* data,
   const SimTime depart = clock_.now();
   clock_.advance(cost.latency_s + static_cast<double>(bytes) / cost.bytes_per_s);
   bytes_sent_ += bytes;
+  msgs_sent_ += 1;
   log_message(dst, bytes, depart, clock_.now());
   note_send_trace(sim::CommEvent::Kind::Send, dst, depart, depart,
                   clock_.now(), bytes);
@@ -182,6 +179,7 @@ void Comm::isend_bytes(int dst, int tag, const void* data,
   const SimTime start = std::max(clock_.now(), nic_busy_until_);
   nic_busy_until_ = start + static_cast<double>(bytes) / cost.bytes_per_s;
   bytes_sent_ += bytes;
+  msgs_sent_ += 1;
   log_message(dst, bytes, start, nic_busy_until_);
   note_send_trace(sim::CommEvent::Kind::NicSend, dst, setup_t0, start,
                   nic_busy_until_, bytes);
@@ -451,6 +449,7 @@ void Comm::reset_for_run() {
   clock_ = VirtualClock();
   nic_busy_until_ = 0.0;
   bytes_sent_ = 0;
+  msgs_sent_ = 0;
   msg_seq_ = 0;
   fault_stats_ = sim::FaultStats();
   sent_log_.clear();
@@ -592,9 +591,7 @@ std::vector<MessageEvent> World::message_log() const {
   return all;
 }
 
-void World::wake_box_waiters(Mailbox& box,
-                             std::vector<common::Fiber*>& spliced) {
-  box.cv.notify_all();
+void World::wake_waiters(std::vector<common::Fiber*>& spliced) {
   for (common::Fiber* f : spliced) f->wake();
   spliced.clear();
 }
@@ -607,7 +604,7 @@ void World::deliver(int dst, Message msg) {
     box.queue.push_back(std::move(msg));
     waiters.swap(box.fiber_waiters);
   }
-  wake_box_waiters(box, waiters);
+  wake_waiters(waiters);
 }
 
 Message World::take(int dst, int src, int tag) {
@@ -642,18 +639,14 @@ Message World::take(int dst, int src, int tag) {
                                 " tag=" + std::to_string(tag) +
                                 ", but that rank fail-stopped");
     }
-    // Block until a waker (deliver / poison_mailboxes / mark_failed) fires,
-    // then re-run the predicate checks above. A rank fiber parks on its own
-    // stack — freeing the worker thread to run another rank — while an
-    // ordinary rank thread waits on the condition variable; the waiter-list
-    // registration below plays the role cv.wait's internal queue plays for
-    // threads, and both paths wake through wake_box_waiters.
-    if (common::Fiber* self = common::Fiber::current()) {
-      box.fiber_waiters.push_back(self);
-      common::Fiber::park(lock);
-    } else {
-      box.cv.wait(lock);
-    }
+    // Park until a waker (deliver / poison_mailboxes / mark_failed) fires,
+    // then re-run the predicate checks above. The rank's fiber parks on its
+    // own stack, freeing the worker thread to run another rank.
+    common::Fiber* self = common::Fiber::current();
+    RCS_CHECK_MSG(self != nullptr, "rank " << dst
+                                           << " received outside World::run");
+    box.fiber_waiters.push_back(self);
+    common::Fiber::park(lock);
   }
 }
 
@@ -677,33 +670,31 @@ void World::poison_mailboxes() {
       box->poisoned = true;
       waiters.swap(box->fiber_waiters);
     }
-    wake_box_waiters(*box, waiters);
+    wake_waiters(waiters);
   }
 }
 
 void World::mark_failed(int rank) {
   // Wakeup-protocol note (the missed-wakeup audit of the `failed_` flag):
   // the release store below happens outside every box mutex, yet no blocked
-  // take() can miss it. A waiter's last is_failed check before blocking runs
-  // with box.mu held, and it keeps holding box.mu until cv.wait (or
-  // Fiber::park) atomically releases the mutex as it blocks — so for each
-  // waiter there are only two interleavings:
+  // take() can miss it. A waiter's last is_failed check before parking runs
+  // with box.mu held, and it registers in fiber_waiters and keeps holding
+  // box.mu until Fiber::park releases the mutex — so for each waiter there
+  // are only two interleavings:
   //
   //  1. The waiter's lock of box.mu succeeds only after this thread's
   //     lock/unlock below released it. Then store(failed_) sequenced-before
   //     unlock(box.mu) happens-before the waiter's lock — the re-check (or
-  //     the pre-wait check) observes the flag and throws.
+  //     the pre-park check) observes the flag and throws.
   //  2. The waiter already held box.mu when this thread arrived at the
-  //     lock below. Then the waiter reaches cv.wait/park — which releases
-  //     the mutex and is, by then, registered for wakeup — before this
-  //     thread can acquire it, so the notify/wake below cannot fire in the
-  //     check-to-block window. The woken waiter re-checks under the mutex
-  //     and interleaving 1 applies.
+  //     lock below. Then the waiter is registered before this thread can
+  //     acquire the mutex, so the splice below finds it and wakes it (a
+  //     wake that races the park's context switch is kept, not lost — see
+  //     Fiber::wake). The woken waiter re-checks under the mutex and
+  //     interleaving 1 applies.
   //
-  // The lock_guard is intentionally empty for the cv side (the fence
-  // through the mutex is all it provides); it additionally splices the
-  // fiber-waiter list, which must be consumed under the mutex so each
-  // parked fiber earns exactly one wake.
+  // The splice must happen under the mutex so each parked fiber earns
+  // exactly one wake.
   // Regression: MiniMpiFaults.CrashDuringBlockedRecvStress.
   failed_[static_cast<std::size_t>(rank)].store(true,
                                                 std::memory_order_release);
@@ -713,7 +704,7 @@ void World::mark_failed(int rank) {
       std::lock_guard<std::mutex> lock(box->mu);
       waiters.swap(box->fiber_waiters);
     }
-    wake_box_waiters(*box, waiters);
+    wake_waiters(waiters);
   }
 }
 
@@ -726,29 +717,9 @@ std::vector<int> World::failed_ranks() const {
 }
 
 void World::set_max_workers(int max_workers) {
-  RCS_CHECK_MSG(max_workers >= kThreadPerRank,
-                "max_workers must be kThreadPerRank (-1), 0 (auto) or > 0, "
-                "got " << max_workers);
+  RCS_CHECK_MSG(max_workers > 0,
+                "max_workers must be positive, got " << max_workers);
   max_workers_ = max_workers;
-}
-
-int World::resolve_workers() const {
-  int mw = max_workers_;
-  if (mw == 0) {
-    if (const char* env = std::getenv("RCS_MAX_WORKERS")) {
-      const int v = std::atoi(env);
-      if (v >= 1 || v == kThreadPerRank) mw = v;
-    }
-  }
-  if (mw == 0) {
-    // Auto: small worlds keep the thread-per-rank schedule (ranks' real
-    // compute overlaps with no cooperative scheduler in the way); large
-    // worlds multiplex onto the pool's thread budget.
-    if (size_ <= kAutoFiberThreshold) return kThreadPerRank;
-    mw = common::ThreadPool::global().threads();
-  }
-  if (mw == kThreadPerRank) return kThreadPerRank;
-  return std::min(mw, size_);
 }
 
 void World::run(const std::function<void(Comm&)>& rank_main) {
@@ -774,10 +745,9 @@ void World::run(const std::function<void(Comm&)>& rank_main) {
   std::exception_ptr first_error;
   bool first_is_abort = false;  // held error is a secondary WorldAborted
 
-  // The per-rank body, identical under both schedulers: run the rank's main
-  // and classify whatever escapes it. All simulated state lives in the
-  // rank's Comm, so the body is agnostic to what carries it (OS thread or
-  // fiber).
+  // The per-rank body: run the rank's main and classify whatever escapes
+  // it. All simulated state lives in the rank's Comm, so the body does not
+  // depend on which worker thread resumes the fiber.
   auto rank_body = [this, &rank_main, &err_mu, &first_error,
                     &first_is_abort](int r) {
     try {
@@ -822,31 +792,23 @@ void World::run(const std::function<void(Comm&)>& rank_main) {
     }
   };
 
-  const int workers = resolve_workers();
-  if (workers == kThreadPerRank) {
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<std::size_t>(size_));
-    for (int r = 0; r < size_; ++r) {
-      threads.emplace_back([r, &rank_body] {
-        // Each rank gets its own trace lane, so Perfetto shows per-rank
-        // timelines alongside the pool workers'.
-        if (obs::trace_enabled()) {
-          obs::set_thread_lane("rank " + std::to_string(r));
-        }
-        rank_body(r);
-      });
+  // Every rank is a resumable context; take() parks it and the scheduler
+  // resumes another runnable rank on the same worker. The lane_name hook
+  // keeps per-rank Chrome-trace lanes intact even when many ranks share one
+  // OS thread.
+  common::FiberScheduler::Options opt;
+  opt.workers = std::min(
+      max_workers_ > 0 ? max_workers_ : common::ThreadPool::global().threads(),
+      size_);
+  opt.lane_name = [](int r) { return "rank " + std::to_string(r); };
+  common::FiberScheduler::run(size_, opt, rank_body);
+
+  if (obs::metrics_enabled()) {
+    NetMetrics& nm = NetMetrics::get();
+    for (const auto& c : comms_) {
+      nm.rank_msgs.record(static_cast<double>(c->msgs_sent_));
+      nm.rank_bytes.record(static_cast<double>(c->bytes_sent_));
     }
-    for (auto& t : threads) t.join();
-  } else {
-    // Fiber mode: every rank is a resumable context; take() parks it and
-    // the scheduler resumes another runnable rank on the same worker. The
-    // lane_name hook keeps per-rank Chrome-trace lanes intact even when
-    // many ranks share one OS thread.
-    common::FiberScheduler::Options opt;
-    opt.workers = workers;
-    opt.stack_bytes = fiber_stack_bytes_;
-    opt.lane_name = [](int r) { return "rank " + std::to_string(r); };
-    common::FiberScheduler::run(size_, opt, rank_body);
   }
   if (first_error) std::rethrow_exception(first_error);
 }

@@ -3,7 +3,7 @@
 // exported as Chrome trace-event JSON (open in Perfetto / chrome://tracing).
 //
 // Each thread that records gets its own lane ("tid") in the trace; worker
-// threads of the compute pool and MiniMPI rank threads name their lanes
+// threads of the compute pool and MiniMPI rank fibers name their lanes
 // ("pool.worker 2", "rank 0") so the viewer shows who ran what, when.
 //
 // Hot path: recording appends one POD event to a thread-local vector — no

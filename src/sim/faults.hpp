@@ -140,7 +140,7 @@ struct FaultSpec {
 };
 
 /// A seeded, deterministic schedule of faults. Pure data + pure queries:
-/// thread-safe to share read-only across rank threads.
+/// thread-safe to share read-only across ranks.
 class FaultPlan {
  public:
   FaultPlan() = default;

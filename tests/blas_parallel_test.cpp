@@ -318,7 +318,7 @@ class MetricsOn {
 TEST(SmallProducts, OpMmShareNeverFansOut) {
   // One opMM share of the LU split (32x64 by 64x32) is a single i-tile of
   // four B panels: the engine's grain checks run it serially on the calling
-  // rank thread, so no native path may enqueue a pool job.
+  // rank, so no native path may enqueue a pool job.
   const MetricsOn metrics;
   obs::Counter& jobs = obs::Registry::global().counter("pool.jobs");
   const MatMulArray array(rcs::core::SystemParams::cray_xd1().mm_fpga);
@@ -474,7 +474,7 @@ TEST(ThreadPool, RankFiberParallelForIsNotSerialized) {
   np.bytes_per_s = 1e9;
   np.latency_s = 0.0;
   rcs::net::World world(2, np);
-  world.set_max_workers(2);  // fiber mode, worker loops hosted on the pool
+  world.set_max_workers(2);  // two worker loops hosted on the pool
   std::atomic<int> chunks0{0}, chunks1{0};
   world.run([&](rcs::net::Comm& comm) {
     auto& chunks = comm.rank() == 0 ? chunks0 : chunks1;

@@ -1,9 +1,11 @@
 // Regression: the intra-node parallel runtime must not perturb the simulated
 // experiment. lu_functional and fw_functional are re-run at several
-// RCS_THREADS-equivalent pool sizes; simulated seconds, network bytes, and
-// the factored/closure outputs must be exactly equal — the pool accelerates
-// wall-clock only, never the virtual clocks. The PinnedRuns cases hold every
-// app's simulated schedule to fixed recorded values.
+// RCS_THREADS-equivalent pool sizes, which also set how many worker loops
+// carry the rank fibers; simulated seconds, network bytes, trace CSVs and
+// the factored/closure outputs must be exactly equal — the pool and the
+// rank scheduler accelerate wall-clock only, never the virtual clocks. The
+// PinnedRuns cases hold every app's simulated schedule to fixed recorded
+// values.
 
 #include <cstdint>
 #include <sstream>
@@ -24,7 +26,6 @@
 #include "linalg/cholesky.hpp"
 #include "linalg/generate.hpp"
 #include "linalg/simd.hpp"
-#include "net/minimpi.hpp"
 #include "obs/critpath.hpp"
 #include "sim/faults.hpp"
 #include "sim/trace.hpp"
@@ -41,6 +42,12 @@ core::SystemParams xd1_p(int p) {
   core::SystemParams sys = core::SystemParams::cray_xd1();
   sys.p = p;
   return sys;
+}
+
+std::string trace_csv(const sim::TraceRecorder& rec) {
+  std::ostringstream os;
+  rec.write_csv(os);
+  return os.str();
 }
 
 // The kernel-level contract behind every test in this file: gemm, the
@@ -123,6 +130,7 @@ TEST(Determinism, KernelsInvariantAcrossSimdAndThreads) {
   common::ThreadPool::set_global_threads(1);
 }
 
+// Pool sizes 1, 2 and 7 carry the p = 3 ranks on 1, 2 and 3 worker loops.
 TEST(Determinism, LuFunctionalInvariantAcrossThreadCounts) {
   const la::Matrix a = la::diagonally_dominant(64, 1234);
   core::LuConfig cfg;
@@ -131,11 +139,14 @@ TEST(Determinism, LuFunctionalInvariantAcrossThreadCounts) {
   cfg.mode = core::DesignMode::Hybrid;
 
   common::ThreadPool::set_global_threads(1);
-  const auto ref = core::lu_functional(xd1_p(3), cfg, a);
+  sim::TraceRecorder ref_rec(true);
+  const auto ref = core::lu_functional(xd1_p(3), cfg, a, false, &ref_rec);
+  const std::string ref_trace = trace_csv(ref_rec);
 
   for (int threads : {2, 7}) {
     common::ThreadPool::set_global_threads(threads);
-    const auto res = core::lu_functional(xd1_p(3), cfg, a);
+    sim::TraceRecorder rec(true);
+    const auto res = core::lu_functional(xd1_p(3), cfg, a, false, &rec);
     EXPECT_EQ(res.run.seconds, ref.run.seconds) << "threads=" << threads;
     EXPECT_EQ(res.run.bytes_on_network, ref.run.bytes_on_network)
         << "threads=" << threads;
@@ -145,10 +156,12 @@ TEST(Determinism, LuFunctionalInvariantAcrossThreadCounts) {
         << "threads=" << threads;
     EXPECT_TRUE(la::bit_equal(res.factored.view(), ref.factored.view()))
         << "threads=" << threads;
+    EXPECT_EQ(trace_csv(rec), ref_trace) << "threads=" << threads;
   }
   common::ThreadPool::set_global_threads(1);
 }
 
+// Pool sizes 1, 2 and 7 carry the p = 2 ranks on 1, 2 and 2 worker loops.
 TEST(Determinism, FwFunctionalInvariantAcrossThreadCounts) {
   const la::Matrix d0 = gr::random_digraph(64, 4321, 0.4);
   core::FwConfig cfg;
@@ -157,11 +170,14 @@ TEST(Determinism, FwFunctionalInvariantAcrossThreadCounts) {
   cfg.mode = core::DesignMode::Hybrid;
 
   common::ThreadPool::set_global_threads(1);
-  const auto ref = core::fw_functional(xd1_p(2), cfg, d0);
+  sim::TraceRecorder ref_rec(true);
+  const auto ref = core::fw_functional(xd1_p(2), cfg, d0, false, &ref_rec);
+  const std::string ref_trace = trace_csv(ref_rec);
 
   for (int threads : {2, 7}) {
     common::ThreadPool::set_global_threads(threads);
-    const auto res = core::fw_functional(xd1_p(2), cfg, d0);
+    sim::TraceRecorder rec(true);
+    const auto res = core::fw_functional(xd1_p(2), cfg, d0, false, &rec);
     EXPECT_EQ(res.run.seconds, ref.run.seconds) << "threads=" << threads;
     EXPECT_EQ(res.run.bytes_on_network, ref.run.bytes_on_network)
         << "threads=" << threads;
@@ -171,6 +187,7 @@ TEST(Determinism, FwFunctionalInvariantAcrossThreadCounts) {
         << "threads=" << threads;
     EXPECT_TRUE(la::bit_equal(res.distances.view(), ref.distances.view()))
         << "threads=" << threads;
+    EXPECT_EQ(trace_csv(rec), ref_trace) << "threads=" << threads;
   }
   common::ThreadPool::set_global_threads(1);
 }
@@ -266,12 +283,6 @@ TEST(Determinism, FaultPlanReplayIsByteIdentical) {
   fw.faults = &plan;
   fw.fault_tolerance = true;
 
-  const auto trace_csv = [](sim::TraceRecorder& rec) {
-    std::ostringstream os;
-    rec.write_csv(os);
-    return os.str();
-  };
-
   common::ThreadPool::set_global_threads(1);
   sim::TraceRecorder lu_rec(true);
   const auto lu_ref = core::lu_functional(xd1_p(3), lu, a, false, &lu_rec);
@@ -317,67 +328,6 @@ TEST(Determinism, FaultPlanReplayIsByteIdentical) {
   common::ThreadPool::set_global_threads(1);
 }
 
-// The rank scheduler must be invisible to the simulation: multiplexing the
-// ranks as fibers over 1, 2, or 7 worker loops produces the same simulated
-// clocks, bit-identical outputs, and a byte-identical trace CSV as the
-// thread-per-rank baseline. This is the p<=8 byte-identity contract that
-// lets large-p worlds default to fibers without a semantic escape hatch.
-TEST(Determinism, RankSchedulerInvariantAcrossMaxWorkers) {
-  const la::Matrix a = la::diagonally_dominant(64, 1234);
-  const la::Matrix d0 = gr::random_digraph(64, 4321, 0.4);
-
-  core::LuConfig lu;
-  lu.n = 64;
-  lu.b = 16;
-  lu.mode = core::DesignMode::Hybrid;
-
-  core::FwConfig fw;
-  fw.n = 64;
-  fw.b = 16;
-  fw.mode = core::DesignMode::Hybrid;
-
-  const auto trace_csv = [](sim::TraceRecorder& rec) {
-    std::ostringstream os;
-    rec.write_csv(os);
-    return os.str();
-  };
-
-  // Baseline: the pre-scheduler execution model, one OS thread per rank.
-  common::ThreadPool::set_global_threads(2);
-  lu.max_workers = rcs::net::World::kThreadPerRank;
-  fw.max_workers = rcs::net::World::kThreadPerRank;
-  sim::TraceRecorder lu_rec(true);
-  const auto lu_ref = core::lu_functional(xd1_p(3), lu, a, false, &lu_rec);
-  const std::string lu_trace = trace_csv(lu_rec);
-  sim::TraceRecorder fw_rec(true);
-  const auto fw_ref = core::fw_functional(xd1_p(2), fw, d0, false, &fw_rec);
-  const std::string fw_trace = trace_csv(fw_rec);
-
-  for (int workers : {1, 2, 7}) {
-    lu.max_workers = workers;
-    fw.max_workers = workers;
-
-    sim::TraceRecorder rec(true);
-    const auto res = core::lu_functional(xd1_p(3), lu, a, false, &rec);
-    EXPECT_EQ(res.run.seconds, lu_ref.run.seconds) << "workers=" << workers;
-    EXPECT_EQ(res.run.bytes_on_network, lu_ref.run.bytes_on_network)
-        << "workers=" << workers;
-    EXPECT_TRUE(la::bit_equal(res.factored.view(), lu_ref.factored.view()))
-        << "workers=" << workers;
-    EXPECT_EQ(trace_csv(rec), lu_trace) << "workers=" << workers;
-
-    sim::TraceRecorder frec(true);
-    const auto fres = core::fw_functional(xd1_p(2), fw, d0, false, &frec);
-    EXPECT_EQ(fres.run.seconds, fw_ref.run.seconds) << "workers=" << workers;
-    EXPECT_EQ(fres.run.bytes_on_network, fw_ref.run.bytes_on_network)
-        << "workers=" << workers;
-    EXPECT_TRUE(la::bit_equal(fres.distances.view(), fw_ref.distances.view()))
-        << "workers=" << workers;
-    EXPECT_EQ(trace_csv(frec), fw_trace) << "workers=" << workers;
-  }
-  common::ThreadPool::set_global_threads(1);
-}
-
 // --- Pinned runs -------------------------------------------------------------
 // Every functional plane's simulated schedule is pinned to fixed values: the
 // FNV-1a digests of its trace CSV, its critical-path analysis JSON and its
@@ -405,9 +355,7 @@ struct Pin {
 };
 
 std::uint64_t csv_digest(const sim::TraceRecorder& rec) {
-  std::ostringstream os;
-  rec.write_csv(os);
-  return fnv1a(os.str());
+  return fnv1a(trace_csv(rec));
 }
 
 std::uint64_t analysis_digest(const rcs::obs::cp::Analysis& an) {
@@ -524,9 +472,9 @@ TEST(PinnedRuns, MmFunctional) {
                  104u});
 }
 
-// A fiber-scheduled world (p > World::kAutoFiberThreshold) at the reduced
-// lu_wide benchmark shape: mostly zero-width worker shares and thousands of
-// trace events, the same mix the recorder and analyzer see at p = 1024.
+// A 64-rank world at the reduced lu_wide benchmark shape: mostly zero-width
+// worker shares and thousands of trace events, the same mix the recorder
+// and analyzer see at p = 1024.
 TEST(PinnedRuns, LuFunctionalFiberWorld) {
   const la::Matrix a = la::diagonally_dominant(64, 1234);
   core::LuConfig cfg;

@@ -8,6 +8,7 @@
 // values.
 
 #include <cstdint>
+#include <map>
 #include <sstream>
 #include <string>
 
@@ -424,6 +425,123 @@ TEST(PinnedRuns, FwFunctional) {
     const auto res = core::fw_functional(xd1_p(2), cfg, d0, false, &rec);
     expect_pinned(lookahead ? "lookahead" : "blocking", rec, res.run, 2,
                   pins[lookahead ? 1 : 0]);
+  }
+}
+
+// FNV-1a of the per-phase overlap accounting and the fault/recovery stats,
+// every double printed at round-trip precision.
+std::uint64_t stats_digest(
+    const std::map<std::string, rcs::net::OverlapStats>& overlap,
+    const sim::FaultStats& f) {
+  std::ostringstream os;
+  os.precision(17);
+  for (const auto& [ph, st] : overlap) {
+    os << ph << ' ' << st.hidden_s << ' ' << st.visible_s << ' '
+       << st.total_s << '\n';
+  }
+  os << f.bitflips_injected << ' ' << f.slowdown_hits << ' '
+     << f.slowdown_added_s << ' ' << f.link_hits << ' ' << f.link_added_s
+     << ' ' << f.crashes << ' ' << f.checks << ' ' << f.detected << ' '
+     << f.corrected_elements << ' ' << f.reissued_blocks << ' '
+     << f.straggler_timeouts << ' ' << f.straggler_reissues << ' '
+     << f.recovery_cpu_s;
+  for (const double m : f.mttr_s) os << ' ' << m;
+  return fnv1a(os.str());
+}
+
+// Halved bandwidth plus up to 1 µs of per-message jitter on every link.
+sim::LinkFault slow_jittery_link() {
+  sim::LinkFault f;
+  f.bw_factor = 0.5;
+  f.jitter_max_s = 1e-6;
+  return f;
+}
+
+sim::BitFlip one_flip(int rank, std::uint64_t call, int bit) {
+  sim::BitFlip f;
+  f.rank = rank;
+  f.call = call;
+  f.row_u = 0.5;
+  f.col_u = 0.5;
+  f.bit = bit;
+  return f;
+}
+
+// Both schedules under ABFT, a bit-flip, a degraded link and a ×50 straggler
+// whose E shares miss their deadline, so the owners' deadline receives time
+// out and re-solve the shares.
+TEST(PinnedRuns, LuFunctionalUnderFaults) {
+  const la::Matrix a = la::diagonally_dominant(64, 1234);
+  core::LuConfig cfg;
+  cfg.n = 64;
+  cfg.b = 16;
+  cfg.mode = core::DesignMode::Hybrid;
+  cfg.b_f = 8;
+  const double clean_s = core::lu_functional(xd1_p(3), cfg, a).run.seconds;
+
+  sim::FaultPlan plan(41);
+  plan.add_bitflip(one_flip(0, 0, 55));
+  sim::SlowdownWindow w;
+  w.rank = 1;
+  w.end = 1e6;
+  w.cpu_factor = 50.0;
+  w.fpga_factor = 50.0;
+  plan.add_slowdown(w);
+  plan.add_link_fault(slow_jittery_link());
+  cfg.faults = &plan;
+  cfg.fault_tolerance = true;
+  cfg.straggler_timeout_s = clean_s / 4.0;
+
+  const Pin pins[] = {
+      {12625567454461574895ull, 8570840805929113808ull,
+       16624186997832775240ull, 0.0019482881824326671, 131200u, 84u},
+      {17477177109983321183ull, 14516790005436971300ull,
+       12587249386759540563ull, 0.0019215915292808267, 131184u, 84u}};
+  const std::uint64_t stats[] = {8144319362768558708ull,
+                                 12040795525095470679ull};
+  for (const bool lookahead : {false, true}) {
+    cfg.lookahead = lookahead;
+    const char* what = lookahead ? "lookahead" : "blocking";
+    sim::TraceRecorder rec(true);
+    const auto res = core::lu_functional(xd1_p(3), cfg, a, false, &rec);
+    expect_pinned(what, rec, res.run, 3, pins[lookahead ? 1 : 0]);
+    EXPECT_EQ(stats_digest(res.overlap, res.faults), stats[lookahead ? 1 : 0])
+        << what;
+    EXPECT_EQ(res.faults.straggler_timeouts, 5u) << what;
+    EXPECT_EQ(res.faults.bitflips_injected, 1u) << what;
+  }
+}
+
+// Both schedules under DMR, a bit-flip and the same degraded link.
+TEST(PinnedRuns, FwFunctionalUnderFaults) {
+  const la::Matrix d0 = gr::random_digraph(64, 4321, 0.4);
+  core::FwConfig cfg;
+  cfg.n = 64;
+  cfg.b = 16;
+  cfg.mode = core::DesignMode::Hybrid;
+  sim::FaultPlan plan(43);
+  plan.add_bitflip(one_flip(1, 0, 58));
+  plan.add_link_fault(slow_jittery_link());
+  cfg.faults = &plan;
+  cfg.fault_tolerance = true;
+
+  const Pin pins[] = {
+      {6985789821040252252ull, 13499992102960181555ull,
+       14726190929385178849ull, 0.0011977384028037798, 99096u, 120u},
+      {1290372531398595788ull, 491107276301965942ull,
+       1740328679282081224ull, 0.0011057526062726961, 99072u, 120u}};
+  const std::uint64_t stats[] = {8584962855267944339ull,
+                                 5217648027033453618ull};
+  for (const bool lookahead : {false, true}) {
+    cfg.lookahead = lookahead;
+    const char* what = lookahead ? "lookahead" : "blocking";
+    sim::TraceRecorder rec(true);
+    const auto res = core::fw_functional(xd1_p(4), cfg, d0, false, &rec);
+    expect_pinned(what, rec, res.run, 4, pins[lookahead ? 1 : 0]);
+    EXPECT_EQ(stats_digest(res.overlap, res.faults), stats[lookahead ? 1 : 0])
+        << what;
+    EXPECT_EQ(res.faults.bitflips_injected, 1u) << what;
+    EXPECT_EQ(res.faults.detected, 1u) << what;
   }
 }
 

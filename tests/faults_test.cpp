@@ -229,18 +229,45 @@ TEST(FaultRecovery, FwSurvivesStragglerBitIdentically) {
 }
 
 // A fail-stop crash is not recoverable by recomputation: it surfaces as
-// RankFailed (distinct from WorldAborted) out of the functional run.
+// RankFailed (distinct from WorldAborted) out of the functional run, in
+// both schedules, whether the rank dies at its first communication or
+// halfway through the fault-free makespan.
 TEST(FaultRecovery, LuCrashPropagatesRankFailed) {
   const la::Matrix a = la::diagonally_dominant(64, 7);
-  sim::FaultPlan plan(29);
-  sim::RankCrash c;
-  c.rank = 1;
-  c.at = 0.0;  // dies at its first communication
-  plan.add_crash(c);
+  for (const bool lookahead : {false, true}) {
+    core::LuConfig cfg = lu_cfg();
+    cfg.lookahead = lookahead;
+    const double clean_s = core::lu_functional(xd1_p(3), cfg, a).run.seconds;
+    for (const double at : {0.0, clean_s / 2.0}) {
+      sim::FaultPlan plan(29);
+      sim::RankCrash c;
+      c.rank = 1;
+      c.at = at;
+      plan.add_crash(c);
+      cfg.faults = &plan;
+      EXPECT_THROW(core::lu_functional(xd1_p(3), cfg, a), net::RankFailed)
+          << "lookahead=" << lookahead << " at=" << at;
+    }
+  }
+}
 
-  core::LuConfig cfg = lu_cfg();
-  cfg.faults = &plan;
-  EXPECT_THROW(core::lu_functional(xd1_p(3), cfg, a), net::RankFailed);
+TEST(FaultRecovery, FwCrashPropagatesRankFailed) {
+  const la::Matrix d0 = gr::random_digraph(64, 5, 0.4);
+  for (const bool lookahead : {false, true}) {
+    core::FwConfig cfg = fw_cfg();
+    cfg.lookahead = lookahead;
+    const double clean_s = core::fw_functional(xd1_p(2), cfg, d0).run.seconds;
+    for (const double at : {0.0, clean_s / 2.0}) {
+      sim::FaultPlan plan(31);
+      sim::RankCrash c;
+      c.rank = 1;
+      c.at = at;
+      plan.add_crash(c);
+      cfg.faults = &plan;
+      EXPECT_THROW(core::fw_functional(xd1_p(2), cfg, d0), net::RankFailed)
+          << "lookahead=" << lookahead << " at=" << at;
+    }
+  }
 }
 
 // Zero-cost default: no plan and an installed-but-empty plan are the same

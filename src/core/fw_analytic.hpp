@@ -39,11 +39,11 @@ struct FwConfig {
   bool tree_bcast = false;
   /// Lookahead comm/compute overlap (functional plane): the owner fans out
   /// D_tt and the op22 pivot-column blocks over the NIC (isend) instead of
-  /// serializing them on its CPU, non-owners prefetch the next wave's
-  /// pivot block (and the next iteration's D_tt) through irecv while the
-  /// current op3 wave computes, and the per-iteration barrier is dropped.
-  /// Distances are byte-identical to the blocking schedule; only the
-  /// schedule (and therefore the clocks) moves.
+  /// serializing them on its CPU, and the per-iteration barrier is dropped.
+  /// Receives stay where their data is consumed: a pivot block the owner
+  /// sent a wave ahead has already arrived behind the current wave's
+  /// compute. Distances are byte-identical to the blocking schedule; only
+  /// the schedule (and therefore the clocks) moves.
   bool lookahead = false;
   /// Fault injection: schedule of slowdowns/link faults/crashes/bit-flips
   /// applied during the functional run (must outlive it). Bit-flips target

@@ -215,11 +215,6 @@ FwFunctionalResult fw_functional(const SystemParams& sys, const FwConfig& cfg,
       tasks.clear();
     };
 
-    // Lookahead: the receive for iteration t+1's D_tt is posted while
-    // iteration t's waves still compute, so the next pivot block streams in
-    // behind the current trailing update.
-    net::Request dtt_req;
-
     for (long long t = 0; t < nb; ++t) {
       const int owner = static_cast<int>(t / cols_per_rank);
 
@@ -247,20 +242,8 @@ FwFunctionalResult fw_functional(const SystemParams& sys, const FwConfig& cfg,
         // Lookahead fans out over the NIC: the owner's CPU pays setup only
         // and moves on to its op21/op22 wave.
         fan_out(comm, cfg.lookahead, {{make_tag(kDtt, t, 0), dtt.view()}});
-      } else if (cfg.lookahead && dtt_req.valid()) {
-        dtt = net::wait_matrix(dtt_req);
       } else {
         dtt = net::recv_matrix(comm, owner, make_tag(kDtt, t, 0), "op21");
-      }
-      // Prefetch the next iteration's pivot diagonal: posting is free, and
-      // by the time this iteration's waves finish the block is usually
-      // already in flight (or delivered).
-      if (cfg.lookahead && t + 1 < nb) {
-        const int next_owner = static_cast<int>((t + 1) / cols_per_rank);
-        if (me != next_owner) {
-          dtt_req =
-              comm.irecv(next_owner, make_tag(kDtt, t + 1, 0), "op21");
-        }
       }
 
       // Row order of the op3 waves: every q != t, ascending.
@@ -283,12 +266,6 @@ FwFunctionalResult fw_functional(const SystemParams& sys, const FwConfig& cfg,
         tasks.push_back(BlockTask{lblk(t, c), dtt.view(), lblk(t, c),
                                   "op21"});
       }
-      // Lookahead: post the receive for wave 0's pivot block before the
-      // op21 wave computes, so the owner's broadcast streams in behind it.
-      net::Request dqt_req;
-      if (cfg.lookahead && me != owner && !q_list.empty()) {
-        dqt_req = comm.irecv(owner, make_tag(kOp22, t, 0), "op3");
-      }
       run_wave(tasks);
       if (me == owner && !q_list.empty()) {
         fan_out(comm, cfg.lookahead,
@@ -299,23 +276,12 @@ FwFunctionalResult fw_functional(const SystemParams& sys, const FwConfig& cfg,
       // its wave and broadcasts it afterwards.
       for (std::size_t w = 0; w < q_list.size(); ++w) {
         const long long q = q_list[w];
-        Matrix dqt;
-        if (me == owner) {
-          dqt = Matrix::from_view(lblk(q, t));
-        } else if (cfg.lookahead) {
-          dqt = net::wait_matrix(dqt_req);
-          // Double-buffer: wave w+1's pivot block transfers while wave w's
-          // op3 tasks compute below.
-          if (w + 1 < q_list.size()) {
-            dqt_req = comm.irecv(
-                owner, make_tag(kOp22, t, static_cast<long long>(w + 1)),
-                "op3");
-          }
-        } else {
-          dqt = net::recv_matrix(
-              comm, owner, make_tag(kOp22, t, static_cast<long long>(w)),
-              "op3");
-        }
+        const Matrix dqt =
+            me == owner
+                ? Matrix::from_view(lblk(q, t))
+                : net::recv_matrix(
+                      comm, owner,
+                      make_tag(kOp22, t, static_cast<long long>(w)), "op3");
         if (me == owner && w + 1 < q_list.size()) {
           const long long qn = q_list[w + 1];
           tasks.push_back(BlockTask{lblk(qn, t), lblk(qn, t), dtt.view(),

@@ -43,13 +43,15 @@ struct LuConfig {
   /// Lookahead comm/compute overlap. Analytic plane: let iteration t+1's
   /// panel factorization start as soon as its diagonal block's update
   /// lands, instead of barriering on the whole trailing update. Functional
-  /// plane: run the real lookahead pipeline — workers double-buffer the
-  /// next task's C/D stripes through irecv, return E shares over the NIC
-  /// (isend), prefetch the opMS share receives, and skip the per-iteration
-  /// barrier. The factors are byte-identical to the blocking schedule in
-  /// either plane; only the schedule (and therefore the clocks) moves. The
-  /// paper's implementation could not do this ("we used the atomic ACML
-  /// routines", §6.2) — this switch quantifies what that cost.
+  /// plane: the panel fans its C/D stripes out over the NIC (isend) whatever
+  /// the fan-out convention, workers return E shares over the NIC too, and
+  /// the per-iteration barrier is dropped. Receives stay where their data
+  /// is consumed: a message is in the receiver's mailbox from the moment it
+  /// is sent, so posting a receive earlier would move no clock. The factors
+  /// are byte-identical to the blocking schedule in either plane; only the
+  /// schedule (and therefore the clocks) moves. The paper's implementation
+  /// could not do this ("we used the atomic ACML routines", §6.2) — this
+  /// switch quantifies what that cost.
   bool lookahead = false;
   /// Fault injection: schedule of slowdowns/link faults/crashes/bit-flips
   /// applied during the functional run (must outlive it). nullptr = the

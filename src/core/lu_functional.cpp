@@ -220,8 +220,7 @@ LuFunctionalResult lu_functional(const SystemParams& sys, const LuConfig& cfg,
         long long ready = 0;
         // PaperSingle fan-out rides the RapidArray DMA engines (isend): the
         // panel CPU pays only setup; SerialAll serializes on the CPU (§4.3).
-        // The lookahead pipeline always uses the DMA engines — hiding the
-        // stripe transfers is its whole point.
+        // Lookahead always uses the DMA engines.
         const bool dma = cfg.fanout == SendFanout::PaperSingle || cfg.lookahead;
         auto serve = [&](long long count) {
           for (long long s = 0; s < count && served < ready; ++s, ++served) {
@@ -253,34 +252,12 @@ LuFunctionalResult lu_functional(const SystemParams& sys, const LuConfig& cfg,
         // --- Worker: one column share of every opMM of this iteration.
         const auto [c0, c1] = worker_columns(b, p, panel, me);
         const long long cw = c1 - c0;
-        // Lookahead: double-buffer the stripe stream — task j+1's C/D
-        // receives are posted before task j's opMM runs, so the panel's
-        // transfers land behind the trailing update instead of in front of
-        // it. The blocking schedule receives in place (and still records
-        // overlap, for the blocking-vs-lookahead comparison).
-        net::Request c_req, d_req;
-        if (cfg.lookahead && total > 0) {
-          c_req = comm.irecv(panel, make_tag(kCStripe, t, 0), "opMM");
-          d_req = comm.irecv(panel, make_tag(kDStripe, t, 0), "opMM");
-        }
         for (long long j = 0; j < total; ++j) {
           const auto [u, v] = order[static_cast<std::size_t>(j)];
-          Matrix c, d;
-          if (cfg.lookahead) {
-            c = net::wait_matrix(c_req);
-            d = net::wait_matrix(d_req);
-            if (j + 1 < total) {
-              c_req =
-                  comm.irecv(panel, make_tag(kCStripe, t, j + 1), "opMM");
-              d_req =
-                  comm.irecv(panel, make_tag(kDStripe, t, j + 1), "opMM");
-            }
-          } else {
-            c = net::recv_matrix(comm, panel, make_tag(kCStripe, t, j),
-                                 "opMM");
-            d = net::recv_matrix(comm, panel, make_tag(kDStripe, t, j),
-                                 "opMM");
-          }
+          Matrix c =
+              net::recv_matrix(comm, panel, make_tag(kCStripe, t, j), "opMM");
+          Matrix d =
+              net::recv_matrix(comm, panel, make_tag(kDStripe, t, j), "opMM");
           Matrix e(b, cw);
           auto dshare = d.block(0, c0, b, cw);
 
@@ -343,14 +320,14 @@ LuFunctionalResult lu_functional(const SystemParams& sys, const LuConfig& cfg,
             linalg::matrix_sub(blk(u, v).block(0, c0, b, cw), e.view());
             node.cpu_compute(node::CpuKernel::MemBound,
                              static_cast<double>(b * cw), "opMS");
-          } else if (cfg.lookahead) {
-            // The E share rides the worker's NIC so its CPU moves straight
-            // on to the next task's opMM.
-            net::isend_matrix(comm, dst, make_tag(kEShare, t, j),
-                              e.view());
           } else {
-            net::send_matrix(comm, dst, make_tag(kEShare, t, j),
-                             e.view());
+            // Lookahead returns the E share over the worker's NIC, so its
+            // CPU moves straight on to the next task's opMM.
+            cfg.lookahead
+                ? net::isend_matrix(comm, dst, make_tag(kEShare, t, j),
+                                    e.view())
+                : net::send_matrix(comm, dst, make_tag(kEShare, t, j),
+                                   e.view());
           }
           if (straggler_s > 0.0 && dst == me) {
             stash.emplace(j, std::make_pair(std::move(c), std::move(d)));
@@ -359,82 +336,53 @@ LuFunctionalResult lu_functional(const SystemParams& sys, const LuConfig& cfg,
       }
 
       // --- opMS: every rank applies the updates for the blocks it owns
-      // (its own worker share, if any, was already applied in place).
-      // Deterministic (j, r) order in both schedules; lookahead posts every
-      // expected receive up front so later shares stream in while earlier
-      // ones are applied.
-      struct EShare {
-        long long j;
-        int r;
-        long long c0, c1;
-        net::Request req;
-      };
-      std::vector<EShare> shares;
+      // (its own worker share, if any, was already applied in place), in
+      // deterministic (j, r) order.
       for (long long j = 0; j < total; ++j) {
         const auto [u, v] = order[static_cast<std::size_t>(j)];
         if (owner_of(u, v, p) != me) continue;
         for (int r = 0; r < p; ++r) {
           if (r == panel || r == me) continue;
           const auto [c0, c1] = worker_columns(b, p, panel, r);
-          shares.push_back(EShare{j, r, c0, c1, net::Request()});
-        }
-      }
-      if (cfg.lookahead) {
-        for (EShare& s : shares) {
-          s.req = comm.irecv(s.r, make_tag(kEShare, t, s.j), "opMS");
-        }
-      }
-      for (EShare& s : shares) {
-        const auto [u, v] = order[static_cast<std::size_t>(s.j)];
-        Matrix e;
-        bool late = false;
-        if (straggler_s > 0.0) {
-          e = cfg.lookahead
-                  ? net::wait_matrix_deadline(s.req, straggler_s, &late)
-                  : net::recv_matrix_deadline(
-                        comm, s.r, make_tag(kEShare, t, s.j),
-                        straggler_s, &late, "opMS");
-        } else {
-          e = cfg.lookahead
-                  ? net::wait_matrix(s.req)
-                  : net::recv_matrix(
-                        comm, s.r, make_tag(kEShare, t, s.j),
-                        "opMS");
-        }
-        if (late) {
-          // Graceful degradation: the peer's share missed the deadline.
-          // Re-solve its columns locally from the stashed (or owned) full
-          // stripes — bit-identical to the share the worker would have
-          // sent, so the factors don't move.
-          obs::PhaseSpan phase("lu", "straggler");
-          const sim::SimTime repair_start = comm.clock().now();
-          const Matrix* cm = nullptr;
-          const Matrix* dm = nullptr;
-          if (me == panel) {
-            cm = &blk(u, t);
-            dm = &blk(t, v);
-          } else {
-            const auto& pr = stash.at(s.j);
-            cm = &pr.first;
-            dm = &pr.second;
+          const int tag = make_tag(kEShare, t, j);
+          bool late = false;
+          Matrix e = straggler_s > 0.0
+                         ? net::recv_matrix_deadline(comm, r, tag, straggler_s,
+                                                     &late, "opMS")
+                         : net::recv_matrix(comm, r, tag, "opMS");
+          if (late) {
+            // Graceful degradation: the peer's share missed the deadline.
+            // Re-solve its columns locally from the stashed (or owned) full
+            // stripes — bit-identical to the share the worker would have
+            // sent, so the factors don't move.
+            obs::PhaseSpan phase("lu", "straggler");
+            const sim::SimTime repair_start = comm.clock().now();
+            const Matrix* cm = nullptr;
+            const Matrix* dm = nullptr;
+            if (me == panel) {
+              cm = &blk(u, t);
+              dm = &blk(t, v);
+            } else {
+              const auto& pr = stash.at(j);
+              cm = &pr.first;
+              dm = &pr.second;
+            }
+            e = recompute_share(mm, cm->view(), dm->view(), c0, c1, b_f,
+                                use_soft_fp);
+            node.cpu_compute(node::CpuKernel::Dgemm,
+                             2.0 * static_cast<double>(b * b * (c1 - c0)),
+                             "straggler.reissue");
+            fstats.straggler_reissues += 1;
+            const sim::SimTime mttr = comm.clock().now() - repair_start;
+            fstats.mttr_s.push_back(mttr);
+            fstats.recovery_cpu_s += mttr;
+            sim::note_fault_recovered(mttr);
           }
-          e = recompute_share(mm, cm->view(), dm->view(), s.c0, s.c1, b_f,
-                              use_soft_fp);
-          node.cpu_compute(
-              node::CpuKernel::Dgemm,
-              2.0 * static_cast<double>(b * b * (s.c1 - s.c0)),
-              "straggler.reissue");
-          fstats.straggler_reissues += 1;
-          const sim::SimTime mttr = comm.clock().now() - repair_start;
-          fstats.mttr_s.push_back(mttr);
-          fstats.recovery_cpu_s += mttr;
-          sim::note_fault_recovered(mttr);
+          obs::PhaseSpan phase("lu", "opMS");
+          linalg::matrix_sub(blk(u, v).block(0, c0, b, c1 - c0), e.view());
+          node.cpu_compute(node::CpuKernel::MemBound,
+                           static_cast<double>(b * (c1 - c0)), "opMS");
         }
-        obs::PhaseSpan phase("lu", "opMS");
-        linalg::matrix_sub(blk(u, v).block(0, s.c0, b, s.c1 - s.c0),
-                           e.view());
-        node.cpu_compute(node::CpuKernel::MemBound,
-                         static_cast<double>(b * (s.c1 - s.c0)), "opMS");
       }
       // Lookahead drops the per-iteration barrier: message tags carry the
       // iteration, so ranks are free to run ahead into t+1 as soon as their

@@ -79,13 +79,6 @@ inline linalg::Matrix recv_matrix(Comm& comm, int src, int tag,
   return decode_matrix(comm.recv(src, tag, overlap_phase));
 }
 
-/// Complete a matrix receive posted with Comm::irecv — the lookahead
-/// pipelines post the next block's receive before computing on the current
-/// one.
-inline linalg::Matrix wait_matrix(Request& req) {
-  return decode_matrix(req.wait());
-}
-
 /// Deadline-bounded blocking matrix receive: decodes the message when it
 /// arrives in time, otherwise sets *timed_out and returns an empty Matrix
 /// (the late message, if any, is drained — see Comm::recv_deadline).
@@ -95,15 +88,6 @@ inline linalg::Matrix recv_matrix_deadline(Comm& comm, int src, int tag,
                                            const char* overlap_phase = nullptr) {
   const Message msg =
       comm.recv_deadline(src, tag, timeout_s, timed_out, overlap_phase);
-  if (timed_out != nullptr && *timed_out) return {};
-  return decode_matrix(msg);
-}
-
-/// Deadline-bounded completion of a posted matrix receive (see
-/// Request::wait_deadline). Returns an empty Matrix on timeout.
-inline linalg::Matrix wait_matrix_deadline(Request& req, sim::SimTime timeout_s,
-                                           bool* timed_out) {
-  const Message msg = req.wait_deadline(timeout_s, timed_out);
   if (timed_out != nullptr && *timed_out) return {};
   return decode_matrix(msg);
 }

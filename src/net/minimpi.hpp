@@ -128,7 +128,7 @@ struct WorldAborted : Error {
 };
 
 /// Thrown when a rank fail-stops under an injected FaultPlan crash, and out
-/// of receives/waits on a peer that has already failed. Distinct from
+/// of receives from a peer that has already failed. Distinct from
 /// WorldAborted: a RankFailed world keeps running — survivors observe the
 /// failure per-operation and may catch it to degrade gracefully, whereas
 /// WorldAborted means the whole run is unwinding after an unexpected error.
@@ -141,7 +141,7 @@ struct RankFailed : Error {
 /// Comm/transfer overlap accounting for one phase label: how much of the
 /// simulated transfer time of received messages was hidden behind the
 /// receiver's own compute (clock already past the wire interval when the
-/// wait resolved) versus visible as a stall.
+/// receive was issued) versus visible as a stall.
 struct OverlapStats {
   SimTime hidden_s = 0.0;   // transfer seconds overlapped with compute
   SimTime visible_s = 0.0;  // transfer seconds the receiver stalled on
@@ -156,68 +156,6 @@ struct OverlapStats {
     total_s += o.total_s;
     return *this;
   }
-};
-
-/// Handle to a posted nonblocking receive (Comm::irecv). Move-only; exactly
-/// one wait() consumes the message. test() peeks the mailbox without
-/// consuming anything and without touching the simulated clock, so it is
-/// safe for opportunistic progress — but its answer depends on how the
-/// scheduler interleaves the ranks, so charging different *clock* costs on
-/// its outcome would break simulated-time determinism (wait() never does).
-class Request {
- public:
-  Request() = default;
-  Request(Request&& o) noexcept { *this = std::move(o); }
-  Request& operator=(Request&& o) noexcept {
-    comm_ = o.comm_;
-    src_ = o.src_;
-    tag_ = o.tag_;
-    phase_ = o.phase_;
-    done_ = o.done_;
-    msg_ = std::move(o.msg_);
-    o.comm_ = nullptr;
-    o.done_ = false;
-    return *this;
-  }
-  Request(const Request&) = delete;
-  Request& operator=(const Request&) = delete;
-
-  /// True while a wait() is still owed (completed requests stay valid: their
-  /// wait() re-returns the cached message).
-  bool valid() const { return comm_ != nullptr; }
-
-  /// Non-blocking: has the matching message already been delivered (i.e.
-  /// would wait() return without parking the rank)? Returns true after a
-  /// completed wait(), false on an empty or moved-from request.
-  bool test() const;
-
-  /// Block (wall clock) until the message is available, advance the rank's
-  /// simulated clock to at least its arrival, and return it. Idempotent:
-  /// waiting again returns a copy of the same message with no further clock
-  /// effect. Throws Error on an empty/moved-from request, WorldAborted if a
-  /// peer rank failed unexpectedly, RankFailed if the source fail-stopped
-  /// under a FaultPlan before sending.
-  Message wait();
-
-  /// wait() with a simulated-time budget measured from the call: if the
-  /// message's arrival lands past `clock.now() + timeout_s` (or the source
-  /// fail-stopped), sets *timed_out, advances the clock only to the
-  /// deadline, and returns the late message (src = -1 if the peer died
-  /// without sending). Deterministic: the verdict depends on simulated
-  /// arrival times only, never on wall-clock scheduling.
-  Message wait_deadline(SimTime timeout_s, bool* timed_out);
-
- private:
-  friend class Comm;
-  Request(Comm* comm, int src, int tag, const char* phase)
-      : comm_(comm), src_(src), tag_(tag), phase_(phase) {}
-
-  Comm* comm_ = nullptr;
-  int src_ = -1;
-  int tag_ = -1;
-  const char* phase_ = nullptr;
-  bool done_ = false;  // wait() completed; msg_ caches the result
-  Message msg_;
 };
 
 /// A rank's handle to the world: MPI-flavoured operations plus the rank's
@@ -260,21 +198,6 @@ class Comm {
   /// caller can degrade gracefully instead of stalling on a straggler.
   Message recv_deadline(int src, int tag, SimTime timeout_s, bool* timed_out,
                         const char* overlap_phase = nullptr);
-
-  /// recv_deadline with bounded retry/backoff: the deadline is extended
-  /// `max_retries` times, each extension `backoff` times longer than the
-  /// last. Sets *gave_up when the message misses every extended deadline;
-  /// the clock then stops at the last deadline. Deterministic for the same
-  /// reason recv_deadline is: only simulated arrival times are compared.
-  Message recv_retry(int src, int tag, SimTime timeout_s, int max_retries,
-                     double backoff, bool* gave_up,
-                     const char* overlap_phase = nullptr);
-
-  /// Post a nonblocking receive: returns immediately (no clock charge); the
-  /// returned Request's wait() completes the receive. Lookahead pipelines
-  /// post the next iteration's receives before computing on the current
-  /// one, so the transfer streams in behind the compute.
-  Request irecv(int src, int tag, const char* overlap_phase = nullptr);
 
   /// Per-phase transfer-overlap accounting of every labelled receive so far.
   const std::map<std::string, OverlapStats>& overlap_stats() const {
@@ -346,23 +269,14 @@ class Comm {
 
  private:
   friend class World;
-  friend class Request;
   Comm(World* world, int rank) : world_(world), rank_(rank) {}
 
   void log_message(int dst, std::uint64_t bytes, SimTime depart,
                    SimTime arrival);
 
-  /// Take the message, advance the clock, and attribute its wire time to
-  /// `overlap_phase` (shared by recv and Request::wait).
-  Message complete_recv(int src, int tag, const char* overlap_phase);
-
   /// Accept a taken message: attribute its wire time to `overlap_phase` and
   /// advance the clock to its arrival.
   void finish_recv(const Message& msg, const char* overlap_phase);
-
-  /// Deadline variant shared by recv_deadline and Request::wait_deadline.
-  Message complete_recv_deadline(int src, int tag, SimTime deadline,
-                                 bool* timed_out, const char* overlap_phase);
 
   /// Internal send/recv that accept reserved (negative) tags — the public
   /// operations validate user tags and then route through these.
@@ -448,7 +362,7 @@ class World {
   /// their source and tag, and per-pair order is fixed by the sender's
   /// program order, so no scheduler interleaving is observable). Rethrows the first rank exception after every rank has
   /// finished; when one rank fails, every mailbox is poisoned so peers
-  /// blocked in recv/wait/barrier wake with WorldAborted instead of hanging
+  /// blocked in recv/barrier wake with WorldAborted instead of hanging
   /// (those secondary aborts are swallowed — the original exception is
   /// what propagates). With metrics on, each rank's message and byte totals
   /// are recorded once into the net.rank_msgs_sent / net.rank_bytes_sent
@@ -492,7 +406,6 @@ class World {
 
  private:
   friend class Comm;
-  friend class Request;
 
   struct Mailbox {
     std::mutex mu;
@@ -506,7 +419,6 @@ class World {
 
   void deliver(int dst, Message msg);
   Message take(int dst, int src, int tag);
-  bool poll(int dst, int src, int tag);
 
   /// Wake every blocked take() with WorldAborted (called on first rank
   /// failure so the surviving ranks cannot deadlock on a dead peer).

@@ -347,9 +347,9 @@ TEST(NetworkParams, TransferTime) {
   EXPECT_DOUBLE_EQ(np.transfer_time(2'000'000'000ull), 1.0 + 1e-6);
 }
 
-// --- Nonblocking receives -------------------------------------------------
+// --- Receives and overlap accounting ---------------------------------------
 
-TEST(MiniMpiIrecv, DeliversAndAdvancesClock) {
+TEST(MiniMpiRecv, DeliversAndAdvancesClock) {
   net::NetworkParams np;
   np.bytes_per_s = 1e6;  // 1 MB/s
   np.latency_s = 0.0;
@@ -359,20 +359,19 @@ TEST(MiniMpiIrecv, DeliversAndAdvancesClock) {
       std::vector<double> big(125'000, 1.0);  // 1 MB -> 1 s on the wire
       comm.send_doubles(1, 3, big.data(), big.size());
     } else {
-      net::Request req = comm.irecv(0, 3);
-      ASSERT_TRUE(req.valid());
-      net::Message m = req.wait();
+      const net::Message m = comm.recv(0, 3);
       EXPECT_EQ(m.payload.size(), 1'000'000u);
+      EXPECT_NEAR(m.depart, 0.0, 1e-9);
       EXPECT_NEAR(m.arrival, 1.0, 1e-9);
-      // The wait advanced the receiver to the arrival, like a blocking recv.
+      // The receive advanced the receiver's clock to the arrival.
       EXPECT_NEAR(comm.clock().now(), 1.0, 1e-9);
-      // The completed request stays valid: wait() is idempotent.
-      EXPECT_TRUE(req.valid());
     }
   });
 }
 
-TEST(MiniMpiIrecv, OverlapAccountingHidesTransferBehindCompute) {
+// A receive issued after the clock has passed the arrival finds the whole
+// transfer behind the receiver's own compute: all of it is hidden.
+TEST(MiniMpiRecv, OverlapAccountingHidesTransferBehindCompute) {
   net::NetworkParams np;
   np.bytes_per_s = 1e6;
   np.latency_s = 0.0;
@@ -382,9 +381,8 @@ TEST(MiniMpiIrecv, OverlapAccountingHidesTransferBehindCompute) {
       std::vector<double> big(125'000, 1.0);  // depart 0.0, arrival 1.0
       comm.send_doubles(1, 3, big.data(), big.size());
     } else {
-      net::Request req = comm.irecv(0, 3, "phaseA");
       comm.clock().advance(2.0);  // compute past the transfer's arrival
-      req.wait();
+      comm.recv(0, 3, "phaseA");
       EXPECT_NEAR(comm.clock().now(), 2.0, 1e-9);  // nothing left to wait on
       const auto& st = comm.overlap_stats().at("phaseA");
       EXPECT_NEAR(st.total_s, 1.0, 1e-9);
@@ -395,7 +393,7 @@ TEST(MiniMpiIrecv, OverlapAccountingHidesTransferBehindCompute) {
   });
 }
 
-TEST(MiniMpiIrecv, OverlapAccountingChargesEagerWaitAsVisible) {
+TEST(MiniMpiRecv, OverlapAccountingChargesEagerRecvAsVisible) {
   net::NetworkParams np;
   np.bytes_per_s = 1e6;
   np.latency_s = 0.0;
@@ -405,7 +403,7 @@ TEST(MiniMpiIrecv, OverlapAccountingChargesEagerWaitAsVisible) {
       std::vector<double> big(125'000, 1.0);
       comm.send_doubles(1, 3, big.data(), big.size());
     } else {
-      // Waiting immediately exposes the whole transfer.
+      // Receiving immediately exposes the whole transfer.
       comm.recv(0, 3, "phaseB");
       const auto& st = comm.overlap_stats().at("phaseB");
       EXPECT_NEAR(st.total_s, 1.0, 1e-9);
@@ -415,27 +413,11 @@ TEST(MiniMpiIrecv, OverlapAccountingChargesEagerWaitAsVisible) {
   });
 }
 
-TEST(MiniMpiIrecv, TestDoesNotConsumeMessage) {
-  net::World world(2, fast_net());
-  world.run([](net::Comm& comm) {
-    if (comm.rank() == 0) {
-      comm.send_value(1, 7, 42);
-      comm.send_value(1, 8, 1);  // "go": guarantees tag 7 is delivered first
-    } else {
-      net::Request req = comm.irecv(0, 7);
-      comm.recv(0, 8);  // blocks until "go"; tag-7 message arrived before it
-      EXPECT_TRUE(req.test());
-      EXPECT_TRUE(req.test());  // polling is repeatable, nothing consumed
-      EXPECT_EQ(req.wait().as<int>(), 42);
-    }
-  });
-}
-
 // The lookahead schedules mix isend (NIC timeline) and send (CPU timeline)
 // toward the same destination. Matching is FIFO by delivery order, so an
 // isend posted first is received first even if a later CPU send's payload
 // "arrives" earlier on its own timeline — and the receiver's clock never
-// moves backwards across the two waits.
+// moves backwards across the two receives.
 TEST(MiniMpi, MixedIsendSendSameTagKeepsDeliveryOrder) {
   net::NetworkParams np;
   np.bytes_per_s = 1e6;
@@ -591,60 +573,12 @@ TEST(MiniMpi, ValidatesRanksAndTags) {
     EXPECT_THROW(comm.recv(7, 1), rcs::Error);
     EXPECT_THROW(comm.recv(0, 1), rcs::Error);  // self-receive
     EXPECT_THROW(comm.recv(1, -2), rcs::Error);
-    EXPECT_THROW(comm.irecv(1, -2), rcs::Error);
     bool timed_out = false;
     EXPECT_THROW(comm.recv_deadline(3, 1, 1.0, &timed_out), rcs::Error);
     // None of the rejected calls may have charged the clock or sent bytes.
     EXPECT_DOUBLE_EQ(comm.clock().now(), 0.0);
     EXPECT_EQ(comm.bytes_sent(), 0u);
   });
-}
-
-// --- Request lifecycle -----------------------------------------------------
-
-TEST(MiniMpiIrecv, WaitIsIdempotent) {
-  net::World world(2, fast_net());
-  world.run([](net::Comm& comm) {
-    if (comm.rank() == 0) {
-      comm.send_value(1, 4, 99);
-      return;
-    }
-    net::Request req = comm.irecv(0, 4);
-    const net::Message first = req.wait();
-    EXPECT_EQ(first.as<int>(), 99);
-    EXPECT_TRUE(req.valid());  // completed requests stay valid
-    EXPECT_TRUE(req.test());   // test after completion reports true
-    const double t_after = comm.clock().now();
-    const net::Message again = req.wait();  // second wait: cached copy
-    EXPECT_EQ(again.as<int>(), 99);
-    EXPECT_EQ(again.src, first.src);
-    EXPECT_DOUBLE_EQ(comm.clock().now(), t_after);  // no further clock effect
-  });
-}
-
-TEST(MiniMpiIrecv, MovedFromRequestIsInert) {
-  net::World world(2, fast_net());
-  world.run([](net::Comm& comm) {
-    if (comm.rank() == 0) {
-      comm.send_value(1, 4, 42);
-      return;
-    }
-    net::Request req = comm.irecv(0, 4);
-    net::Request moved = std::move(req);
-    EXPECT_FALSE(req.valid());  // NOLINT(bugprone-use-after-move): the point
-    EXPECT_FALSE(req.test());
-    EXPECT_THROW(req.wait(), rcs::Error);
-    EXPECT_EQ(moved.wait().as<int>(), 42);
-    // Moving a completed request carries the cached message along.
-    net::Request adopted = std::move(moved);
-    EXPECT_TRUE(adopted.test());
-    EXPECT_EQ(adopted.wait().as<int>(), 42);
-  });
-  // An empty (default-constructed) request behaves like a moved-from one.
-  net::Request empty;
-  EXPECT_FALSE(empty.valid());
-  EXPECT_FALSE(empty.test());
-  EXPECT_THROW(empty.wait(), rcs::Error);
 }
 
 // --- Deadline receives -----------------------------------------------------
@@ -681,44 +615,6 @@ TEST(MiniMpiDeadline, TimeoutStopsClockAtDeadline) {
     EXPECT_DOUBLE_EQ(comm.clock().now(), 1.0);
     EXPECT_EQ(m.as<int>(), 77);  // late message is drained, not re-queued
     EXPECT_EQ(comm.fault_stats().straggler_timeouts, 1u);
-  });
-}
-
-// Retry/backoff deadline math: timeout 1.0 with backoff 2.0 grants deadlines
-// 1.0, then 3.0, then 7.0. An arrival at 2.5 is caught by the first retry.
-TEST(MiniMpiDeadline, RetryExtensionCatchesLateMessage) {
-  net::World world(2, fast_net());
-  world.run([](net::Comm& comm) {
-    if (comm.rank() == 0) {
-      comm.clock().advance(2.5);
-      comm.send_value(1, 3, 9);
-      return;
-    }
-    bool gave_up = true;
-    const net::Message m = comm.recv_retry(0, 3, 1.0, 2, 2.0, &gave_up);
-    EXPECT_FALSE(gave_up);
-    EXPECT_EQ(m.as<int>(), 9);
-    // Clock at the arrival: depart 2.5 plus the 4-byte wire time.
-    EXPECT_DOUBLE_EQ(comm.clock().now(), 2.5 + 4.0 / 1e9);
-  });
-}
-
-// An arrival past every extension: the receiver exhausts the whole budget
-// and its clock lands on the final extended deadline (7.0).
-TEST(MiniMpiDeadline, RetryGivesUpAfterFullBudget) {
-  net::World world(2, fast_net());
-  world.run([](net::Comm& comm) {
-    if (comm.rank() == 0) {
-      comm.clock().advance(20.0);
-      comm.send_value(1, 3, 9);
-      return;
-    }
-    bool gave_up = false;
-    const net::Message m = comm.recv_retry(0, 3, 1.0, 2, 2.0, &gave_up);
-    EXPECT_TRUE(gave_up);
-    EXPECT_DOUBLE_EQ(comm.clock().now(), 7.0);  // 1.0 + 2.0 + 4.0
-    EXPECT_EQ(m.as<int>(), 9);  // drained late payload still returned
-    EXPECT_GE(comm.fault_stats().straggler_timeouts, 1u);
   });
 }
 

@@ -4,9 +4,9 @@
 // section of BENCH_perf.json).
 //
 // For one design point it runs the functional LU or Floyd-Warshall twice —
-// once with the blocking per-iteration-barrier schedule, once with the
-// lookahead pipeline (irecv double-buffering + NIC fan-out, no barriers) —
-// and records:
+// once with the blocking per-iteration-barrier schedule, once with
+// lookahead (NIC fan-out and NIC-returned shares, no barriers; every
+// receive stays where its data is consumed) — and records:
 //
 //   * simulated makespans of both schedules, and the paper's predicted
 //     latency T = max(T_tp, T_tf) (Eq. §4.5). The "gap closure" is how much

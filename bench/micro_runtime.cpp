@@ -33,11 +33,11 @@ void BM_MiniMpiPingPong(benchmark::State& state) {
       std::vector<std::byte> buf(bytes);
       for (int i = 0; i < rounds; ++i) {
         if (comm.rank() == 0) {
-          comm.send_bytes(1, i, buf.data(), buf.size());
+          comm.send(1, i, net::Payload::copy_of(buf.data(), buf.size()));
           comm.recv(1, i);
         } else {
           comm.recv(0, i);
-          comm.send_bytes(0, i, buf.data(), buf.size());
+          comm.send(0, i, net::Payload::copy_of(buf.data(), buf.size()));
         }
       }
     });

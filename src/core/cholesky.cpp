@@ -159,19 +159,26 @@ CholFunctionalResult cholesky_functional(const SystemParams& sys,
         linalg::potrf_unblocked(blk(t, t).view());
         node.cpu_compute(node::CpuKernel::Dpotrf, b3 / 3.0, "opPOTRF");
         long long served = 0, ready = 0;
+        // Column t packed once, as each block is finished: col[i] holds
+        // (t+i, t), and every task's C and D stripes go out from it.
+        const long long m = nb - 1 - t;
+        std::vector<net::Payload> col(static_cast<std::size_t>(m + 1));
         auto serve = [&](long long count) {
           for (long long s = 0; s < count && served < ready; ++s, ++served) {
             const auto [u, v] = order[static_cast<std::size_t>(served)];
             fan_out(comm, dma,
-                    {{make_tag(kCStripe, t, served), blk(u, t).view()},
-                     {make_tag(kDStripe, t, served), blk(v, t).view()}});
+                    {{make_tag(kCStripe, t, served),
+                      col[static_cast<std::size_t>(u - t)]},
+                     {make_tag(kDStripe, t, served),
+                      col[static_cast<std::size_t>(v - t)]}});
           }
         };
-        const long long m = nb - 1 - t;
         for (long long i = 1; i <= m; ++i) {
           linalg::trsm_right_lower_transposed(blk(t, t).view(),
                                               blk(t + i, t).view());
           node.cpu_compute(node::CpuKernel::Dtrsm, b3, "opL");
+          col[static_cast<std::size_t>(i)] =
+              net::pack_matrix(blk(t + i, t).view());
           ready += i;
           if (l > 0) serve(l);
         }
@@ -181,8 +188,10 @@ CholFunctionalResult cholesky_functional(const SystemParams& sys,
         const long long cw = c1 - c0;
         for (long long j = 0; j < total; ++j) {
           const auto [u, v] = order[static_cast<std::size_t>(j)];
-          Matrix c = net::recv_matrix(comm, panel, make_tag(kCStripe, t, j));
-          Matrix d = net::recv_matrix(comm, panel, make_tag(kDStripe, t, j));
+          const net::PackedMatrix c =
+              net::recv_matrix(comm, panel, make_tag(kCStripe, t, j));
+          const net::PackedMatrix d =
+              net::recv_matrix(comm, panel, make_tag(kDStripe, t, j));
           Matrix e(b, cw);
           // E[:, c0:c1) = C * D[c0:c1, :]^T — the worker's column share.
           hybrid_opmm_share(node, array, c.view(), d.block(c0, 0, cw, b),
@@ -208,7 +217,8 @@ CholFunctionalResult cholesky_functional(const SystemParams& sys,
         for (int r = 0; r < p; ++r) {
           if (r == panel || r == me) continue;
           const auto [c0, c1] = worker_columns(b, p, panel, r);
-          Matrix e = net::recv_matrix(comm, r, make_tag(kEShare, t, j));
+          const net::PackedMatrix e =
+              net::recv_matrix(comm, r, make_tag(kEShare, t, j));
           linalg::matrix_sub(blk(u, v).block(0, c0, b, c1 - c0), e.view());
           node.cpu_compute(node::CpuKernel::MemBound,
                            static_cast<double>(b * (c1 - c0)), "opMS");

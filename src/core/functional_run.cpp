@@ -145,13 +145,11 @@ int make_tag(int chan, long long t, long long j) {
 }
 
 void fan_out(net::Comm& comm, bool dma,
-             std::initializer_list<std::pair<int, Span2D<const double>>>
-                 blocks) {
+             std::initializer_list<std::pair<int, net::Payload>> blocks) {
   for (int r = 0; r < comm.size(); ++r) {
     if (r == comm.rank()) continue;
-    for (const auto& [tag, m] : blocks) {
-      dma ? net::isend_matrix(comm, r, tag, m)
-          : net::send_matrix(comm, r, tag, m);
+    for (const auto& [tag, payload] : blocks) {
+      dma ? comm.isend(r, tag, payload) : comm.send(r, tag, payload);
     }
   }
 }
@@ -192,11 +190,15 @@ void OwnedBlocks::gather(net::Comm& comm, linalg::Matrix& out) {
   for (long long u = 0; u < nb_; ++u) {
     for (long long v = 0; v <= (lower_ ? u : nb_ - 1); ++v) {
       const int o = owner_of(u, v, p_);
-      const linalg::Matrix block =
-          o == 0 ? std::move((*this)(u, v))
-                 : net::recv_matrix(comm, o,
-                                    make_tag(kGather, 0, u * nb_ + v));
-      linalg::copy(block.view(), out.block(u * b_, v * b_, b_, b_));
+      const auto dst = out.block(u * b_, v * b_, b_, b_);
+      if (o == 0) {
+        linalg::copy((*this)(u, v).view(), dst);
+      } else {
+        linalg::copy(
+            net::recv_matrix(comm, o, make_tag(kGather, 0, u * nb_ + v))
+                .view(),
+            dst);
+      }
     }
   }
 }

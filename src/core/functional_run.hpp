@@ -104,13 +104,14 @@ enum StripeChan : int { kCStripe = 1, kDStripe = 2, kEShare = 3, kGather = 4 };
 /// iteration (18 bits), channel (3 bits).
 int make_tag(int chan, long long t, long long j);
 
-/// Send `blocks` (tag, contents) from this rank to every other rank, in
-/// rank order and in list order per destination. With `dma` the transfers
-/// ride the NIC (isend: the CPU pays only setup while the RapidArray
-/// engines serialize); otherwise the CPU serializes every one (§4.3).
+/// Send `blocks` (tag, packed contents) from this rank to every other
+/// rank, in rank order and in list order per destination. Every destination
+/// shares the one payload; each transfer is charged. With `dma` the
+/// transfers ride the NIC (isend: the CPU pays only setup while the
+/// RapidArray engines serialize); otherwise the CPU serializes every one
+/// (§4.3).
 void fan_out(net::Comm& comm, bool dma,
-             std::initializer_list<std::pair<int, Span2D<const double>>>
-                 blocks);
+             std::initializer_list<std::pair<int, net::Payload>> blocks);
 
 /// The b x b blocks one rank owns under the frame distribution (owner_of),
 /// copied out of the input without charge, as in the paper's experiments.

@@ -218,8 +218,9 @@ FwFunctionalResult fw_functional(const SystemParams& sys, const FwConfig& cfg,
     for (long long t = 0; t < nb; ++t) {
       const int owner = static_cast<int>(t / cols_per_rank);
 
-      // Phase 0: op1 on the owner, then broadcast of D_tt.
-      Matrix dtt;
+      // Phase 0: op1 on the owner, then broadcast of D_tt. The owner reads
+      // D_tt from the buffer it packed, like every other rank.
+      net::PackedMatrix dtt;
       if (me == owner) {
         {
           obs::PhaseSpan phase("fw", "op1");
@@ -238,10 +239,10 @@ FwFunctionalResult fw_functional(const SystemParams& sys, const FwConfig& cfg,
             node.cpu_compute(node::CpuKernel::FwBlock, task_flops, "op1");
           }
         }
-        dtt = Matrix::from_view(lblk(t, t));
+        dtt = net::PackedMatrix(net::pack_matrix(lblk(t, t)));
         // Lookahead fans out over the NIC: the owner's CPU pays setup only
         // and moves on to its op21/op22 wave.
-        fan_out(comm, cfg.lookahead, {{make_tag(kDtt, t, 0), dtt.view()}});
+        fan_out(comm, cfg.lookahead, {{make_tag(kDtt, t, 0), dtt.payload()}});
       } else {
         dtt = net::recv_matrix(comm, owner, make_tag(kDtt, t, 0), "op21");
       }
@@ -267,18 +268,21 @@ FwFunctionalResult fw_functional(const SystemParams& sys, const FwConfig& cfg,
                                   "op21"});
       }
       run_wave(tasks);
+      // The owner's latest op22 block, packed once for its fan-out and read
+      // back as the next wave's D_qt.
+      net::PackedMatrix op22;
       if (me == owner && !q_list.empty()) {
-        fan_out(comm, cfg.lookahead,
-                {{make_tag(kOp22, t, 0), lblk(q_list.front(), t)}});
+        op22 = net::PackedMatrix(net::pack_matrix(lblk(q_list.front(), t)));
+        fan_out(comm, cfg.lookahead, {{make_tag(kOp22, t, 0), op22.payload()}});
       }
 
       // Waves 1..nb-1: op3 on row q_w; the owner folds the next op22 into
       // its wave and broadcasts it afterwards.
       for (std::size_t w = 0; w < q_list.size(); ++w) {
         const long long q = q_list[w];
-        const Matrix dqt =
+        const net::PackedMatrix dqt =
             me == owner
-                ? Matrix::from_view(lblk(q, t))
+                ? op22
                 : net::recv_matrix(
                       comm, owner,
                       make_tag(kOp22, t, static_cast<long long>(w)), "op3");
@@ -295,9 +299,10 @@ FwFunctionalResult fw_functional(const SystemParams& sys, const FwConfig& cfg,
         }
         run_wave(tasks);
         if (me == owner && w + 1 < q_list.size()) {
+          op22 = net::PackedMatrix(net::pack_matrix(lblk(q_list[w + 1], t)));
           fan_out(comm, cfg.lookahead,
                   {{make_tag(kOp22, t, static_cast<long long>(w + 1)),
-                    lblk(q_list[w + 1], t)}});
+                    op22.payload()}});
         }
       }
       // The barrier only serializes the blocking schedule; under lookahead
@@ -313,7 +318,8 @@ FwFunctionalResult fw_functional(const SystemParams& sys, const FwConfig& cfg,
     if (me == 0) {
       linalg::copy(local.view(), distances.block(0, 0, n, cols_per_rank * b));
       for (int r = 1; r < p; ++r) {
-        Matrix cols = net::recv_matrix(comm, r, make_tag(kColumns, 0, r));
+        const net::PackedMatrix cols =
+            net::recv_matrix(comm, r, make_tag(kColumns, 0, r));
         linalg::copy(cols.view(),
                      distances.block(0, r * cols_per_rank * b, n,
                                      cols_per_rank * b));

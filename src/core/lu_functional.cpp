@@ -205,7 +205,8 @@ LuFunctionalResult lu_functional(const SystemParams& sys, const LuConfig& cfg,
       // keeps the full C/D stripes of its owned tasks (keyed by task index)
       // so a late peer's E share can be re-solved locally. The panel rank
       // owns the stripes outright and needs no stash.
-      std::map<long long, std::pair<Matrix, Matrix>> stash;
+      std::map<long long, std::pair<net::PackedMatrix, net::PackedMatrix>>
+          stash;
 
       if (me == panel) {
         // --- Panel pipeline: opLU, then opL/opU pairs, serving stripe data
@@ -222,21 +223,30 @@ LuFunctionalResult lu_functional(const SystemParams& sys, const LuConfig& cfg,
         // panel CPU pays only setup; SerialAll serializes on the CPU (§4.3).
         // Lookahead always uses the DMA engines.
         const bool dma = cfg.fanout == SendFanout::PaperSingle || cfg.lookahead;
+        // Panel blocks packed once, as each is finished: lcol[i] holds
+        // (t+i, t) and urow[i] holds (t, t+i). Every task's C/D stripes go
+        // out from these 2m buffers.
+        const long long m = nb - 1 - t;
+        std::vector<net::Payload> lcol(static_cast<std::size_t>(m + 1));
+        std::vector<net::Payload> urow(static_cast<std::size_t>(m + 1));
         auto serve = [&](long long count) {
           for (long long s = 0; s < count && served < ready; ++s, ++served) {
             const auto [u, v] = order[static_cast<std::size_t>(served)];
             fan_out(comm, dma,
-                    {{make_tag(kCStripe, t, served), blk(u, t).view()},
-                     {make_tag(kDStripe, t, served), blk(t, v).view()}});
+                    {{make_tag(kCStripe, t, served),
+                      lcol[static_cast<std::size_t>(u - t)]},
+                     {make_tag(kDStripe, t, served),
+                      urow[static_cast<std::size_t>(v - t)]}});
           }
         };
-        const long long m = nb - 1 - t;
         for (long long i = 1; i <= m; ++i) {
+          const auto pi = static_cast<std::size_t>(i);
           {
             obs::PhaseSpan phase("lu", "opL");
             linalg::trsm_right_upper(blk(t, t).view(), blk(t + i, t).view());
             node.cpu_compute(node::CpuKernel::Dtrsm, b3, "opL");
           }
+          lcol[pi] = net::pack_matrix(blk(t + i, t).view());
           if (l > 0) serve(l);
           {
             obs::PhaseSpan phase("lu", "opU");
@@ -244,6 +254,7 @@ LuFunctionalResult lu_functional(const SystemParams& sys, const LuConfig& cfg,
                                          blk(t, t + i).view());
             node.cpu_compute(node::CpuKernel::Dtrsm, b3, "opU");
           }
+          urow[pi] = net::pack_matrix(blk(t, t + i).view());
           ready = i * i;
           if (l > 0) serve(l);
         }
@@ -254,9 +265,9 @@ LuFunctionalResult lu_functional(const SystemParams& sys, const LuConfig& cfg,
         const long long cw = c1 - c0;
         for (long long j = 0; j < total; ++j) {
           const auto [u, v] = order[static_cast<std::size_t>(j)];
-          Matrix c =
+          net::PackedMatrix c =
               net::recv_matrix(comm, panel, make_tag(kCStripe, t, j), "opMM");
-          Matrix d =
+          net::PackedMatrix d =
               net::recv_matrix(comm, panel, make_tag(kDStripe, t, j), "opMM");
           Matrix e(b, cw);
           auto dshare = d.block(0, c0, b, cw);
@@ -323,11 +334,10 @@ LuFunctionalResult lu_functional(const SystemParams& sys, const LuConfig& cfg,
           } else {
             // Lookahead returns the E share over the worker's NIC, so its
             // CPU moves straight on to the next task's opMM.
-            cfg.lookahead
-                ? net::isend_matrix(comm, dst, make_tag(kEShare, t, j),
-                                    e.view())
-                : net::send_matrix(comm, dst, make_tag(kEShare, t, j),
-                                   e.view());
+            net::Payload share = net::pack_matrix(e.view());
+            const int tag = make_tag(kEShare, t, j);
+            cfg.lookahead ? comm.isend(dst, tag, std::move(share))
+                          : comm.send(dst, tag, std::move(share));
           }
           if (straggler_s > 0.0 && dst == me) {
             stash.emplace(j, std::make_pair(std::move(c), std::move(d)));
@@ -346,10 +356,13 @@ LuFunctionalResult lu_functional(const SystemParams& sys, const LuConfig& cfg,
           const auto [c0, c1] = worker_columns(b, p, panel, r);
           const int tag = make_tag(kEShare, t, j);
           bool late = false;
-          Matrix e = straggler_s > 0.0
-                         ? net::recv_matrix_deadline(comm, r, tag, straggler_s,
-                                                     &late, "opMS")
-                         : net::recv_matrix(comm, r, tag, "opMS");
+          const net::PackedMatrix got =
+              straggler_s > 0.0
+                  ? net::recv_matrix_deadline(comm, r, tag, straggler_s, &late,
+                                              "opMS")
+                  : net::recv_matrix(comm, r, tag, "opMS");
+          Span2D<const double> e = got.view();
+          Matrix redone;
           if (late) {
             // Graceful degradation: the peer's share missed the deadline.
             // Re-solve its columns locally from the stashed (or owned) full
@@ -357,18 +370,18 @@ LuFunctionalResult lu_functional(const SystemParams& sys, const LuConfig& cfg,
             // sent, so the factors don't move.
             obs::PhaseSpan phase("lu", "straggler");
             const sim::SimTime repair_start = comm.clock().now();
-            const Matrix* cm = nullptr;
-            const Matrix* dm = nullptr;
+            Span2D<const double> cm;
+            Span2D<const double> dm;
             if (me == panel) {
-              cm = &blk(u, t);
-              dm = &blk(t, v);
+              cm = blk(u, t).view();
+              dm = blk(t, v).view();
             } else {
               const auto& pr = stash.at(j);
-              cm = &pr.first;
-              dm = &pr.second;
+              cm = pr.first.view();
+              dm = pr.second.view();
             }
-            e = recompute_share(mm, cm->view(), dm->view(), c0, c1, b_f,
-                                use_soft_fp);
+            redone = recompute_share(mm, cm, dm, c0, c1, b_f, use_soft_fp);
+            e = redone.view();
             node.cpu_compute(node::CpuKernel::Dgemm,
                              2.0 * static_cast<double>(b * b * (c1 - c0)),
                              "straggler.reissue");
@@ -379,7 +392,7 @@ LuFunctionalResult lu_functional(const SystemParams& sys, const LuConfig& cfg,
             sim::note_fault_recovered(mttr);
           }
           obs::PhaseSpan phase("lu", "opMS");
-          linalg::matrix_sub(blk(u, v).block(0, c0, b, c1 - c0), e.view());
+          linalg::matrix_sub(blk(u, v).block(0, c0, b, c1 - c0), e);
           node.cpu_compute(node::CpuKernel::MemBound,
                            static_cast<double>(b * (c1 - c0)), "opMS");
         }

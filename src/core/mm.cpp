@@ -117,13 +117,14 @@ MmFunctionalResult mm_functional(const SystemParams& sys, const MmConfig& cfg,
           for (long long w = 0; w < nb; ++w) {
             fan_out(comm, dma,
                     {{make_tag(kCStripe, u, v * nb + w),
-                      a.block(u * b, w * b, b, b)},
+                      net::pack_matrix(a.block(u * b, w * b, b, b))},
                      {make_tag(kDStripe, u, v * nb + w),
-                      bmat.block(w * b, v * b, b, b)}});
+                      net::pack_matrix(bmat.block(w * b, v * b, b, b))}});
           }
           for (int r = 1; r < p; ++r) {
             const auto [c0, c1] = worker_columns(b, p, 0, r);
-            Matrix share = net::recv_matrix(comm, r, make_tag(kEShare, u, v));
+            const net::PackedMatrix share =
+                net::recv_matrix(comm, r, make_tag(kEShare, u, v));
             linalg::copy(share.view(),
                          c.block(u * b, v * b + c0, b, c1 - c0));
             node.cpu_compute(node::CpuKernel::MemBound,
@@ -140,9 +141,9 @@ MmFunctionalResult mm_functional(const SystemParams& sys, const MmConfig& cfg,
         for (long long v = 0; v < nb; ++v) {
           Matrix e(b, c1 - c0);
           for (long long w = 0; w < nb; ++w) {
-            Matrix ablk = net::recv_matrix(
+            const net::PackedMatrix ablk = net::recv_matrix(
                 comm, 0, make_tag(kCStripe, u, v * nb + w));
-            Matrix bblk = net::recv_matrix(
+            const net::PackedMatrix bblk = net::recv_matrix(
                 comm, 0, make_tag(kDStripe, u, v * nb + w));
             hybrid_opmm_share(node, array, ablk.view(),
                               bblk.block(0, c0, b, c1 - c0), e.view(), b_f,

@@ -4,14 +4,14 @@
 // D_qt blocks).
 //
 // Wire format: two uint64 dimensions followed by row-major doubles. Strided
-// views are packed densely on send.
+// views are packed densely, once: the packed Payload can go to any number of
+// destinations, and receivers read the elements in place (PackedMatrix).
 
 #include <cstdint>
 #include <cstring>
-#include <vector>
+#include <utility>
 
 #include "common/span2d.hpp"
-#include "linalg/matrix.hpp"
 #include "net/minimpi.hpp"
 
 namespace rcs::net {
@@ -21,88 +21,100 @@ inline std::uint64_t matrix_wire_bytes(std::uint64_t rows, std::uint64_t cols) {
   return 2 * sizeof(std::uint64_t) + rows * cols * sizeof(double);
 }
 
-namespace detail {
-inline std::vector<std::byte> pack_matrix(Span2D<const double> m) {
+/// Pack `m` (possibly a strided view) into its wire form. Pack a block once
+/// and send the payload to every rank that needs it.
+inline Payload pack_matrix(Span2D<const double> m) {
   const std::uint64_t rows = m.rows();
   const std::uint64_t cols = m.cols();
-  std::vector<std::byte> buf(matrix_wire_bytes(rows, cols));
-  std::memcpy(buf.data(), &rows, sizeof(rows));
-  std::memcpy(buf.data() + sizeof(rows), &cols, sizeof(cols));
-  std::byte* out = buf.data() + 2 * sizeof(std::uint64_t);
-  // A zero-width share (a worker owning no columns) has nothing to copy,
-  // and its row pointers may be null.
-  for (std::uint64_t r = 0; cols > 0 && r < rows; ++r) {
-    std::memcpy(out, m.row(r), cols * sizeof(double));
-    out += cols * sizeof(double);
-  }
-  return buf;
+  return Payload::build(matrix_wire_bytes(rows, cols), [&](std::byte* buf) {
+    std::memcpy(buf, &rows, sizeof(rows));
+    std::memcpy(buf + sizeof(rows), &cols, sizeof(cols));
+    std::byte* out = buf + 2 * sizeof(std::uint64_t);
+    // A zero-width share (a worker owning no columns) has nothing to copy,
+    // and its row pointers may be null.
+    for (std::uint64_t r = 0; cols > 0 && r < rows; ++r) {
+      std::memcpy(out, m.row(r), cols * sizeof(double));
+      out += cols * sizeof(double);
+    }
+  });
 }
-}  // namespace detail
+
+/// A matrix read in place from its wire form: the payload plus a read-only
+/// view of its elements. The view, and every block taken from it, is valid
+/// as long as this PackedMatrix (or a copy, which shares the payload) lives.
+class PackedMatrix {
+ public:
+  PackedMatrix() = default;
+
+  /// Decode `payload`, checking its header against its size.
+  explicit PackedMatrix(Payload payload) : payload_(std::move(payload)) {
+    RCS_CHECK_MSG(payload_.size() >= 2 * sizeof(std::uint64_t),
+                  "matrix message too short");
+    std::uint64_t rows = 0, cols = 0;
+    std::memcpy(&rows, payload_.data(), sizeof(rows));
+    std::memcpy(&cols, payload_.data() + sizeof(rows), sizeof(cols));
+    RCS_CHECK_MSG(payload_.size() == matrix_wire_bytes(rows, cols),
+                  "matrix message size mismatch");
+    // Payload buffers are double arrays, so the elements after the 16-byte
+    // header are aligned doubles.
+    view_ = Span2D<const double>(
+        reinterpret_cast<const double*>(payload_.data() +
+                                        2 * sizeof(std::uint64_t)),
+        rows, cols);
+  }
+
+  std::size_t rows() const { return view_.rows(); }
+  std::size_t cols() const { return view_.cols(); }
+  Span2D<const double> view() const { return view_; }
+  Span2D<const double> block(std::size_t r0, std::size_t c0, std::size_t nr,
+                             std::size_t nc) const {
+    return view_.block(r0, c0, nr, nc);
+  }
+  const Payload& payload() const { return payload_; }
+
+ private:
+  Payload payload_;
+  Span2D<const double> view_;
+};
 
 /// Send the contents of `m` (possibly a strided view) to `dst`, charging
 /// the sending CPU for the serialization (§4.3).
 inline void send_matrix(Comm& comm, int dst, int tag,
                         Span2D<const double> m) {
-  const auto buf = detail::pack_matrix(m);
-  comm.send_bytes(dst, tag, buf.data(), buf.size());
+  comm.send(dst, tag, pack_matrix(m));
 }
 
-/// DMA-style matrix send: the transfer rides the sender's NIC timeline and
-/// the CPU pays only setup latency (see Comm::isend_bytes).
-inline void isend_matrix(Comm& comm, int dst, int tag,
-                         Span2D<const double> m) {
-  const auto buf = detail::pack_matrix(m);
-  comm.isend_bytes(dst, tag, buf.data(), buf.size());
+/// Blocking receive of a matrix from `src` with `tag`, read in place.
+/// `overlap_phase` labels the transfer for Comm::overlap_stats (see
+/// minimpi.hpp).
+inline PackedMatrix recv_matrix(Comm& comm, int src, int tag,
+                                const char* overlap_phase = nullptr) {
+  return PackedMatrix(comm.recv(src, tag, overlap_phase).payload);
 }
 
-/// Decode a matrix from a received message.
-inline linalg::Matrix decode_matrix(const Message& msg) {
-  RCS_CHECK_MSG(msg.payload.size() >= 2 * sizeof(std::uint64_t),
-                "matrix message too short");
-  std::uint64_t rows = 0, cols = 0;
-  std::memcpy(&rows, msg.payload.data(), sizeof(rows));
-  std::memcpy(&cols, msg.payload.data() + sizeof(rows), sizeof(cols));
-  RCS_CHECK_MSG(msg.payload.size() == matrix_wire_bytes(rows, cols),
-                "matrix message size mismatch");
-  linalg::Matrix m(rows, cols);
-  if (m.size() > 0) {
-    std::memcpy(m.data(), msg.payload.data() + 2 * sizeof(std::uint64_t),
-                m.size() * sizeof(double));
-  }
-  return m;
-}
-
-/// Blocking receive of a matrix from `src` with `tag`. `overlap_phase`
-/// labels the transfer for Comm::overlap_stats (see minimpi.hpp).
-inline linalg::Matrix recv_matrix(Comm& comm, int src, int tag,
-                                  const char* overlap_phase = nullptr) {
-  return decode_matrix(comm.recv(src, tag, overlap_phase));
-}
-
-/// Deadline-bounded blocking matrix receive: decodes the message when it
-/// arrives in time, otherwise sets *timed_out and returns an empty Matrix
-/// (the late message, if any, is drained — see Comm::recv_deadline).
-inline linalg::Matrix recv_matrix_deadline(Comm& comm, int src, int tag,
-                                           sim::SimTime timeout_s,
-                                           bool* timed_out,
-                                           const char* overlap_phase = nullptr) {
-  const Message msg =
+/// Deadline-bounded blocking matrix receive: the matrix when it arrives in
+/// time, otherwise sets *timed_out and returns an empty PackedMatrix (the
+/// late message, if any, is drained — see Comm::recv_deadline).
+inline PackedMatrix recv_matrix_deadline(Comm& comm, int src, int tag,
+                                         sim::SimTime timeout_s,
+                                         bool* timed_out,
+                                         const char* overlap_phase = nullptr) {
+  Message msg =
       comm.recv_deadline(src, tag, timeout_s, timed_out, overlap_phase);
   if (timed_out != nullptr && *timed_out) return {};
-  return decode_matrix(msg);
+  return PackedMatrix(std::move(msg.payload));
 }
 
-/// Broadcast a matrix from `root`; every rank returns the matrix.
-inline linalg::Matrix bcast_matrix(Comm& comm, int root, int tag,
-                                   linalg::Matrix m) {
-  if (comm.rank() == root) {
-    for (int r = 0; r < comm.size(); ++r) {
-      if (r == root) continue;
-      send_matrix(comm, r, tag, m.view());
-    }
-    return m;
+/// Broadcast `m` from `root`, packed once: every rank returns the root's
+/// one buffer (non-roots pass an empty view).
+inline PackedMatrix bcast_matrix(Comm& comm, int root, int tag,
+                                 Span2D<const double> m) {
+  if (comm.rank() != root) return recv_matrix(comm, root, tag);
+  const Payload payload = pack_matrix(m);
+  for (int r = 0; r < comm.size(); ++r) {
+    if (r != root) comm.send(r, tag, payload);
   }
-  return recv_matrix(comm, root, tag);
+  return PackedMatrix(payload);
 }
 
 }  // namespace rcs::net

@@ -5,7 +5,10 @@
 // The paper's nodes communicate with MPI over the XD1 RapidArray fabric; no
 // MPI implementation is available here, so MiniMPI provides the subset the
 // hybrid designs need (point-to-point send/recv with tags, broadcast,
-// barrier, gather) with real data movement between per-rank mailboxes.
+// barrier, gather) with real data movement between per-rank mailboxes. A
+// message carries an immutable Payload: a sender packs a block once and
+// every destination receives the same buffer, while each transfer is still
+// charged on its own (below).
 //
 // Virtual time: every rank owns a clock in simulated seconds. Following the
 // paper's model (§4.3: "the computations on the processors cannot overlap
@@ -88,20 +91,63 @@ struct MessageEvent {
   SimTime arrival = 0.0;  // when the payload became available
 };
 
+/// An immutable, reference-counted message body. A sender builds it once
+/// and may pass the same Payload to any number of sends: every
+/// destination's Message shares the one buffer, and no rank can write it
+/// after it is built. Copying a Payload copies a handle, not the bytes; the
+/// buffer is freed when the last handle (the sender's or a receiver's)
+/// drops it. An empty payload holds no buffer.
+class Payload {
+ public:
+  Payload() = default;
+
+  /// A payload of `bytes` bytes that `fill(std::byte* out)` writes once,
+  /// before any other handle to the buffer exists. The buffer is an array
+  /// of doubles, so a double at a multiple of 8 bytes is aligned.
+  template <typename Fill>
+  static Payload build(std::size_t bytes, Fill&& fill) {
+    Payload p;
+    if (bytes == 0) return p;
+    auto words = std::make_shared_for_overwrite<double[]>(
+        (bytes + sizeof(double) - 1) / sizeof(double));
+    fill(reinterpret_cast<std::byte*>(words.get()));
+    p.words_ = std::move(words);
+    p.size_ = bytes;
+    return p;
+  }
+
+  /// A payload holding a copy of the `bytes` bytes at `data`.
+  static Payload copy_of(const void* data, std::size_t bytes) {
+    return build(bytes,
+                 [&](std::byte* out) { std::memcpy(out, data, bytes); });
+  }
+
+  const std::byte* data() const {
+    return reinterpret_cast<const std::byte*>(words_.get());
+  }
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+
+ private:
+  std::shared_ptr<const double[]> words_;
+  std::size_t size_ = 0;
+};
+
 /// A received message: payload plus provenance and simulated arrival time.
 struct Message {
   int src = -1;
   int tag = -1;
   SimTime depart = 0.0;           // simulated time the transfer started
   SimTime arrival = 0.0;          // simulated time the payload is available
-  std::vector<std::byte> payload;
+  Payload payload;
 
   /// Reinterpret the payload as a vector of doubles.
   std::vector<double> as_doubles() const {
     RCS_CHECK_MSG(payload.size() % sizeof(double) == 0,
                   "payload is not a whole number of doubles");
     std::vector<double> out(payload.size() / sizeof(double));
-    std::memcpy(out.data(), payload.data(), payload.size());
+    // An empty payload has no buffer, and memcpy must not see null.
+    if (!out.empty()) std::memcpy(out.data(), payload.data(), payload.size());
     return out;
   }
 
@@ -165,21 +211,23 @@ class Comm {
   int rank() const { return rank_; }
   int size() const;
 
-  /// Point-to-point send of raw bytes. Charges `transfer_time(bytes)` to
-  /// this rank's clock; the message arrives at the charged completion time.
+  /// Point-to-point send. Charges `transfer_time(payload.size())` to this
+  /// rank's clock; the message arrives at the charged completion time. The
+  /// destination's Message shares `payload`'s buffer: sending one payload
+  /// to many ranks charges every transfer but never copies the bytes.
   /// All point-to-point operations validate their arguments: the peer rank
   /// must be in [0, size) and distinct from this rank, and user tags must be
   /// non-negative (negative tags are reserved for internal collectives) —
   /// violations throw a descriptive Error instead of indexing mailboxes out
   /// of bounds.
-  void send_bytes(int dst, int tag, const void* data, std::size_t bytes);
+  void send(int dst, int tag, Payload payload);
 
   /// DMA-style non-blocking send: the transfer occupies this rank's NIC
   /// timeline instead of the CPU (the RapidArray engines on XD1 can move
   /// data without the processor). The CPU pays only the per-message setup
   /// latency; the message arrives when the NIC finishes. Ordering with
   /// other isends from this rank is preserved (one NIC, serialized).
-  void isend_bytes(int dst, int tag, const void* data, std::size_t bytes);
+  void isend(int dst, int tag, Payload payload);
 
   /// Simulated time this rank's NIC becomes idle.
   SimTime nic_free_at() const { return nic_busy_until_; }
@@ -206,19 +254,18 @@ class Comm {
 
   /// Convenience wrappers.
   void send_doubles(int dst, int tag, const double* data, std::size_t count) {
-    send_bytes(dst, tag, data, count * sizeof(double));
+    send(dst, tag, Payload::copy_of(data, count * sizeof(double)));
   }
   template <typename T>
   void send_value(int dst, int tag, const T& v) {
     static_assert(std::is_trivially_copyable_v<T>);
-    send_bytes(dst, tag, &v, sizeof(T));
+    send(dst, tag, Payload::copy_of(&v, sizeof(T)));
   }
 
   /// Root-serialized broadcast: root sends to every other rank in turn
   /// (P_t' "transfers ... to all the other nodes"); non-roots receive.
-  /// Returns the payload (the root's own copy comes back unchanged).
-  std::vector<std::byte> bcast(int root, int tag,
-                               std::vector<std::byte> payload);
+  /// Returns the payload, on every rank the root's one buffer.
+  Payload bcast(int root, int tag, Payload payload);
 
   /// Broadcast a vector of doubles.
   std::vector<double> bcast_doubles(int root, int tag,
@@ -226,9 +273,9 @@ class Comm {
 
   /// Binomial-tree broadcast: ceil(log2 p) rounds, each relay forwarding to
   /// its subtree, so the last arrival is ~log2(p) transfer times instead of
-  /// the root-serialized (p-1). Every rank must call it.
-  std::vector<std::byte> bcast_tree(int root, int tag,
-                                    std::vector<std::byte> payload);
+  /// the root-serialized (p-1). Every rank must call it. Relays forward
+  /// the buffer they received, so every rank returns the root's buffer.
+  Payload bcast_tree(int root, int tag, Payload payload);
 
   /// All ranks contribute `mine`; every rank returns the concatenation in
   /// rank order (gather to root, then broadcast).
@@ -280,8 +327,7 @@ class Comm {
 
   /// Internal send/recv that accept reserved (negative) tags — the public
   /// operations validate user tags and then route through these.
-  void send_bytes_any_tag(int dst, int tag, const void* data,
-                          std::size_t bytes);
+  void send_any_tag(int dst, int tag, Payload payload);
   Message recv_any_tag(int src, int tag, const char* overlap_phase);
 
   /// Fail-stop checkpoint: when the installed FaultPlan crashes this rank

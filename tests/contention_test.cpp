@@ -22,9 +22,9 @@ TEST(MessageLog, RecordsAllSends) {
   world.set_message_logging(true);
   world.run([](net::Comm& comm) {
     if (comm.rank() == 0) {
-      std::vector<std::byte> buf(1000);
-      comm.send_bytes(1, 1, buf.data(), buf.size());
-      comm.isend_bytes(2, 1, buf.data(), buf.size());
+      const std::vector<std::byte> buf(1000);
+      comm.send(1, 1, net::Payload::copy_of(buf.data(), buf.size()));
+      comm.isend(2, 1, net::Payload::copy_of(buf.data(), buf.size()));
     } else {
       comm.recv(0, 1);
     }

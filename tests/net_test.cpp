@@ -2,9 +2,11 @@
 // semantics (§4.3 accounting), determinism, and the matrix channel.
 
 #include <atomic>
+#include <cstring>
 #include <mutex>
 #include <regex>
 #include <set>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -12,11 +14,14 @@
 #include <gtest/gtest.h>
 
 #include "common/thread_pool.hpp"
+#include "core/functional_run.hpp"
+#include "linalg/blas.hpp"
 #include "linalg/generate.hpp"
 #include "net/matrix_channel.hpp"
 #include "net/minimpi.hpp"
 #include "obs/metrics.hpp"
 #include "sim/faults.hpp"
+#include "sim/trace.hpp"
 
 namespace net = rcs::net;
 namespace obs = rcs::obs;
@@ -30,6 +35,12 @@ net::NetworkParams fast_net() {
   np.bytes_per_s = 1e9;
   np.latency_s = 0.0;
   return np;
+}
+
+/// A payload of `bytes` zero bytes.
+net::Payload zeros(std::size_t bytes) {
+  return net::Payload::build(
+      bytes, [&](std::byte* out) { std::memset(out, 0, bytes); });
 }
 
 TEST(MiniMpi, SendRecvMovesBytes) {
@@ -218,7 +229,7 @@ TEST(MiniMpi, IsendOverlapsCpu) {
   world.run([](net::Comm& comm) {
     if (comm.rank() == 0) {
       std::vector<double> big(125'000, 1.0);  // 1 MB -> 1 s on the wire
-      comm.isend_bytes(1, 3, big.data(), big.size() * 8);
+      comm.isend(1, 3, net::Payload::copy_of(big.data(), big.size() * 8));
       // The CPU paid only the setup latency.
       EXPECT_NEAR(comm.clock().now(), 1e-6, 1e-9);
       EXPECT_NEAR(comm.nic_free_at(), 1.0 + 1e-6, 1e-6);
@@ -236,9 +247,9 @@ TEST(MiniMpi, IsendsSerializeOnTheNic) {
   net::World world(3, np);
   world.run([](net::Comm& comm) {
     if (comm.rank() == 0) {
-      std::vector<std::byte> buf(500'000);  // 0.5 s each
-      comm.isend_bytes(1, 1, buf.data(), buf.size());
-      comm.isend_bytes(2, 1, buf.data(), buf.size());
+      const net::Payload buf = zeros(500'000);  // 0.5 s each
+      comm.isend(1, 1, buf);
+      comm.isend(2, 1, buf);
       EXPECT_NEAR(comm.nic_free_at(), 1.0, 1e-6);
     } else if (comm.rank() == 1) {
       EXPECT_NEAR(comm.recv(0, 1).arrival, 0.5, 1e-3);
@@ -252,11 +263,14 @@ TEST(MiniMpi, TreeBcastDeliversToAll) {
   for (int p : {2, 3, 4, 5, 7, 8}) {
     net::World world(p, fast_net());
     world.run([](net::Comm& comm) {
-      std::vector<std::byte> payload;
-      if (comm.rank() == 1 % comm.size()) payload.resize(64, std::byte{42});
+      net::Payload payload;
+      if (comm.rank() == 1 % comm.size()) {
+        const std::vector<std::byte> bytes(64, std::byte{42});
+        payload = net::Payload::copy_of(bytes.data(), bytes.size());
+      }
       payload = comm.bcast_tree(1 % comm.size(), 9, std::move(payload));
       ASSERT_EQ(payload.size(), 64u);
-      EXPECT_EQ(payload[10], std::byte{42});
+      EXPECT_EQ(payload.data()[10], std::byte{42});
     });
   }
 }
@@ -268,8 +282,8 @@ TEST(MiniMpi, TreeBcastBeatsSerialBcastInSimTime) {
   auto last_arrival = [&](bool tree) {
     net::World world(8, np);
     world.run([&](net::Comm& comm) {
-      std::vector<std::byte> payload;
-      if (comm.rank() == 0) payload.resize(bytes);
+      net::Payload payload;
+      if (comm.rank() == 0) payload = zeros(bytes);
       if (tree) {
         comm.bcast_tree(0, 1, std::move(payload));
       } else {
@@ -299,6 +313,20 @@ TEST(MiniMpi, AllgatherConcatenatesInRankOrder) {
   });
 }
 
+// A rank may contribute nothing: rank 0 then decodes an empty payload, which
+// has no buffer, and the concatenation skips it.
+TEST(MiniMpi, AllgatherAcceptsEmptyContribution) {
+  net::World world(3, fast_net());
+  world.run([](net::Comm& comm) {
+    const int r = comm.rank();
+    std::vector<double> mine;
+    if (r != 1) mine.assign(2, static_cast<double>(r));
+    EXPECT_EQ(comm.allgather_doubles(11, mine),
+              (std::vector<double>{0.0, 0.0, 2.0, 2.0}));
+    EXPECT_TRUE(comm.allgather_doubles(12, {}).empty());
+  });
+}
+
 TEST(MiniMpi, ReduceSumCollects) {
   net::World world(5, fast_net());
   world.run([](net::Comm& comm) {
@@ -318,7 +346,7 @@ TEST(MatrixChannel, RoundTripsStridedViews) {
     if (comm.rank() == 0) {
       net::send_matrix(comm, 1, 4, src.block(2, 3, 4, 5));
     } else {
-      Matrix got = net::recv_matrix(comm, 0, 4);
+      const net::PackedMatrix got = net::recv_matrix(comm, 0, 4);
       ASSERT_EQ(got.rows(), 4u);
       ASSERT_EQ(got.cols(), 5u);
       EXPECT_TRUE(rcs::linalg::bit_equal(got.view(), src.block(2, 3, 4, 5)));
@@ -330,10 +358,73 @@ TEST(MatrixChannel, BcastMatrix) {
   net::World world(3, fast_net());
   Matrix src = rcs::linalg::random_matrix(4, 4, 6);
   world.run([&](net::Comm& comm) {
-    Matrix m = comm.rank() == 1 ? src : Matrix();
-    m = net::bcast_matrix(comm, 1, 2, std::move(m));
+    const net::PackedMatrix m = net::bcast_matrix(
+        comm, 1, 2, comm.rank() == 1 ? src.view() : rcs::Span2D<const double>());
     EXPECT_TRUE(rcs::linalg::bit_equal(m.view(), src.view()));
   });
+}
+
+// One payload, many destinations: fan_out, bcast and bcast_tree hand every
+// receiver the root's buffer, while the byte counters, the message log and
+// the trace still charge one transfer per destination. Eight ranks share two
+// worker threads, so receivers drop their references on either thread.
+TEST(MatrixChannel, OneBufferReachesEveryRankAndEveryTransferIsCharged) {
+  constexpr int kP = 8;
+  const int saved = rcs::common::ThreadPool::global().threads();
+  rcs::common::ThreadPool::set_global_threads(2);
+  const Matrix block = rcs::linalg::random_matrix(16, 16, 9);
+  const net::Payload packed = net::pack_matrix(block.view());
+  const std::uint64_t wire = net::matrix_wire_bytes(16, 16);
+  for (const std::string how : {"fan_out", "bcast", "bcast_tree"}) {
+    SCOPED_TRACE(how);
+    net::World world(kP, fast_net());
+    world.set_message_logging(true);
+    std::vector<sim::TraceRecorder> traces(kP, sim::TraceRecorder(true));
+    world.run([&](net::Comm& comm) {
+      const int r = comm.rank();
+      comm.set_trace(&traces[static_cast<std::size_t>(r)]);
+      const net::Payload mine = r == 0 ? packed : net::Payload();
+      net::Payload got;
+      if (how == "bcast") {
+        got = comm.bcast(0, 5, mine);
+      } else if (how == "bcast_tree") {
+        got = comm.bcast_tree(0, 5, mine);
+      } else if (r == 0) {
+        rcs::core::fan_out(comm, /*dma=*/false, {{5, mine}});
+        got = mine;
+      } else {
+        got = comm.recv(0, 5).payload;
+      }
+      EXPECT_EQ(got.data(), packed.data()) << "rank " << r;
+      EXPECT_TRUE(rcs::linalg::bit_equal(net::PackedMatrix(got).view(),
+                                         block.view()));
+    });
+
+    std::uint64_t bytes = 0;
+    for (int r = 0; r < kP; ++r) bytes += world.comm(r).bytes_sent();
+    EXPECT_EQ(bytes, (kP - 1) * wire);
+    if (how != "bcast_tree") {
+      EXPECT_EQ(world.comm(0).bytes_sent(), (kP - 1) * wire);
+    }
+    const auto log = world.message_log();
+    EXPECT_EQ(log.size(), static_cast<std::size_t>(kP - 1));
+    std::set<int> dsts;
+    for (const net::MessageEvent& m : log) {
+      EXPECT_EQ(m.bytes, wire);
+      dsts.insert(m.dst);
+    }
+    EXPECT_EQ(dsts.size(), static_cast<std::size_t>(kP - 1));
+    int sends = 0;
+    for (const sim::TraceRecorder& tr : traces) {
+      for (const sim::CommEvent& ev : tr.comm_events()) {
+        if (ev.kind != sim::CommEvent::Kind::Send) continue;
+        ++sends;
+        EXPECT_EQ(ev.bytes, wire);
+      }
+    }
+    EXPECT_EQ(sends, kP - 1);
+  }
+  rcs::common::ThreadPool::set_global_threads(saved);
 }
 
 TEST(MatrixChannel, WireBytesFormula) {
@@ -425,10 +516,8 @@ TEST(MiniMpi, MixedIsendSendSameTagKeepsDeliveryOrder) {
   net::World world(2, np);
   world.run([](net::Comm& comm) {
     if (comm.rank() == 0) {
-      std::vector<std::byte> big(1'000'000);   // NIC: depart 0, arrival 1.0
-      std::vector<std::byte> small(1'000);     // CPU: depart 0, arrival 1e-3
-      comm.isend_bytes(1, 5, big.data(), big.size());
-      comm.send_bytes(1, 5, small.data(), small.size());
+      comm.isend(1, 5, zeros(1'000'000));  // NIC: depart 0, arrival 1.0
+      comm.send(1, 5, zeros(1'000));       // CPU: depart 0, arrival 1e-3
       EXPECT_NEAR(comm.clock().now(), 1e-3, 1e-9);  // CPU paid only the send
       EXPECT_NEAR(comm.nic_free_at(), 1.0, 1e-9);
     } else {
@@ -455,8 +544,8 @@ TEST(MiniMpi, TreeBcastStaggersArrivalsNonPowerOfTwo) {
   std::vector<double> finish(6, -1.0);
   net::World world(6, np);
   world.run([&](net::Comm& comm) {
-    std::vector<std::byte> payload;
-    if (comm.rank() == 0) payload.resize(bytes);
+    net::Payload payload;
+    if (comm.rank() == 0) payload = zeros(bytes);
     payload = comm.bcast_tree(0, 1, std::move(payload));
     EXPECT_EQ(payload.size(), bytes);
     finish[static_cast<std::size_t>(comm.rank())] = comm.clock().now();
@@ -472,8 +561,8 @@ TEST(MiniMpi, TreeBcastStaggersArrivalsNonPowerOfTwo) {
   std::vector<double> finish3(3, -1.0);
   net::World world3(3, np);
   world3.run([&](net::Comm& comm) {
-    std::vector<std::byte> payload;
-    if (comm.rank() == 0) payload.resize(bytes);
+    net::Payload payload;
+    if (comm.rank() == 0) payload = zeros(bytes);
     payload = comm.bcast_tree(0, 1, std::move(payload));
     finish3[static_cast<std::size_t>(comm.rank())] = comm.clock().now();
   });
@@ -569,7 +658,7 @@ TEST(MiniMpi, ValidatesRanksAndTags) {
     EXPECT_THROW(comm.send_doubles(-1, 1, &v, 1), rcs::Error);  // dst negative
     EXPECT_THROW(comm.send_doubles(0, 1, &v, 1), rcs::Error);   // self-send
     EXPECT_THROW(comm.send_doubles(1, -5, &v, 1), rcs::Error);  // reserved tag
-    EXPECT_THROW(comm.isend_bytes(1, -1, &v, 8), rcs::Error);
+    EXPECT_THROW(comm.isend(1, -1, net::Payload::copy_of(&v, 8)), rcs::Error);
     EXPECT_THROW(comm.recv(7, 1), rcs::Error);
     EXPECT_THROW(comm.recv(0, 1), rcs::Error);  // self-receive
     EXPECT_THROW(comm.recv(1, -2), rcs::Error);
@@ -784,12 +873,15 @@ TEST(MiniMpiScale, P256RingBarrierBcastTreeWithFailStop) {
     EXPECT_EQ(comm.recv((r + p - 1) % p, 1).as<int>(), (r + p - 1) % p);
     comm.barrier();
     // Binomial-tree broadcast from a non-zero root.
-    std::vector<std::byte> payload;
-    if (r == 3) payload = {std::byte{0xAB}, std::byte{0xCD}};
-    const auto got = comm.bcast_tree(3, 2, std::move(payload));
+    net::Payload payload;
+    if (r == 3) {
+      const std::byte bytes[2] = {std::byte{0xAB}, std::byte{0xCD}};
+      payload = net::Payload::copy_of(bytes, sizeof(bytes));
+    }
+    const net::Payload got = comm.bcast_tree(3, 2, std::move(payload));
     ASSERT_EQ(got.size(), 2u);
-    EXPECT_EQ(got[0], std::byte{0xAB});
-    EXPECT_EQ(got[1], std::byte{0xCD});
+    EXPECT_EQ(got.data()[0], std::byte{0xAB});
+    EXPECT_EQ(got.data()[1], std::byte{0xCD});
   });
   EXPECT_TRUE(world.failed_ranks().empty());
 

@@ -47,6 +47,30 @@ void BM_MiniMpiPingPong(benchmark::State& state) {
 }
 BENCHMARK(BM_MiniMpiPingPong)->Arg(8)->Arg(65536);
 
+// The opMS fan-in: every rank but 0 sends rank 0 eight small messages,
+// tags 0-7, and rank 0 receives them tag by tag, highest rank first.
+// Timed per message in wall time, world set-up included: the ranks run on
+// the pool's threads, not only on the timing thread.
+void BM_MiniMpiFanIn(benchmark::State& state) {
+  const int p = static_cast<int>(state.range(0));
+  constexpr int kTags = 8;
+  for (auto _ : state) {
+    net::World world(p, net::NetworkParams{});
+    world.run([&](net::Comm& comm) {
+      if (comm.rank() != 0) {
+        for (int tag = 0; tag < kTags; ++tag) comm.send_value(0, tag, tag);
+        return;
+      }
+      for (int tag = 0; tag < kTags; ++tag) {
+        for (int src = p - 1; src >= 1; --src) (void)comm.recv(src, tag);
+      }
+    });
+    benchmark::DoNotOptimize(world.makespan());
+  }
+  state.SetItemsProcessed(state.iterations() * (p - 1) * kTags);
+}
+BENCHMARK(BM_MiniMpiFanIn)->Arg(64)->Arg(1024)->UseRealTime();
+
 void BM_LuAnalyticFullRun(benchmark::State& state) {
   const auto sys = core::SystemParams::cray_xd1();
   core::LuConfig cfg;

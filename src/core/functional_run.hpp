@@ -123,9 +123,9 @@ class OwnedBlocks {
 
   linalg::Matrix& operator()(long long u, long long v);
 
-  /// Untimed gather: rank 0 places every owned block of every rank into
-  /// `out` (its own by move); the other ranks send theirs. Only rank 0
-  /// writes `out`.
+  /// Untimed gather: rank 0 copies every owned block of every rank into
+  /// `out` (its own straight from its store, the others from the messages
+  /// they send it). Only rank 0 writes `out`.
   void gather(net::Comm& comm, linalg::Matrix& out);
 
  private:

@@ -228,7 +228,8 @@ std::vector<double> Comm::allgather_doubles(int tag,
   CollScope coll(*this, "allgather");
   std::vector<double> all;
   if (rank_ == 0) {
-    // Count header then payload from each rank, in rank order.
+    // One message from each rank, in rank order; its payload size gives
+    // the part's length.
     std::vector<std::vector<double>> parts(static_cast<std::size_t>(p));
     parts[0] = mine;
     for (int r = 1; r < p; ++r) {
@@ -486,7 +487,7 @@ void World::deliver(int dst, Message msg) {
   std::vector<common::Fiber*> waiters;
   {
     std::lock_guard<std::mutex> lock(box.mu);
-    box.queue.push_back(std::move(msg));
+    box.from[msg.src].push_back(std::move(msg));
     waiters.swap(box.fiber_waiters);
   }
   wake_waiters(waiters);
@@ -496,14 +497,15 @@ Message World::take(int dst, int src, int tag) {
   Mailbox& box = *mailboxes_[static_cast<std::size_t>(dst)];
   std::unique_lock<std::mutex> lock(box.mu);
   for (;;) {
-    auto it = std::find_if(box.queue.begin(), box.queue.end(),
-                           [&](const Message& m) {
-                             return m.src == src && m.tag == tag;
-                           });
-    if (it != box.queue.end()) {
-      Message msg = std::move(*it);
-      box.queue.erase(it);
-      return msg;
+    if (auto q = box.from.find(src); q != box.from.end()) {
+      std::deque<Message>& queue = q->second;
+      auto it = std::find_if(queue.begin(), queue.end(),
+                             [&](const Message& m) { return m.tag == tag; });
+      if (it != queue.end()) {
+        Message msg = std::move(*it);
+        queue.erase(it);
+        return msg;
+      }
     }
     // Checked only after the queue search: a message that was delivered
     // before the failure is still consumable; only a wait that would block
@@ -602,7 +604,7 @@ void World::run(const std::function<void(Comm&)>& rank_main) {
     // flags) so the second run is indistinguishable from a fresh World.
     for (auto& box : mailboxes_) {
       std::lock_guard<std::mutex> lock(box->mu);
-      box->queue.clear();
+      box->from.clear();
       box->poisoned = false;
       box->fiber_waiters.clear();
     }

@@ -32,6 +32,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -455,7 +456,10 @@ class World {
 
   struct Mailbox {
     std::mutex mu;
-    std::deque<Message> queue;
+    /// Undelivered messages, one delivery-ordered queue per source, made on
+    /// the source's first delivery. Every receive names its source, so it
+    /// searches only that source's queue.
+    std::unordered_map<int, std::deque<Message>> from;
     bool poisoned = false;  // a peer rank failed; waits must not block
     /// Rank fibers parked in take() on this box. A waiter registers here
     /// under `mu` before parking; wakers splice the list under `mu` and

@@ -857,6 +857,40 @@ TEST(MiniMpiFaults, CrashDuringBlockedRecvStress) {
   }
 }
 
+// A dead source fails only the receives that name it. Rank 0's receive
+// from fail-stopped rank 1 throws RankFailed, and the messages ranks 2-7
+// sent it stay consumable afterwards. Run on one worker loop and on two.
+TEST(MiniMpiFaults, DeadSourceLeavesOtherSourcesConsumable) {
+  for (const int workers : {1, 2}) {
+    sim::FaultPlan plan(1);
+    plan.add_crash({1, 0.0});
+    net::World world(8, fast_net());
+    world.set_fault_plan(&plan);
+    world.set_max_workers(workers);
+    world.run([workers](net::Comm& comm) {
+      const int r = comm.rank();
+      if (r == 1) {
+        EXPECT_THROW(comm.send_value(0, 4, r), net::RankFailed);
+        return;  // the dead rank stops participating
+      }
+      if (r != 0) {
+        comm.send_value(0, 4, 100 + r);
+        return;
+      }
+      try {
+        (void)comm.recv(1, 4);
+        ADD_FAILURE() << "rank 1 fail-stopped (workers " << workers << ")";
+      } catch (const net::RankFailed& rf) {
+        EXPECT_EQ(rf.rank, 1);
+      }
+      for (int src = 2; src < comm.size(); ++src) {
+        EXPECT_EQ(comm.recv(src, 4).as<int>(), 100 + src);
+      }
+    });
+    EXPECT_EQ(world.failed_ranks(), std::vector<int>{1});
+  }
+}
+
 // p=256 smoke for the fiber rank scheduler: ring send/recv, barrier, and
 // bcast_tree all complete in one process, then a second run on the same
 // world injects one fail-stop and every survivor observes it. The suite
@@ -899,6 +933,32 @@ TEST(MiniMpiScale, P256RingBarrierBcastTreeWithFailStop) {
     EXPECT_THROW(comm.recv(17, 3), net::RankFailed);
   });
   EXPECT_EQ(world.failed_ranks(), std::vector<int>{17});
+}
+
+// Fan-in at p=256: every rank sends rank 0 a tag-9 message between two
+// tag-5 ones, and rank 0 receives out of arrival order: tag 9 from the
+// highest rank down, then both tag-5 messages of every rank. Each receive
+// must match by source and tag, first in first out per (src, tag).
+TEST(MiniMpiScale, FanInMatchesBySourceAndTag) {
+  constexpr int kP = 256;
+  net::World world(kP, fast_net());
+  world.set_max_workers(2);
+  world.run([](net::Comm& comm) {
+    const int r = comm.rank();
+    if (r != 0) {
+      comm.send_value(0, 5, r);
+      comm.send_value(0, 9, 1000 + r);
+      comm.send_value(0, 5, 2000 + r);
+      return;
+    }
+    for (int src = kP - 1; src >= 1; --src) {
+      EXPECT_EQ(comm.recv(src, 9).as<int>(), 1000 + src);
+    }
+    for (int src = 1; src < kP; ++src) {
+      EXPECT_EQ(comm.recv(src, 5).as<int>(), src);
+      EXPECT_EQ(comm.recv(src, 5).as<int>(), 2000 + src);
+    }
+  });
 }
 
 // A world never runs on more OS threads than the pool has: 8 ranks on a

@@ -9,10 +9,13 @@ Extracts the committed files of both revisions (git archive) into two
 directories under the scratch directory and builds the benchmark in each.
 Then, per workload and seed, it runs --pairs pairs of
 `perfbench/run.py --trace 0` of BENCHMARK.json's run_seconds, alternating
-which side runs first. It prints every pair, each side's failed ops and,
-per end-to-end metric of BENCHMARK.json, each side's median [q1, q3], the
+which side runs first. It prints every pair with each run's attempted op
+count, and each side's failed ops and median attempted ops. Per end-to-end
+metric of BENCHMARK.json it prints each side's median [q1, q3], the
 change's wins (ties count for neither side), and the parent's
-interquartile range against the metric's bound. A run that exits non-zero,
+interquartile range against the metric's bound. At a fixed run length a
+faster side attempts more ops, and a metric that grows with the op count,
+such as peak_rss_mb, reads higher for it. A run that exits non-zero,
 prints no result or reports a wrong one counts as at least one failed op
 and gives no metrics; its pair still counts. Two verdicts follow each
 metric:
@@ -81,18 +84,20 @@ def build(tree):
 
 
 def run_once(tree, workload, seed, seconds):
-    """One untraced benchmark run: (failed ops, {metric: value} or None)."""
+    """One untraced benchmark run: (failed ops, attempted ops or None,
+    {metric: value} or None)."""
     cmd = [sys.executable, os.path.join("perfbench", "run.py"),
            "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, stdout=subprocess.PIPE, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
-        return 1, None
+        return 1, None, None
     res = json.loads(lines[-1])
     if not res["correct"]:
-        return max(res["failed"], 1), None
-    return 0, {k: v["value"] for k, v in res["metrics"].items()}
+        return max(res["failed"], 1), res["attempted"], None
+    return 0, res["attempted"], {k: v["value"]
+                                 for k, v in res["metrics"].items()}
 
 
 def quartiles(xs):
@@ -100,6 +105,20 @@ def quartiles(xs):
         return xs[0], xs[0], xs[0]
     q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
     return q1, med, q3
+
+
+def summary(failed, attempted):
+    """The summary's first line: failed ops and median attempted ops per side.
+
+    `attempted` maps each side to its runs' op counts, None for a run that
+    reported none.
+    """
+    def median(side):
+        counts = [n for n in attempted[side] if n is not None]
+        return "%g" % statistics.median(counts) if counts else "-"
+    return ("  summary (parent/change), failed ops %d/%d, median ops "
+            "attempted %s/%s:" % (failed["parent"], failed["change"],
+                                  median("parent"), median("change")))
 
 
 def verdicts(metric, pairs, failed):
@@ -199,25 +218,29 @@ def main():
                   (w, seed, args.pairs, seconds), flush=True)
             pairs = []
             failed = {"parent": 0, "change": 0}
+            attempted = {"parent": [], "change": []}
             for i in range(args.pairs):
                 order = ["parent", "change"] if i % 2 == 0 \
                     else ["change", "parent"]
                 got = {}
+                ops = {}
                 for side in order:
-                    n, got[side] = run_once(trees[side], w, seed, seconds)
+                    n, ops[side], got[side] = run_once(trees[side], w, seed,
+                                                       seconds)
                     failed[side] += n
+                    attempted[side].append(ops[side])
                 pairs.append((got["parent"], got["change"]))
                 if got["parent"] is None or got["change"] is None:
                     print("  pair %2d: FAILED (%s)" % (i + 1, ", ".join(
                         s for s in order if got[s] is None)), flush=True)
                     continue
-                print("  pair %2d (%s first): " % (i + 1, order[0]) +
+                print("  pair %2d (%s first): ops %d/%d  " %
+                      (i + 1, order[0], ops["parent"], ops["change"]) +
                       "  ".join("%s %.6g/%.6g" % (m["name"],
                                                   got["parent"][m["name"]],
                                                   got["change"][m["name"]])
                                 for m in metrics), flush=True)
-            print("  summary (parent/change), failed ops %d/%d:" %
-                  (failed["parent"], failed["change"]))
+            print(summary(failed, attempted))
             for m in metrics:
                 print(verdicts(m, [tuple(None if r is None else r[m["name"]]
                                          for r in pair) for pair in pairs],

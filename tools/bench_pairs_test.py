@@ -12,7 +12,7 @@ import unittest
 
 sys.dont_write_bytecode = True  # importing bench_pairs leaves no __pycache__
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from bench_pairs import verdicts  # noqa: E402
+from bench_pairs import summary, verdicts  # noqa: E402
 
 RUN_S = {"name": "run_s.p50", "better": "lower", "bound": 0.25}
 GFLOPS = {"name": "gflops", "better": "higher", "bound": 0.25}
@@ -86,6 +86,19 @@ class Verdicts(unittest.TestCase):
         out = verdicts(RUN_S, pairs, NO_FAILURES)
         self.assertIn("gain: no", out)
         self.assertIn("regression: REGRESSION", out)
+
+
+class Summary(unittest.TestCase):
+    def test_median_ops_per_side(self):
+        out = summary({"parent": 0, "change": 1},
+                      {"parent": [55, 52, 54], "change": [88, None, 90, 95]})
+        self.assertIn("failed ops 0/1", out)
+        self.assertIn("median ops attempted 54/90", out)
+
+    def test_side_without_counts(self):
+        out = summary({"parent": 0, "change": 2},
+                      {"parent": [60, 61], "change": [None, None]})
+        self.assertIn("median ops attempted 60.5/-", out)
 
 
 if __name__ == "__main__":

@@ -11,13 +11,11 @@
 #include "fpga/pe_cycle_sim.hpp"
 #include "graph/floyd_warshall.hpp"
 #include "graph/generate.hpp"
-#include "graph/transitive_closure.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/cholesky.hpp"
 #include "linalg/generate.hpp"
 #include "linalg/getrf.hpp"
 #include "linalg/simd.hpp"
-#include "linalg/sparse.hpp"
 
 using namespace rcs;
 
@@ -35,21 +33,6 @@ void BM_GemmNaive(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
 }
 BENCHMARK(BM_GemmNaive)->Arg(64)->Arg(128)->Arg(256)->Arg(1024);
-
-// The legacy cache-tiled i-k-j loop (pre-parallel-runtime production gemm),
-// kept as the baseline the packed microkernel is measured against.
-void BM_GemmTiled(benchmark::State& state) {
-  const std::size_t n = state.range(0);
-  linalg::Matrix a = linalg::random_matrix(n, n, 1);
-  linalg::Matrix b = linalg::random_matrix(n, n, 2);
-  linalg::Matrix c(n, n);
-  for (auto _ : state) {
-    linalg::gemm_tiled(a.view(), b.view(), c.view());
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
-}
-BENCHMARK(BM_GemmTiled)->Arg(64)->Arg(256)->Arg(1024);
 
 // The packed register-blocked microkernel (current production gemm),
 // parallelized over row tiles on the shared pool. Threads follow
@@ -204,58 +187,6 @@ void BM_GemmNT(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
 }
 BENCHMARK(BM_GemmNT)->Arg(64)->Arg(128);
-
-void BM_TransitiveClosureBlocked(benchmark::State& state) {
-  const std::size_t n = state.range(0);
-  const linalg::Matrix d = graph::random_digraph(n, 9, 0.02);
-  const graph::BitMatrix seed = graph::adjacency_from_distances(d);
-  for (auto _ : state) {
-    graph::BitMatrix reach = seed;
-    graph::blocked_transitive_closure(reach, 64);
-    benchmark::DoNotOptimize(reach.count());
-  }
-  state.SetItemsProcessed(state.iterations() * n * n * n / 64);
-}
-BENCHMARK(BM_TransitiveClosureBlocked)->Arg(256)->Arg(512);
-
-void BM_SpmvLaplacian(benchmark::State& state) {
-  const std::size_t g = state.range(0);
-  const auto lap = linalg::CsrMatrix::laplacian_2d(g, g);
-  std::vector<double> x(lap.cols(), 1.0), y(lap.rows());
-  for (auto _ : state) {
-    lap.spmv(x.data(), y.data());
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.SetItemsProcessed(state.iterations() * 2 * lap.nnz());
-}
-BENCHMARK(BM_SpmvLaplacian)->Arg(64)->Arg(256);
-
-void BM_SoftFpDiv(benchmark::State& state) {
-  Rng rng(17);
-  std::vector<double> xs(1024), ys(1024);
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    xs[i] = rng.uniform(-1e6, 1e6);
-    ys[i] = rng.uniform(0.5, 1e6);
-  }
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(fparith::div(xs[i & 1023], ys[i & 1023]));
-    ++i;
-  }
-}
-BENCHMARK(BM_SoftFpDiv);
-
-void BM_SoftFpSqrt(benchmark::State& state) {
-  Rng rng(19);
-  std::vector<double> xs(1024);
-  for (auto& v : xs) v = rng.uniform(0.0, 1e12);
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(fparith::sqrt(xs[i & 1023]));
-    ++i;
-  }
-}
-BENCHMARK(BM_SoftFpSqrt);
 
 void BM_PeCycleSim(benchmark::State& state) {
   for (auto _ : state) {

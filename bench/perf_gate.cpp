@@ -405,9 +405,7 @@ std::vector<KernelRow> kernel_rows(const JsonValue& root) {
 /// precise signal and are covered by the structural checks instead.
 double tolerance_for(const std::string& kernel) {
   static const std::map<std::string, double> overrides = {
-      {"gemm_naive", 0.60},      // O(n^3) reference, most cache-sensitive
-      {"lu_functional", 0.75},   // whole-run harness: threads + comm
-      {"fw_functional", 0.75},
+      {"gemm_naive", 0.60},  // O(n^3) reference, most cache-sensitive
   };
   const auto it = overrides.find(kernel);
   return it != overrides.end() ? it->second : 0.50;

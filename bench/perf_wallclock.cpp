@@ -1,11 +1,13 @@
 // Wall-clock perf harness for the intra-node parallel compute runtime.
 //
 // Unlike the fig*/table1 benches (which report *simulated* seconds), this
-// harness measures real elapsed time of the functional substrates — the
-// packed parallel gemm vs the legacy tiled loop vs the naive reference, the
-// streamed MatMulArray FPGA emulation, and mid-size lu_functional /
-// fw_functional runs — across a thread sweep, and writes BENCH_perf.json so
-// future PRs have a machine-readable perf trajectory to regress against.
+// harness measures real elapsed time of the kernels — the packed parallel
+// gemm vs the naive reference, the streamed MatMulArray FPGA emulation and
+// the parallel trsm — across a thread sweep. It adds the simulated
+// sections (scaling sweep, drift, lookahead and fault points) and writes
+// BENCH_perf.json, which perf_gate diffs against the committed copy.
+// End-to-end functional runs are timed by perfbench/ (its lu_dense and
+// fw_apsp workloads), not here.
 //
 // Every kernel row also carries the pool telemetry deltas for its timing
 // run (queue-wait vs busy milliseconds, jobs, chunks, per rep), so a scaling
@@ -29,8 +31,6 @@
 
 #include "common/thread_pool.hpp"
 #include "core/drift.hpp"
-#include "core/fw_functional.hpp"
-#include "core/lu_functional.hpp"
 #include "core/system.hpp"
 #include "fault_sweep.hpp"
 #include "fpga/matmul_array.hpp"
@@ -170,46 +170,6 @@ Row bench_trsm(long long n, long long m, int threads) {
     la::trsm_left_lower_unit(l.view(), b.view());
   });
   row.gflops = static_cast<double>(la::trsm_flops(n, m)) / row.seconds / 1e9;
-  return row;
-}
-
-Row bench_lu_functional(long long n, long long b, int threads) {
-  common::ThreadPool::set_global_threads(threads);
-  core::SystemParams sys = core::SystemParams::cray_xd1();
-  sys.p = 3;
-  const la::Matrix a =
-      la::diagonally_dominant(static_cast<std::size_t>(n), 42);
-  core::LuConfig cfg;
-  cfg.n = n;
-  cfg.b = b;
-  cfg.mode = core::DesignMode::Hybrid;
-  Row row;
-  row.kernel = "lu_functional";
-  row.size = n;
-  row.threads = threads;
-  time_best(row, [&] { core::lu_functional(sys, cfg, a); }, 0.0, 2);
-  row.gflops =
-      static_cast<double>(la::getrf_flops(n)) / row.seconds / 1e9;
-  return row;
-}
-
-Row bench_fw_functional(long long n, long long b, int threads) {
-  common::ThreadPool::set_global_threads(threads);
-  core::SystemParams sys = core::SystemParams::cray_xd1();
-  sys.p = 2;
-  const la::Matrix d0 =
-      rcs::graph::random_digraph(static_cast<std::size_t>(n), 7, 0.4);
-  core::FwConfig cfg;
-  cfg.n = n;
-  cfg.b = b;
-  cfg.mode = core::DesignMode::Hybrid;
-  Row row;
-  row.kernel = "fw_functional";
-  row.size = n;
-  row.threads = threads;
-  time_best(row, [&] { core::fw_functional(sys, cfg, d0); }, 0.0, 2);
-  row.gflops = 2.0 * static_cast<double>(n) * static_cast<double>(n) *
-               static_cast<double>(n) / row.seconds / 1e9;
   return row;
 }
 
@@ -476,13 +436,11 @@ int main(int argc, char** argv) {
   const std::vector<long long> gemm_sizes =
       smoke ? std::vector<long long>{96} : std::vector<long long>{256, 1024};
 
-  // --- gemm trio. Naive only at the small size (it is the O(n^3)-slow
-  // reference); tiled single-thread as the fixed baseline; packed across
-  // the full thread sweep.
+  // --- gemm pair. Naive only at the small size (it is the O(n^3)-slow
+  // reference); packed across the full thread sweep.
   rows.push_back(bench_gemm("gemm_naive", smoke ? 96 : 256, 1,
                             la::gemm_naive));
   for (long long n : gemm_sizes) {
-    rows.push_back(bench_gemm("gemm_tiled", n, 1, la::gemm_tiled));
     for (int t : sweep) {
       rows.push_back(bench_gemm("gemm_packed", n, t, la::gemm));
     }
@@ -498,15 +456,6 @@ int main(int argc, char** argv) {
   // --- Parallel triangular solve (the LU opU substrate).
   for (int t : sweep) {
     rows.push_back(bench_trsm(smoke ? 96 : 512, smoke ? 96 : 512, t));
-  }
-
-  if (!smoke) {
-    // --- Mid-size functional runs (simulated results identical across
-    // thread counts; only the wall-clock below should move).
-    for (int t : {1, std::max(hw, 4)}) {
-      rows.push_back(bench_lu_functional(256, 64, t));
-      rows.push_back(bench_fw_functional(256, 32, t));
-    }
   }
 
   common::ThreadPool::set_global_threads(hw);
@@ -540,13 +489,8 @@ int main(int argc, char** argv) {
     return best;
   };
   const long long headline = smoke ? 96 : 1024;
-  const double tiled = best_seconds("gemm_tiled", headline, 1);
   const double packed1 = best_seconds("gemm_packed", headline, 1);
   const double packed_any = best_seconds("gemm_packed", headline, 0);
-  if (tiled > 0.0 && packed_any > 0.0) {
-    std::printf("speedup gemm_packed vs gemm_tiled @%lld: %.2fx\n", headline,
-                tiled / packed_any);
-  }
   if (packed1 > 0.0 && packed_any > 0.0) {
     std::printf("scaling gemm_packed best-threads vs 1-thread @%lld: %.2fx\n",
                 headline, packed1 / packed_any);

@@ -31,11 +31,12 @@ struct FwConfig {
   /// hybrid, all for processor-only, 0 for FPGA-only).
   long long l1 = -1;
   /// Simulate only the first `max_iterations` block iterations (-1 = all);
-  /// Fig. 7 uses 1.
+  /// Fig. 7 uses 1. Analytic plane only.
   int max_iterations = -1;
-  /// Broadcast the owner's op1/op22 blocks along a binomial tree
-  /// (ceil(log2 p) transfer times) instead of root-serialized (p-1) —
-  /// an extension over the paper's scheme, matching net::Comm::bcast_tree.
+  /// Charge the owner's op1/op22 broadcasts as a binomial tree
+  /// (ceil(log2 p) transfer times) instead of root-serialized (p-1) — an
+  /// extension over the paper's scheme. Analytic plane only: the
+  /// functional owner always fans out root-serialized (core::fan_out).
   bool tree_bcast = false;
   /// Lookahead comm/compute overlap (functional plane): the owner fans out
   /// D_tt and the op22 pivot-column blocks over the NIC (isend) instead of

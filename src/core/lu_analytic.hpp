@@ -38,7 +38,7 @@ struct LuConfig {
   int l = -1;
   SendFanout fanout = SendFanout::SerialAll;
   /// Simulate only the first `max_iterations` block iterations (-1 = all);
-  /// Fig. 6 uses 1.
+  /// Fig. 6 uses 1. Analytic plane only.
   int max_iterations = -1;
   /// Lookahead comm/compute overlap. Analytic plane: let iteration t+1's
   /// panel factorization start as soon as its diagonal block's update

@@ -9,8 +9,11 @@
 //   core/fw_analytic.hpp   — paper-scale Floyd–Warshall schedule simulator
 //   core/lu_functional.hpp — real-data distributed LU over MiniMPI
 //   core/fw_functional.hpp — real-data distributed FW over MiniMPI
-//   plus the substrates: linalg/, graph/, fpga/, node/, net/, sim/,
-//   fparith/ and common/.
+//   core/mm.hpp            — hybrid block MM of the companion work [22]
+//   core/cholesky.hpp      — hybrid Cholesky, the same model applied to SPD A
+//   plus the substrates they run on: linalg/ (dense BLAS subset, LU,
+//   Cholesky), graph/ (Floyd–Warshall), fpga/, node/, net/ (MiniMPI),
+//   sim/, fparith/ (add, mul and min cores) and common/.
 
 #include "core/cholesky.hpp"
 #include "core/design.hpp"
@@ -30,15 +33,11 @@
 #include "fpga/resources.hpp"
 #include "graph/floyd_warshall.hpp"
 #include "graph/generate.hpp"
-#include "graph/transitive_closure.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/cholesky.hpp"
 #include "linalg/generate.hpp"
 #include "linalg/getrf.hpp"
-#include "linalg/io.hpp"
 #include "linalg/matrix.hpp"
-#include "linalg/qr.hpp"
-#include "linalg/sparse.hpp"
 #include "net/contention.hpp"
 #include "net/matrix_channel.hpp"
 #include "net/minimpi.hpp"

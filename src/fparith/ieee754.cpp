@@ -230,85 +230,6 @@ double mul(double da, double db) {
   return from_bits(round_pack(sign, exp_out, prod));
 }
 
-double div(double da, double db) {
-  const u64 abits = to_bits(da);
-  const u64 bbits = to_bits(db);
-  const Unpacked a = unpack(abits);
-  const Unpacked b = unpack(bbits);
-  using Cls = Unpacked::Cls;
-  const bool sign = a.sign != b.sign;
-
-  if (a.cls == Cls::NaN || b.cls == Cls::NaN) return from_bits(kQuietNan);
-  if (a.cls == Cls::Inf) {
-    if (b.cls == Cls::Inf) return from_bits(kQuietNan);  // inf / inf
-    return from_bits(pack_inf(sign));
-  }
-  if (b.cls == Cls::Inf) return from_bits(pack_zero(sign));
-  if (b.cls == Cls::Zero) {
-    if (a.cls == Cls::Zero) return from_bits(kQuietNan);  // 0 / 0
-    return from_bits(pack_inf(sign));                     // x / 0
-  }
-  if (a.cls == Cls::Zero) return from_bits(pack_zero(sign));
-
-  // a/b = (m_a / m_b) * 2^(ea - eb). Widen the dividend by 60 bits so the
-  // quotient has >= 8 bits below the rounding position, then jam the
-  // remainder into the quotient's LSB as sticky (softfloat's technique:
-  // the true value lies strictly inside (q, q+1), so odd-izing q preserves
-  // every round-to-nearest-even decision).
-  const u128 num = u128(a.sig) << 60;
-  u128 q = num / b.sig;
-  const u128 r = num % b.sig;
-  if (r != 0) q |= 1;
-  const int exp_out = a.exp - b.exp - 60;
-  return from_bits(round_pack(sign, exp_out, q));
-}
-
-namespace {
-/// Integer square root of a u128 (floor), bit-by-bit.
-u128 isqrt128(u128 x) {
-  if (x == 0) return 0;
-  u128 res = 0;
-  // Highest power of four <= x.
-  const int hb = highest_bit128(x);
-  u128 bit = u128(1) << (hb & ~1);
-  while (bit != 0) {
-    if (x >= res + bit) {
-      x -= res + bit;
-      res = (res >> 1) + bit;
-    } else {
-      res >>= 1;
-    }
-    bit >>= 2;
-  }
-  return res;
-}
-}  // namespace
-
-double sqrt(double da) {
-  const u64 abits = to_bits(da);
-  const Unpacked a = unpack(abits);
-  using Cls = Unpacked::Cls;
-  if (a.cls == Cls::NaN) return from_bits(kQuietNan);
-  if (a.cls == Cls::Zero) return from_bits(pack_zero(a.sign));  // +-0
-  if (a.sign) return from_bits(kQuietNan);  // negative
-  if (a.cls == Cls::Inf) return from_bits(pack_inf(false));
-
-  // a = m * 2^(e - 52). Make the exponent of the radicand even, widen by
-  // 64 bits so the integer root has ~58 significant bits, then jam the
-  // remainder as sticky.
-  int e = a.exp - kFracBits;  // a = sig * 2^e
-  u128 m = a.sig;
-  if (e & 1) {
-    m <<= 1;
-    e -= 1;
-  }
-  const u128 widened = m << 64;  // sqrt gains 32 bits
-  u128 s = isqrt128(widened);
-  if (s * s != widened) s |= 1;
-  // sqrt(a) = s * 2^(e/2 - 32).
-  return from_bits(round_pack(false, e / 2 - 32, s));
-}
-
 int compare(double da, double db) {
   const u64 a = to_bits(da);
   const u64 b = to_bits(db);

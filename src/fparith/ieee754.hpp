@@ -29,16 +29,6 @@ double sub(double a, double b);
 /// Bit-accurate binary64 multiplication (round-to-nearest-even).
 double mul(double a, double b);
 
-/// Bit-accurate binary64 division (round-to-nearest-even). The core
-/// library of reference [8] provides a pipelined divider; the hybrid
-/// designs use it for the triangular-solve reciprocals when panel work is
-/// mapped to hardware.
-double div(double a, double b);
-
-/// Bit-accurate binary64 square root (round-to-nearest-even); negative
-/// inputs (other than -0) return quiet NaN.
-double sqrt(double a);
-
 /// Three-way comparison mirroring a hardware comparator core.
 /// Returns -1 (a < b), 0 (equal, with -0 == +0), +1 (a > b),
 /// +2 (unordered: at least one NaN).
@@ -79,9 +69,5 @@ struct CorePipeline {
 constexpr CorePipeline kAdderPipeline{14, 1};
 constexpr CorePipeline kMultiplierPipeline{11, 1};
 constexpr CorePipeline kComparatorPipeline{2, 1};
-// Dividers and square-root cores of that era iterate per mantissa digit
-// group: long latency, partial pipelining.
-constexpr CorePipeline kDividerPipeline{32, 4};
-constexpr CorePipeline kSqrtPipeline{36, 4};
 
 }  // namespace rcs::fparith

@@ -37,35 +37,6 @@ void gemm_naive(Span2D<const double> a, Span2D<const double> b,
   }
 }
 
-void gemm_tiled(Span2D<const double> a, Span2D<const double> b,
-                Span2D<double> c) {
-  check_gemm_shapes(a, b, c);
-  // i-k-j loop order with small tiles: streams B rows and C rows, which is
-  // far friendlier to the cache than the naive i-j-k order. Accumulation
-  // order per C entry matches gemm_naive (l ascending), so results are
-  // bit-identical between the two (required by tests that cross-check the
-  // FPGA kernel against both).
-  constexpr std::size_t TI = 64, TK = 64, TJ = 256;
-  const std::size_t m = c.rows(), n = c.cols(), k = a.cols();
-  for (std::size_t i0 = 0; i0 < m; i0 += TI) {
-    const std::size_t i1 = std::min(i0 + TI, m);
-    for (std::size_t k0 = 0; k0 < k; k0 += TK) {
-      const std::size_t k1 = std::min(k0 + TK, k);
-      for (std::size_t j0 = 0; j0 < n; j0 += TJ) {
-        const std::size_t j1 = std::min(j0 + TJ, n);
-        for (std::size_t i = i0; i < i1; ++i) {
-          double* crow = c.row(i);
-          for (std::size_t l = k0; l < k1; ++l) {
-            const double av = a(i, l);
-            const double* brow = b.row(l);
-            for (std::size_t j = j0; j < j1; ++j) crow[j] += av * brow[j];
-          }
-        }
-      }
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Packed register-blocked engine in the BLIS mold, shared by gemm, gemm_nt,
 // and the FPGA MatMulArray emulation (see gemm_kernel.hpp for the layouts).

@@ -14,11 +14,6 @@ namespace rcs::linalg {
 void gemm_naive(Span2D<const double> a, Span2D<const double> b,
                 Span2D<double> c);
 
-/// C += A * B, cache-blocked i-k-j loop (the previous production kernel,
-/// kept as the single-threaded baseline the perf harness regresses against).
-void gemm_tiled(Span2D<const double> a, Span2D<const double> b,
-                Span2D<double> c);
-
 /// C += A * B, packed register-blocked engine (the production host dgemm
 /// substitute, at every size): B micropanels are packed cooperatively on the
 /// shared common::ThreadPool, then one fused parallel region per column slab

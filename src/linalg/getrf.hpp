@@ -27,17 +27,6 @@ void getrf_panel(Span2D<double> a);
 /// (reference [10]); numerically equivalent to getrf_unblocked.
 void getrf_blocked(Span2D<double> a, std::size_t b);
 
-/// In-place LU with partial (row) pivoting: P A = L U. On return `a` holds
-/// the factors and `piv[k]` records the row swapped into position k at
-/// step k (LAPACK-style ipiv, 0-based). The paper's designs assume no
-/// pivoting (§5.1); this variant is the library-completeness fallback for
-/// matrices where that assumption fails.
-void getrf_pivoted(Span2D<double> a, std::vector<std::size_t>& piv);
-
-/// Apply the row exchanges recorded by getrf_pivoted to a right-hand side
-/// (forward order), i.e. compute P b.
-void apply_pivots(Span2D<double> b, const std::vector<std::size_t>& piv);
-
 /// Extract L (unit lower) and U (upper) from a factored matrix.
 void split_lu(Span2D<const double> factored, Matrix& l, Matrix& u);
 

@@ -105,16 +105,4 @@ inline PackedMatrix recv_matrix_deadline(Comm& comm, int src, int tag,
   return PackedMatrix(std::move(msg.payload));
 }
 
-/// Broadcast `m` from `root`, packed once: every rank returns the root's
-/// one buffer (non-roots pass an empty view).
-inline PackedMatrix bcast_matrix(Comm& comm, int root, int tag,
-                                 Span2D<const double> m) {
-  if (comm.rank() != root) return recv_matrix(comm, root, tag);
-  const Payload payload = pack_matrix(m);
-  for (int r = 0; r < comm.size(); ++r) {
-    if (r != root) comm.send(r, tag, payload);
-  }
-  return PackedMatrix(payload);
-}
-
 }  // namespace rcs::net

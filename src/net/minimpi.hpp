@@ -4,8 +4,8 @@
 //
 // The paper's nodes communicate with MPI over the XD1 RapidArray fabric; no
 // MPI implementation is available here, so MiniMPI provides the subset the
-// hybrid designs need (point-to-point send/recv with tags, broadcast,
-// barrier, gather) with real data movement between per-rank mailboxes. A
+// hybrid designs need (point-to-point send/recv with tags, broadcast and
+// barrier) with real data movement between per-rank mailboxes. A
 // message carries an immutable Payload: a sender packs a block once and
 // every destination receives the same buffer, while each transfer is still
 // charged on its own (below).
@@ -43,8 +43,8 @@
 #include "sim/faults.hpp"
 #include "sim/trace.hpp"
 
-// Extended collectives and DMA-style transfers live alongside the basic
-// MPI-flavoured operations; see the class comments below.
+// DMA-style transfers live alongside the basic MPI-flavoured operations;
+// see the class comments below.
 
 namespace rcs::net {
 
@@ -268,33 +268,15 @@ class Comm {
   /// Returns the payload, on every rank the root's one buffer.
   Payload bcast(int root, int tag, Payload payload);
 
-  /// Broadcast a vector of doubles.
-  std::vector<double> bcast_doubles(int root, int tag,
-                                    std::vector<double> values);
-
   /// Binomial-tree broadcast: ceil(log2 p) rounds, each relay forwarding to
   /// its subtree, so the last arrival is ~log2(p) transfer times instead of
   /// the root-serialized (p-1). Every rank must call it. Relays forward
   /// the buffer they received, so every rank returns the root's buffer.
   Payload bcast_tree(int root, int tag, Payload payload);
 
-  /// All ranks contribute `mine`; every rank returns the concatenation in
-  /// rank order (gather to root, then broadcast).
-  std::vector<double> allgather_doubles(int tag,
-                                        const std::vector<double>& mine);
-
-  /// Reduce-sum of a double to `root` (returns the sum on root, 0 elsewhere).
-  double reduce_sum(int root, int tag, double value);
-
   /// Barrier (gather-to-0 then release). Synchronizes simulated clocks to
   /// the latest participant (plus the tiny control-message costs).
   void barrier();
-
-  /// Gather one double from every rank to `root`; non-roots get empty.
-  std::vector<double> gather_double(int root, int tag, double value);
-
-  /// Reduce-max of a double across ranks; the result is valid on all ranks.
-  double allreduce_max(double value);
 
   /// This rank's virtual clock (compute charges are applied by the node
   /// model, which shares this clock).

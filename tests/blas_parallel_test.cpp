@@ -124,16 +124,6 @@ TEST_P(BlasParallel, GemmBitIdenticalToNaive) {
   }
 }
 
-TEST_P(BlasParallel, GemmTiledBitIdenticalToNaive) {
-  const la::Matrix a = seeded(65, 77, 5);
-  const la::Matrix b = seeded(77, 41, 6);
-  la::Matrix c_ref = seeded(65, 41, 7);
-  la::Matrix c = c_ref;
-  la::gemm_naive(a.view(), b.view(), c_ref.view());
-  la::gemm_tiled(a.view(), b.view(), c.view());
-  EXPECT_TRUE(la::bit_equal(c.view(), c_ref.view()));
-}
-
 TEST_P(BlasParallel, GemmStridedViewsBitIdentical) {
   // The functional plane calls gemm on strided sub-blocks; cover that path.
   const la::Matrix a = seeded(96, 96, 11);

@@ -208,70 +208,6 @@ INSTANTIATE_TEST_SUITE_P(Sizes, GetrfBlocked,
                                            std::tuple{64, 64},
                                            std::tuple{30, 7}));
 
-TEST(GetrfPivoted, FactorsMatrixThatNeedsPivoting) {
-  // Zero on the (0,0) pivot: the unpivoted factorization must refuse, the
-  // pivoted one must succeed with P A = L U.
-  la::Matrix a(3, 3);
-  a(0, 0) = 0; a(0, 1) = 2; a(0, 2) = 1;
-  a(1, 0) = 4; a(1, 1) = 1; a(1, 2) = 0;
-  a(2, 0) = 2; a(2, 1) = 0; a(2, 2) = 3;
-  la::Matrix bad = a;
-  EXPECT_THROW(la::getrf_unblocked(bad.view()), rcs::Error);
-
-  la::Matrix f = a;
-  std::vector<std::size_t> piv;
-  la::getrf_pivoted(f.view(), piv);
-  la::Matrix l, u;
-  la::split_lu(f.view(), l, u);
-  la::Matrix lu(3, 3);
-  la::gemm_overwrite(l.view(), u.view(), lu.view());
-  la::Matrix pa = a;
-  la::apply_pivots(pa.view(), piv);
-  EXPECT_LT(la::max_abs_diff(lu.view(), pa.view()), 1e-12);
-}
-
-TEST(GetrfPivoted, RandomMatricesFactorStably) {
-  for (std::uint64_t seed : {1u, 2u, 3u}) {
-    const la::Matrix a = la::random_matrix(40, 40, seed);  // not dominant!
-    la::Matrix f = a;
-    std::vector<std::size_t> piv;
-    la::getrf_pivoted(f.view(), piv);
-    la::Matrix l, u;
-    la::split_lu(f.view(), l, u);
-    la::Matrix lu(40, 40);
-    la::gemm_overwrite(l.view(), u.view(), lu.view());
-    la::Matrix pa = a;
-    la::apply_pivots(pa.view(), piv);
-    EXPECT_LT(la::max_abs_diff(lu.view(), pa.view()),
-              1e-11 * la::max_abs(a.view()))
-        << "seed " << seed;
-    // Partial pivoting keeps |L| <= 1 below the diagonal.
-    for (std::size_t i = 0; i < 40; ++i)
-      for (std::size_t j = 0; j < i; ++j)
-        EXPECT_LE(std::fabs(l(i, j)), 1.0 + 1e-12);
-  }
-}
-
-TEST(GetrfPivoted, NoPivotingNeededMatchesUnpivoted) {
-  // On a diagonally dominant matrix partial pivoting never swaps, so the
-  // factors coincide bitwise with the unpivoted routine.
-  const la::Matrix a = la::diagonally_dominant(24, 59);
-  la::Matrix f1 = a, f2 = a;
-  la::getrf_unblocked(f1.view());
-  std::vector<std::size_t> piv;
-  la::getrf_pivoted(f2.view(), piv);
-  EXPECT_TRUE(la::bit_equal(f1.view(), f2.view()));
-  for (std::size_t k = 0; k < piv.size(); ++k) EXPECT_EQ(piv[k], k);
-}
-
-TEST(GetrfPivoted, SingularMatrixThrows) {
-  la::Matrix a(3, 3);  // rank 1
-  for (std::size_t i = 0; i < 3; ++i)
-    for (std::size_t j = 0; j < 3; ++j) a(i, j) = double(i + 1);
-  std::vector<std::size_t> piv;
-  EXPECT_THROW(la::getrf_pivoted(a.view(), piv), rcs::Error);
-}
-
 TEST(Getrf, SplitLuRoundTrips) {
   la::Matrix a = la::diagonally_dominant(10, 47);
   la::Matrix f = a;

@@ -252,10 +252,6 @@ TEST(FparithBoundary, PowerOfTwoNeighbourhoods) {
         if (!std::isnan(pm)) {
           EXPECT_EQ(fp::to_bits(pm), fp::to_bits(fp::mul(a, b)));
         }
-        const double dv = a / b;
-        if (!std::isnan(dv)) {
-          EXPECT_EQ(fp::to_bits(dv), fp::to_bits(fp::div(a, b)));
-        }
       }
     }
   }
@@ -269,20 +265,6 @@ TEST(FparithBoundary, SubnormalTransitionScan) {
     EXPECT_EQ(fp::to_bits(near_min + dmin), fp::to_bits(fp::add(near_min, dmin)));
     EXPECT_EQ(fp::to_bits(near_min - dmin), fp::to_bits(fp::sub(near_min, dmin)));
     EXPECT_EQ(fp::to_bits(near_min * 0.5), fp::to_bits(fp::mul(near_min, 0.5)));
-    EXPECT_EQ(fp::to_bits(near_min / 2.0), fp::to_bits(fp::div(near_min, 2.0)));
-    EXPECT_EQ(fp::to_bits(std::sqrt(near_min)),
-              fp::to_bits(fp::sqrt(near_min)));
-  }
-}
-
-TEST(FparithBoundary, SqrtPerfectSquaresAndNeighbours) {
-  rcs::Rng rng(31337);
-  for (int i = 0; i < 2000; ++i) {
-    const double r = std::floor(rng.uniform(1.0, 1e8));
-    const double sq = r * r;
-    EXPECT_EQ(fp::to_bits(std::sqrt(sq)), fp::to_bits(fp::sqrt(sq)));
-    EXPECT_EQ(fp::to_bits(std::sqrt(sq + 1)), fp::to_bits(fp::sqrt(sq + 1)));
-    EXPECT_EQ(fp::to_bits(std::sqrt(sq - 1)), fp::to_bits(fp::sqrt(sq - 1)));
   }
 }
 

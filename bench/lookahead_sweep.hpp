@@ -13,7 +13,8 @@
 //     of the blocking schedule's excess over T the lookahead recovers:
 //     1 - (lookahead_sim - T) / (blocking_sim - T).
 //   * per-phase overlap efficiency of the lookahead run (fraction of
-//     transfer time hidden behind compute),
+//     transfer time hidden behind compute), from the critical-path
+//     analysis of its traced run,
 //   * best-of-reps wall-clock of both schedules on this host,
 //   * whether the two schedules' numerical outputs are bit-identical
 //     (they must be: lookahead moves the schedule, never the data).
@@ -24,6 +25,7 @@
 #include <map>
 #include <string>
 
+#include "core/analysis.hpp"
 #include "core/fw_functional.hpp"
 #include "core/lu_functional.hpp"
 #include "core/predict.hpp"
@@ -31,6 +33,7 @@
 #include "graph/generate.hpp"
 #include "linalg/generate.hpp"
 #include "linalg/matrix.hpp"
+#include "sim/trace.hpp"
 
 namespace rcs::bench {
 
@@ -44,7 +47,8 @@ struct LookaheadPoint {
   double lookahead_sim_s = 0.0;
   double blocking_wall_s = 0.0;
   double lookahead_wall_s = 0.0;
-  std::map<std::string, double> overlap_efficiency;  // lookahead run, by phase
+  /// Lookahead run, by phase that receives: hidden over wire seconds.
+  std::map<std::string, double> overlap_efficiency;
   bool bit_identical = false;
 
   double sim_speedup() const {
@@ -66,6 +70,18 @@ inline double now_seconds() {
   using clock = std::chrono::steady_clock;
   return std::chrono::duration<double>(clock::now().time_since_epoch())
       .count();
+}
+
+/// Hidden over wire seconds of every phase whose receives moved data.
+inline std::map<std::string, double> overlap_efficiency(
+    const sim::TraceRecorder& rec, int p, double makespan) {
+  std::map<std::string, double> out;
+  for (const auto& pa : core::analyze_run(rec, p, makespan).per_phase) {
+    if (pa.transfer_wire_s > 0.0) {
+      out[pa.label] = pa.transfer_hidden_s / pa.transfer_wire_s;
+    }
+  }
+  return out;
 }
 
 /// Best (minimum) single-rep wall time over `reps` runs.
@@ -106,14 +122,13 @@ inline LookaheadPoint lu_lookahead_point(long long n, long long b, int p,
       [&] { core::lu_functional(sys, cfg, a); }, wall_reps);
 
   cfg.lookahead = true;
-  core::LuFunctionalResult ahead = core::lu_functional(sys, cfg, a);
+  sim::TraceRecorder rec(true);
+  core::LuFunctionalResult ahead =
+      core::lu_functional(sys, cfg, a, false, &rec);
   pt.lookahead_sim_s = ahead.run.seconds;
   pt.lookahead_wall_s = detail::best_wall(
       [&] { core::lu_functional(sys, cfg, a); }, wall_reps);
-
-  for (const auto& [ph, os] : ahead.overlap) {
-    pt.overlap_efficiency[ph] = os.efficiency();
-  }
+  pt.overlap_efficiency = detail::overlap_efficiency(rec, p, ahead.run.seconds);
   pt.bit_identical =
       linalg::bit_equal(blocking.factored.view(), ahead.factored.view());
   return pt;
@@ -144,14 +159,13 @@ inline LookaheadPoint fw_lookahead_point(long long n, long long b, int p,
       [&] { core::fw_functional(sys, cfg, d0); }, wall_reps);
 
   cfg.lookahead = true;
-  core::FwFunctionalResult ahead = core::fw_functional(sys, cfg, d0);
+  sim::TraceRecorder rec(true);
+  core::FwFunctionalResult ahead =
+      core::fw_functional(sys, cfg, d0, false, &rec);
   pt.lookahead_sim_s = ahead.run.seconds;
   pt.lookahead_wall_s = detail::best_wall(
       [&] { core::fw_functional(sys, cfg, d0); }, wall_reps);
-
-  for (const auto& [ph, os] : ahead.overlap) {
-    pt.overlap_efficiency[ph] = os.efficiency();
-  }
+  pt.overlap_efficiency = detail::overlap_efficiency(rec, p, ahead.run.seconds);
   pt.bit_identical =
       linalg::bit_equal(blocking.distances.view(), ahead.distances.view());
   return pt;

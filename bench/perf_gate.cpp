@@ -2,8 +2,9 @@
 //
 // Two jobs, two severities:
 //
-//  1. Structural invariants (always fatal, exit 2): every critical-path
-//     "analysis" block in either file must satisfy
+//  1. Structural invariants (always fatal, exit 2): the fresh file must
+//     carry at least one critical-path "analysis" block, and every such
+//     block in either file must satisfy
 //         critical_path <= makespan <= resource-seconds
 //     and each rank's attribution buckets (cpu + fpga + visible transfer +
 //     fault recovery + idle) must sum to the makespan. A violation means the
@@ -22,8 +23,8 @@
 //
 // --self-test loads the baseline, requires the real file to pass both
 // checks, then perturbs the parsed tree in memory (critical path pushed past
-// the makespan; one kernel row slowed 10x) and requires both checks to fail
-// on the perturbed copy — a gate that cannot fail is no gate.
+// the makespan; every analysis block removed; one kernel row slowed 10x) and
+// requires each perturbed copy to fail — a gate that cannot fail is no gate.
 
 #include <cctype>
 #include <cmath>
@@ -262,15 +263,17 @@ bool parse_file(const std::string& path, JsonValue& out, std::string& err) {
 /// An object is an analysis block iff it carries the analyzer's signature
 /// keys; blocks are found wherever they are nested ("drift.lu.analysis",
 /// future surfaces) so the gate needs no schema knowledge of its parents.
+bool is_analysis_block(const JsonValue& v) {
+  return v.kind == JsonValue::Kind::Object && v.get("makespan_s") != nullptr &&
+         v.get("critical_path_s") != nullptr &&
+         v.get("resource_seconds_s") != nullptr && v.get("per_rank") != nullptr;
+}
+
 void collect_analysis_blocks(JsonValue& v, const std::string& path,
                              std::vector<std::pair<std::string, JsonValue*>>&
                                  out) {
   if (v.kind == JsonValue::Kind::Object) {
-    if (v.get("makespan_s") != nullptr && v.get("critical_path_s") != nullptr &&
-        v.get("resource_seconds_s") != nullptr &&
-        v.get("per_rank") != nullptr) {
-      out.emplace_back(path, &v);
-    }
+    if (is_analysis_block(v)) out.emplace_back(path, &v);
     for (auto& [k, child] : v.obj) {
       collect_analysis_blocks(child, path + "." + k, out);
     }
@@ -358,6 +361,28 @@ std::vector<std::string> structural_violations(JsonValue& root,
     check_block(where, *block, violations);
   }
   return violations;
+}
+
+/// The structural check of a fresh artifact: as above, and it must carry at
+/// least one analysis block — a check that sees none checks nothing.
+std::vector<std::string> fresh_violations(JsonValue& fresh) {
+  std::vector<std::string> violations = structural_violations(fresh, "fresh");
+  std::vector<std::pair<std::string, JsonValue*>> blocks;
+  collect_analysis_blocks(fresh, "fresh", blocks);
+  if (blocks.empty()) {
+    violations.push_back("fresh: no analysis block to check");
+  }
+  return violations;
+}
+
+/// Remove every analysis block from `v`, wherever it is nested.
+void strip_analysis_blocks(JsonValue& v) {
+  std::erase_if(v.obj, [](const auto& kv) {
+    return is_analysis_block(kv.second);
+  });
+  std::erase_if(v.arr, is_analysis_block);
+  for (auto& [k, child] : v.obj) strip_analysis_blocks(child);
+  for (JsonValue& child : v.arr) strip_analysis_blocks(child);
 }
 
 // --- Per-kernel tolerance diff ----------------------------------------------
@@ -458,8 +483,8 @@ int run_self_test(const std::string& path) {
     return 1;
   }
 
-  // The real artifact must be clean.
-  const auto clean = structural_violations(root, "baseline");
+  // The real artifact must pass the checks a fresh one gets.
+  const auto clean = fresh_violations(root);
   if (!clean.empty()) {
     print_list("self-test: committed baseline violates invariants:", clean);
     return 1;
@@ -498,7 +523,17 @@ int run_self_test(const std::string& path) {
     return 1;
   }
 
-  // Perturbation 2: slow one comparable kernel row 10x — the diff must flag
+  // Perturbation 2: a fresh artifact without any analysis block must fail.
+  JsonValue stripped = root;
+  strip_analysis_blocks(stripped);
+  if (fresh_violations(stripped).empty()) {
+    std::fprintf(stderr,
+                 "self-test: fresh artifact without analysis blocks not "
+                 "detected\n");
+    return 1;
+  }
+
+  // Perturbation 3: slow one comparable kernel row 10x — the diff must flag
   // it as a regression.
   JsonValue slowed = root;
   bool slowed_one = false;
@@ -525,7 +560,7 @@ int run_self_test(const std::string& path) {
 
   std::printf(
       "perf_gate self-test PASS: baseline clean (%zu analysis blocks, %d "
-      "kernel rows compared); both perturbations detected\n",
+      "kernel rows compared); all three perturbations detected\n",
       blocks.size(), compared);
   return 0;
 }
@@ -569,8 +604,7 @@ int main(int argc, char** argv) {
     return 2;  // an unreadable artifact is a structural failure
   }
 
-  std::vector<std::string> violations =
-      structural_violations(fresh, "fresh");
+  std::vector<std::string> violations = fresh_violations(fresh);
   for (std::string& v : structural_violations(baseline, "baseline")) {
     violations.push_back(std::move(v));
   }

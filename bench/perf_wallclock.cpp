@@ -16,9 +16,11 @@
 //
 // Usage: perf_wallclock [--smoke] [output.json]
 //   (default BENCH_perf.json in cwd; --smoke runs small sizes, skips the
-//    drift/lookahead/fault sections, and cross-checks every timed kernel
-//    against its naive reference bit-for-bit across thread counts and every
-//    supported SIMD path — non-zero exit on any mismatch.)
+//    lookahead/fault sections, and cross-checks every timed kernel against
+//    its naive reference bit-for-bit across thread counts and every
+//    supported SIMD path — non-zero exit on any mismatch. The drift section
+//    runs in both modes, so every artifact carries analysis blocks for
+//    perf_gate's structural check.)
 
 #include <algorithm>
 #include <chrono>
@@ -293,7 +295,7 @@ void write_json(const std::vector<Row>& rows,
                 const std::vector<rcs::bench::LookaheadPoint>& lookahead,
                 const std::vector<rcs::bench::FaultPoint>& faults,
                 const std::vector<rcs::bench::ScalingPoint>& scaling,
-                bool smoke, const std::string& path) {
+                const std::string& path) {
   std::ofstream out(path);
   out << "{\n";
   out << "  \"provenance\": ";
@@ -320,10 +322,6 @@ void write_json(const std::vector<Row>& rows,
     write_scaling_point(out, scaling[i], i + 1 == scaling.size());
   }
   out << "  ],\n";
-  if (smoke) {
-    out << "  \"lookahead\": [],\n  \"faults\": []\n}\n";
-    return;
-  }
   out << "  \"lookahead\": [\n";
   for (std::size_t i = 0; i < lookahead.size(); ++i) {
     const rcs::bench::LookaheadPoint& pt = lookahead[i];
@@ -517,44 +515,45 @@ int main(int argc, char** argv) {
         pt.analysis.invariants_hold() ? "ok" : "VIOLATED");
   }
 
+  // --- Drift reports: the paper's model vs the simulated schedule vs
+  // this machine's wall clock, per phase, at the same mid-size design
+  // points. Both schedules are reported: the blocking run keeps the
+  // historic baseline comparable, the lookahead run shows the overlap
+  // efficiency and the shrunken simulated-vs-predicted gap. They run in
+  // --smoke too: their analysis blocks are what perf_gate checks.
   core::DriftReport lu_drift, fw_drift, lu_drift_la, fw_drift_la;
+  {
+    core::SystemParams sys = core::SystemParams::cray_xd1();
+    sys.p = 3;
+    core::LuConfig cfg;
+    cfg.n = 256;
+    cfg.b = 64;
+    cfg.mode = core::DesignMode::Hybrid;
+    const la::Matrix a = la::diagonally_dominant(256, 42);
+    lu_drift = core::lu_drift_report(sys, cfg, a);
+    cfg.lookahead = true;
+    lu_drift_la = core::lu_drift_report(sys, cfg, a);
+  }
+  {
+    core::SystemParams sys = core::SystemParams::cray_xd1();
+    sys.p = 2;
+    core::FwConfig cfg;
+    cfg.n = 256;
+    cfg.b = 32;
+    cfg.mode = core::DesignMode::Hybrid;
+    const la::Matrix d0 = rcs::graph::random_digraph(256, 7, 0.4);
+    fw_drift = core::fw_drift_report(sys, cfg, d0);
+    cfg.lookahead = true;
+    fw_drift_la = core::fw_drift_report(sys, cfg, d0);
+  }
+  lu_drift.print(std::cout);
+  lu_drift_la.print(std::cout);
+  fw_drift.print(std::cout);
+  fw_drift_la.print(std::cout);
+
   std::vector<rcs::bench::LookaheadPoint> lookahead;
   std::vector<rcs::bench::FaultPoint> faults;
   if (!smoke) {
-    // --- Drift reports: the paper's model vs the simulated schedule vs
-    // this machine's wall clock, per phase, at the same mid-size design
-    // points. Both schedules are reported: the blocking run keeps the
-    // historic baseline comparable, the lookahead run shows the overlap
-    // efficiency and the shrunken simulated-vs-predicted gap.
-    {
-      core::SystemParams sys = core::SystemParams::cray_xd1();
-      sys.p = 3;
-      core::LuConfig cfg;
-      cfg.n = 256;
-      cfg.b = 64;
-      cfg.mode = core::DesignMode::Hybrid;
-      const la::Matrix a = la::diagonally_dominant(256, 42);
-      lu_drift = core::lu_drift_report(sys, cfg, a);
-      cfg.lookahead = true;
-      lu_drift_la = core::lu_drift_report(sys, cfg, a);
-    }
-    {
-      core::SystemParams sys = core::SystemParams::cray_xd1();
-      sys.p = 2;
-      core::FwConfig cfg;
-      cfg.n = 256;
-      cfg.b = 32;
-      cfg.mode = core::DesignMode::Hybrid;
-      const la::Matrix d0 = rcs::graph::random_digraph(256, 7, 0.4);
-      fw_drift = core::fw_drift_report(sys, cfg, d0);
-      cfg.lookahead = true;
-      fw_drift_la = core::fw_drift_report(sys, cfg, d0);
-    }
-    lu_drift.print(std::cout);
-    lu_drift_la.print(std::cout);
-    fw_drift.print(std::cout);
-    fw_drift_la.print(std::cout);
-
     // --- Blocking-vs-lookahead ablation at the same design points (see
     // bench/ablation_lookahead for the wider standalone sweep).
     lookahead.push_back(rcs::bench::lu_lookahead_point(256, 64, 3));
@@ -588,7 +587,7 @@ int main(int argc, char** argv) {
   }
 
   write_json(rows, lu_drift, fw_drift, lu_drift_la, fw_drift_la, lookahead,
-             faults, scaling, smoke, path);
+             faults, scaling, path);
   std::cout << "wrote " << path << "\n";
   return guard_failures == 0 && scaling_failures == 0 ? 0 : 1;
 }

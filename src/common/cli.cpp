@@ -15,13 +15,6 @@ void Cli::add_int(const std::string& name, std::int64_t def,
   flags_[name] = Flag{Kind::Int, std::to_string(def), std::to_string(def), help};
 }
 
-void Cli::add_double(const std::string& name, double def,
-                     const std::string& help) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", def);
-  flags_[name] = Flag{Kind::Double, buf, buf, help};
-}
-
 void Cli::add_string(const std::string& name, std::string def,
                      const std::string& help) {
   flags_[name] = Flag{Kind::String, def, def, help};
@@ -83,15 +76,6 @@ std::int64_t Cli::get_int(const std::string& name) const {
   const long long v = std::strtoll(f.value.c_str(), &end, 10);
   RCS_CHECK_MSG(end != nullptr && *end == '\0',
                 "flag --" << name << ": bad integer '" << f.value << "'");
-  return v;
-}
-
-double Cli::get_double(const std::string& name) const {
-  const Flag& f = find(name, Kind::Double);
-  char* end = nullptr;
-  const double v = std::strtod(f.value.c_str(), &end);
-  RCS_CHECK_MSG(end != nullptr && *end == '\0',
-                "flag --" << name << ": bad number '" << f.value << "'");
   return v;
 }
 

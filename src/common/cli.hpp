@@ -18,7 +18,6 @@ class Cli {
   /// Register flags with default values (also defines their type).
   void add_int(const std::string& name, std::int64_t def,
                const std::string& help);
-  void add_double(const std::string& name, double def, const std::string& help);
   void add_string(const std::string& name, std::string def,
                   const std::string& help);
   void add_bool(const std::string& name, bool def, const std::string& help);
@@ -28,12 +27,11 @@ class Cli {
   bool parse(int argc, const char* const* argv);
 
   std::int64_t get_int(const std::string& name) const;
-  double get_double(const std::string& name) const;
   const std::string& get_string(const std::string& name) const;
   bool get_bool(const std::string& name) const;
 
  private:
-  enum class Kind { Int, Double, String, Bool };
+  enum class Kind { Int, String, Bool };
   struct Flag {
     Kind kind;
     std::string value;

@@ -41,15 +41,16 @@ PhaseDrift make_phase(const std::string& name, double predicted,
   return d;
 }
 
-/// Copy the functional run's per-phase OverlapStats onto the matching
+/// Copy the analysis's per-phase hidden and wire seconds onto the matching
 /// PhaseDrift rows (phases that receive nothing keep their zeros).
 void attach_overlap(std::vector<PhaseDrift>& phases,
-                    const std::map<std::string, net::OverlapStats>& overlap) {
+                    const obs::cp::Analysis& an) {
   for (PhaseDrift& ph : phases) {
-    const auto it = overlap.find(ph.phase);
-    if (it == overlap.end()) continue;
-    ph.overlap_hidden_s = it->second.hidden_s;
-    ph.overlap_total_s = it->second.total_s;
+    for (const obs::cp::PhaseAttribution& pa : an.per_phase) {
+      if (pa.label != ph.phase) continue;
+      ph.overlap_hidden_s = pa.transfer_hidden_s;
+      ph.overlap_total_s = pa.transfer_wire_s;
+    }
   }
 }
 
@@ -98,10 +99,10 @@ DriftReport lu_drift_report(const SystemParams& sys, const LuConfig& cfg,
     rep.phases.push_back(make_phase(name, pred[name], sim_busy,
                                     before.at(name), after.at(name)));
   }
-  attach_overlap(rep.phases, res.overlap);
   if (res.run.seconds > 0.0) rep.utilization = rec.utilization(res.run.seconds);
   rep.faults = res.faults;
   rep.analysis = analyze_run(rec, sys.p, res.run.seconds);
+  attach_overlap(rep.phases, rep.analysis);
   return rep;
 }
 
@@ -132,10 +133,10 @@ DriftReport fw_drift_report(const SystemParams& sys, const FwConfig& cfg,
     rep.phases.push_back(make_phase(name, pred.at(name), sim_busy,
                                     before.at(name), after.at(name)));
   }
-  attach_overlap(rep.phases, res.overlap);
   if (res.run.seconds > 0.0) rep.utilization = rec.utilization(res.run.seconds);
   rep.faults = res.faults;
   rep.analysis = analyze_run(rec, sys.p, res.run.seconds);
+  attach_overlap(rep.phases, rep.analysis);
   return rep;
 }
 

@@ -36,9 +36,9 @@ struct PhaseDrift {
   double predicted_s = 0.0;  // model resource-seconds, summed over ranks
   double simulated_s = 0.0;  // virtual-clock busy time, summed over ranks
   double measured_s = 0.0;   // wall-clock, summed over threads
-  /// Transfer-overlap accounting for the receives this phase waits on
-  /// (simulated seconds, summed over ranks): `overlap_total_s` is the full
-  /// in-flight time of those transfers, `overlap_hidden_s` the part that
+  /// Transfer overlap of the receives traced under this phase, read from
+  /// the run's analysis (simulated seconds, summed over ranks):
+  /// `overlap_total_s` is their wire time, `overlap_hidden_s` the part that
   /// elapsed behind compute before the wait. Both stay 0 for phases that
   /// receive nothing.
   double overlap_hidden_s = 0.0;

@@ -28,7 +28,6 @@ void Rank::end_timed() {
   r.fpga_flops = node.fpga_flops_total();
   r.bytes_on_network = comm.bytes_sent();
   r.coordination_events = node.coordination_events();
-  out_.overlap = comm.overlap_stats();
   out_.faults += comm.fault_stats();  // link/crash side of the plan
 }
 
@@ -73,7 +72,6 @@ RunTotals run_ranks(const RunSetup& setup,
     total.run.fpga_flops += r.run.fpga_flops;
     total.run.bytes_on_network += r.run.bytes_on_network;
     total.run.coordination_events += r.run.coordination_events;
-    for (const auto& [ph, os] : r.overlap) total.overlap[ph] += os;
     total.faults += r.faults;
   }
   total.run.total_flops = total.run.cpu_flops + total.run.fpga_flops;

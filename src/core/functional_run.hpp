@@ -9,7 +9,6 @@
 #include <functional>
 #include <initializer_list>
 #include <map>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -43,11 +42,10 @@ struct RunSetup {
 };
 
 /// A run's outcome: the RunReport (seconds = the latest rank's finish,
-/// everything else summed over ranks), plus per-phase transfer overlap and
-/// fault accounting summed over ranks. The design name is the caller's.
+/// everything else summed over ranks), plus fault accounting summed over
+/// ranks. The design name is the caller's.
 struct RunTotals {
   RunReport run;
-  std::map<std::string, net::OverlapStats> overlap;
   sim::FaultStats faults;
 };
 

@@ -187,7 +187,6 @@ FwFunctionalResult fw_functional(const SystemParams& sys, const FwConfig& cfg,
       for (long long i = total - on_fpga; i < total; ++i) {
         if (flipped[static_cast<std::size_t>(i)] != 0) {
           fstats.bitflips_injected += 1;
-          sim::note_bitflip_injected();
         }
       }
       if (dmr && on_fpga > 0) {
@@ -201,13 +200,10 @@ FwFunctionalResult fw_functional(const SystemParams& sys, const FwConfig& cfg,
           if (repaired[static_cast<std::size_t>(i)] != 0) {
             const sim::SimTime repair_start = comm.clock().now();
             fstats.detected += 1;
-            sim::note_fault_detected();
             node.cpu_compute(node::CpuKernel::MemBound,
                              static_cast<double>(b * b), "dmr.repair");
             fstats.reissued_blocks += 1;
-            const sim::SimTime mttr = comm.clock().now() - repair_start;
-            fstats.mttr_s.push_back(mttr);
-            sim::note_fault_recovered(mttr);
+            fstats.mttr_s.push_back(comm.clock().now() - repair_start);
           }
         }
         fstats.recovery_cpu_s += comm.clock().now() - check_start;
@@ -335,7 +331,6 @@ FwFunctionalResult fw_functional(const SystemParams& sys, const FwConfig& cfg,
   res.run = totals.run;
   res.run.design = std::string("FW/") + to_string(cfg.mode) + "/functional" +
                    (cfg.lookahead ? "+lookahead" : "");
-  res.overlap = totals.overlap;
   res.faults = totals.faults;
   return res;
 }

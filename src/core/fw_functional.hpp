@@ -6,9 +6,6 @@
 // blocks move over MiniMPI; the result is bit-identical to the sequential
 // graph::blocked_floyd_warshall (and therefore to the textbook algorithm).
 
-#include <map>
-#include <string>
-
 #include "core/fw_analytic.hpp"
 #include "linalg/matrix.hpp"
 
@@ -19,11 +16,6 @@ struct FwFunctionalResult {
   linalg::Matrix distances;  // all-pairs shortest paths, gathered at rank 0
   RunReport run;
   FwPartition partition;  // the (l1, l2) split in effect
-  /// Per-phase transfer-overlap accounting summed over ranks ("op21" covers
-  /// the D_tt broadcast receives, "op3" the per-wave pivot-block
-  /// receives). Populated in both schedules; the lookahead pipeline pushes
-  /// the hidden fraction (OverlapStats::efficiency) toward 1.
-  std::map<std::string, net::OverlapStats> overlap;
   /// Fault injection/recovery accounting summed over ranks (all zeros when
   /// cfg.faults is null and fault tolerance is off).
   sim::FaultStats faults;
@@ -33,7 +25,9 @@ struct FwFunctionalResult {
 /// Requires b * p | n. `use_soft_fp` routes FPGA-assigned block tasks
 /// through the bit-accurate IEEE-754 cores. `cfg.max_iterations` is ignored
 /// (the functional plane always runs to completion). When `trace` is
-/// non-null and enabled, per-node busy intervals are recorded into it.
+/// non-null and enabled, per-node busy intervals and every message are
+/// recorded into it; the D_tt receives trace as phase "op21" and the
+/// per-wave pivot-block receives as "op3".
 /// `message_log`, when non-null, receives every message sent during the
 /// run (for net::analyze_contention).
 FwFunctionalResult fw_functional(

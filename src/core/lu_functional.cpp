@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -99,7 +98,7 @@ AbftScan abft_scan(Span2D<const double> c_f, Span2D<const double> d,
 /// stripes, bit-identical to the worker's own hybrid result: every entry
 /// accumulates in ascending inner-index order, exactly like both the
 /// MatMulArray stream and the host gemm. The soft-FP rows re-run through
-/// the array's bit-accurate cores element-wise (bypassing any fault hook).
+/// the array's bit-accurate cores element-wise.
 Matrix recompute_share(const fpga::MatMulArray& mm, Span2D<const double> c,
                        Span2D<const double> d, long long c0, long long c1,
                        long long b_f, bool use_soft_fp) {
@@ -175,23 +174,11 @@ LuFunctionalResult lu_functional(const SystemParams& sys, const LuConfig& cfg,
     sim::FaultStats& fstats = rank.faults;
     const int me = comm.rank();
 
-    // When the plan schedules bit-flips, this rank's FPGA calls run through
-    // a private hooked array that corrupts the scheduled call's result tile
-    // in place. The shared const array stays on the fault-free path.
-    std::unique_ptr<fpga::MatMulArray> injected;
-    if (cfg.faults != nullptr && cfg.faults->bitflip_count() > 0) {
-      injected = std::make_unique<fpga::MatMulArray>(sys.mm_fpga);
-      injected->set_fault_hook(
-          [plan = cfg.faults, me, &fstats](std::uint64_t call,
-                                           Span2D<double> tile) {
-            if (const sim::BitFlip* f = plan->flip_for(me, call)) {
-              sim::apply_bitflip(*f, tile);
-              fstats.bitflips_injected += 1;
-              sim::note_bitflip_injected();
-            }
-          });
-    }
-    const fpga::MatMulArray& mm = injected != nullptr ? *injected : array;
+    // A scheduled bit-flip corrupts the FPGA rows of one E share, keyed by
+    // this rank's ordinal of shares with b_f > 0.
+    const bool inject =
+        cfg.faults != nullptr && cfg.faults->bitflip_count() > 0;
+    std::uint64_t fpga_calls = 0;
 
     OwnedBlocks blk(a, b, p, me, /*lower=*/false);
 
@@ -274,11 +261,18 @@ LuFunctionalResult lu_functional(const SystemParams& sys, const LuConfig& cfg,
 
           {
             obs::PhaseSpan phase("lu", "opMM");
-            hybrid_opmm_share(node, mm, c.view(), dshare, e.view(), b_f,
+            hybrid_opmm_share(node, array, c.view(), dshare, e.view(), b_f,
                               /*nt=*/false, use_soft_fp, "opMM");
             if (b_f > 0) {
               node.fpga_wait();
               node.read_fpga_results("opMM partial product");
+            }
+          }
+          if (inject && b_f > 0) {
+            if (const sim::BitFlip* f =
+                    cfg.faults->flip_for(me, fpga_calls++)) {
+              sim::apply_bitflip(*f, e.block(0, 0, b_f, cw));
+              fstats.bitflips_injected += 1;
             }
           }
           if (abft && b_f > 0) {
@@ -299,9 +293,8 @@ LuFunctionalResult lu_functional(const SystemParams& sys, const LuConfig& cfg,
             if (!scan.clean()) {
               const sim::SimTime repair_start = comm.clock().now();
               fstats.detected += 1;
-              sim::note_fault_detected();
               if (scan.bad_rows == 1 && scan.bad_cols == 1) {
-                e_f(scan.row, scan.col) = mm.element(
+                e_f(scan.row, scan.col) = array.element(
                     c_f, dshare, scan.row, scan.col, 0.0, use_soft_fp);
                 node.cpu_compute(node::CpuKernel::Dgemm,
                                  2.0 * static_cast<double>(b), "abft.repair");
@@ -309,8 +302,8 @@ LuFunctionalResult lu_functional(const SystemParams& sys, const LuConfig& cfg,
               } else {
                 for (std::size_t ri = 0; ri < e_f.rows(); ++ri) {
                   for (std::size_t rj = 0; rj < e_f.cols(); ++rj) {
-                    e_f(ri, rj) = mm.element(c_f, dshare, ri, rj, 0.0,
-                                             use_soft_fp);
+                    e_f(ri, rj) = array.element(c_f, dshare, ri, rj, 0.0,
+                                                use_soft_fp);
                   }
                 }
                 node.cpu_compute(node::CpuKernel::Dgemm,
@@ -318,9 +311,7 @@ LuFunctionalResult lu_functional(const SystemParams& sys, const LuConfig& cfg,
                                  "abft.repair");
                 fstats.reissued_blocks += 1;
               }
-              const sim::SimTime mttr = comm.clock().now() - repair_start;
-              fstats.mttr_s.push_back(mttr);
-              sim::note_fault_recovered(mttr);
+              fstats.mttr_s.push_back(comm.clock().now() - repair_start);
             }
             fstats.recovery_cpu_s += comm.clock().now() - check_start;
           }
@@ -380,7 +371,7 @@ LuFunctionalResult lu_functional(const SystemParams& sys, const LuConfig& cfg,
               cm = pr.first.view();
               dm = pr.second.view();
             }
-            redone = recompute_share(mm, cm, dm, c0, c1, b_f, use_soft_fp);
+            redone = recompute_share(array, cm, dm, c0, c1, b_f, use_soft_fp);
             e = redone.view();
             node.cpu_compute(node::CpuKernel::Dgemm,
                              2.0 * static_cast<double>(b * b * (c1 - c0)),
@@ -389,7 +380,6 @@ LuFunctionalResult lu_functional(const SystemParams& sys, const LuConfig& cfg,
             const sim::SimTime mttr = comm.clock().now() - repair_start;
             fstats.mttr_s.push_back(mttr);
             fstats.recovery_cpu_s += mttr;
-            sim::note_fault_recovered(mttr);
           }
           obs::PhaseSpan phase("lu", "opMS");
           linalg::matrix_sub(blk(u, v).block(0, c0, b, c1 - c0), e);
@@ -416,7 +406,6 @@ LuFunctionalResult lu_functional(const SystemParams& sys, const LuConfig& cfg,
   res.run = totals.run;
   res.run.design = std::string("LU/") + to_string(cfg.mode) + "/functional" +
                    (cfg.lookahead ? "+lookahead" : "");
-  res.overlap = totals.overlap;
   res.faults = totals.faults;
   return res;
 }

@@ -13,9 +13,6 @@
 // text says "P_t'' where t'' = max{u, v}", which contradicts its own initial
 // distribution; we follow the distribution.)
 
-#include <map>
-#include <string>
-
 #include "core/lu_analytic.hpp"
 #include "linalg/matrix.hpp"
 
@@ -29,11 +26,6 @@ struct LuFunctionalResult {
   RunReport run;
   MmPartition partition;
   int l = 0;  // interleave depth in effect
-  /// Per-phase transfer-overlap accounting summed over ranks ("opMM" covers
-  /// the C/D stripe receives, "opMS" the E-share returns). Populated in
-  /// both schedules; the lookahead pipeline exists to push the hidden
-  /// fraction (OverlapStats::efficiency) toward 1.
-  std::map<std::string, net::OverlapStats> overlap;
   /// Fault injection/recovery accounting summed over ranks (all zeros when
   /// cfg.faults is null and fault tolerance is off).
   sim::FaultStats faults;
@@ -44,7 +36,10 @@ struct LuFunctionalResult {
 /// cores (slow; for verification). `cfg.max_iterations` is ignored — the
 /// functional plane always factors completely so the result is checkable.
 /// When `trace` is non-null and enabled, every CPU/DRAM/FPGA busy interval
-/// of every node is recorded into it (resources "node<r>.cpu" etc.).
+/// of every node is recorded into it (resources "node<r>.cpu" etc.), with
+/// every message; the C/D stripe receives trace as phase "opMM" and the
+/// E-share receives as "opMS", so core::analyze_run reports how much of
+/// their transfer time hid behind compute.
 /// `message_log`, when non-null, receives every message sent during the
 /// run (for net::analyze_contention).
 LuFunctionalResult lu_functional(

@@ -209,12 +209,6 @@ LuInterleave solve_lu_interleave(const SystemParams& sys, long long b,
   return li;
 }
 
-double FwPartition::phase_seconds() const {
-  const double cpu = static_cast<double>(l1) * t_p;
-  const double fpga = static_cast<double>(l2) * (t_f + t_mem);
-  return std::max(cpu, fpga);
-}
-
 namespace {
 
 FwPartition evaluate_fw(const SystemParams& sys, long long n, long long b,

@@ -110,9 +110,6 @@ struct FwPartition {
   double t_mem = 0.0;           // DRAM->FPGA time per block task
   double t_comm = 0.0;          // network time per block exchanged
   double residual = 0.0;        // Eq. 6 LHS - RHS at the chosen split
-
-  /// One node's latency for a phase of l1 + l2 tasks.
-  double phase_seconds() const;
 };
 
 /// Solve Eq. 6 for (l1, l2) with l1 + l2 = n/(b*p). Requires b*p | n.

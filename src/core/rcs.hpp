@@ -30,7 +30,6 @@
 #include "fpga/device.hpp"
 #include "fpga/fw_kernel.hpp"
 #include "fpga/matmul_array.hpp"
-#include "fpga/resources.hpp"
 #include "graph/floyd_warshall.hpp"
 #include "graph/generate.hpp"
 #include "linalg/blas.hpp"

@@ -61,24 +61,4 @@ SystemParams SystemParams::sgi_rasc() {
   return s;
 }
 
-SystemParams SystemParams::from_synthesis(const std::string& name, int p,
-                                          const fpga::ResourceBudget& budget,
-                                          node::GppModel gpp,
-                                          net::NetworkParams network,
-                                          double dram_path_bytes_per_s,
-                                          std::uint64_t sram_bytes) {
-  SystemParams s;
-  s.name = name;
-  s.p = p;
-  s.gpp = std::move(gpp);
-  const auto mm = fpga::synthesize_matmul(budget);
-  s.mm_fpga = fpga::to_device_config(budget, mm, "matmul", sram_bytes,
-                                     dram_path_bytes_per_s);
-  const auto fw = fpga::synthesize_floyd_warshall(budget);
-  s.fw_fpga = fpga::to_device_config(budget, fw, "floyd-warshall",
-                                     sram_bytes, dram_path_bytes_per_s);
-  s.network = network;
-  return s;
-}
-
 }  // namespace rcs::core

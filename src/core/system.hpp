@@ -6,7 +6,6 @@
 // (double precision).
 
 #include "fpga/device.hpp"
-#include "fpga/resources.hpp"
 #include "net/minimpi.hpp"
 #include "node/compute_node.hpp"
 #include "node/gpp.hpp"
@@ -56,18 +55,6 @@ struct SystemParams {
     s.p = nodes;
     return s;
   }
-
-  /// Build a system around an arbitrary FPGA part: run the synthesis
-  /// estimator for both kernels on `budget` and assemble the node/network
-  /// description. `dram_path_bytes_per_s` is the board's processor-FPGA
-  /// link (caps B_d); `sram_bytes` the on-board SRAM allocated per design.
-  /// Throws rcs::Error when a kernel does not fit the part.
-  static SystemParams from_synthesis(const std::string& name, int p,
-                                     const fpga::ResourceBudget& budget,
-                                     node::GppModel gpp,
-                                     net::NetworkParams network,
-                                     double dram_path_bytes_per_s = 2.8e9,
-                                     std::uint64_t sram_bytes = 8ull << 20);
 };
 
 }  // namespace rcs::core

@@ -260,13 +260,4 @@ double min(double a, double b) {
   return c <= 0 ? a : b;
 }
 
-double max(double a, double b) {
-  const int c = compare(a, b);
-  if (c == 2) {
-    if (is_nan(to_bits(a)) && is_nan(to_bits(b))) return from_bits(kQuietNan);
-    return is_nan(to_bits(a)) ? b : a;
-  }
-  return c >= 0 ? a : b;
-}
-
 }  // namespace rcs::fparith

@@ -39,9 +39,6 @@ int compare(double a, double b);
 /// This is the select operation the Floyd–Warshall comparator feeds.
 double min(double a, double b);
 
-/// Same contract as min, but the larger operand.
-double max(double a, double b);
-
 /// Fused building block of the Floyd–Warshall PE: min(acc, a + b) where the
 /// addition itself is the bit-accurate core.
 inline double relax(double acc, double a, double b) {
@@ -68,6 +65,5 @@ struct CorePipeline {
 /// XC2VP50 (reference [8]).
 constexpr CorePipeline kAdderPipeline{14, 1};
 constexpr CorePipeline kMultiplierPipeline{11, 1};
-constexpr CorePipeline kComparatorPipeline{2, 1};
 
 }  // namespace rcs::fparith

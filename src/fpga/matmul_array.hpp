@@ -23,7 +23,6 @@
 // identical at any RCS_THREADS and on every RCS_SIMD dispatch path.
 
 #include <cstdint>
-#include <functional>
 
 #include "common/span2d.hpp"
 #include "fparith/backend.hpp"
@@ -33,14 +32,6 @@ namespace rcs::fpga {
 
 class MatMulArray {
  public:
-  /// Fault-injection hook: invoked after each multiply_accumulate* with this
-  /// array's 0-based call ordinal and a mutable view of the freshly computed
-  /// result tile, so an installed fault plan can corrupt specific results
-  /// (e.g. SEU bit-flips). Arrays with a hook are stateful (they count
-  /// calls) — give each simulated rank its own instance.
-  using FaultHook =
-      std::function<void(std::uint64_t call, Span2D<double> e)>;
-
   /// Binds the array to a device configuration (k PEs at F_f).
   explicit MatMulArray(DeviceConfig dev);
 
@@ -90,17 +81,6 @@ class MatMulArray {
                                    Span2D<const double> d,
                                    Span2D<double> e) const;
 
-  /// Install (or clear, with an empty function) the fault hook and reset the
-  /// call counter. The default-constructed array has no hook and pays
-  /// nothing for the feature beyond one branch per call.
-  void set_fault_hook(FaultHook hook) {
-    fault_hook_ = std::move(hook);
-    call_seq_ = 0;
-  }
-
-  /// Calls issued since the hook was installed (0 without a hook).
-  std::uint64_t calls_issued() const { return call_seq_; }
-
   /// Recompute one element of E += C x D exactly as the array computes it —
   /// `init` (the pre-call value of e(i, j)) accumulated with c(i, l) * d(l, j)
   /// in ascending l — so an ABFT repair reproduces the uncorrupted result
@@ -111,7 +91,7 @@ class MatMulArray {
 
  private:
   /// E += C x D (or C x D^T with `nt`) on the packed engine, or on the
-  /// bit-accurate cores with `soft`; then the fault hook.
+  /// bit-accurate cores with `soft`.
   void mac(Span2D<const double> c, Span2D<const double> d, Span2D<double> e,
            bool soft, bool nt) const;
 
@@ -119,8 +99,6 @@ class MatMulArray {
   void note_call(std::size_t m, std::size_t inner, std::size_t n) const;
 
   DeviceConfig dev_;
-  FaultHook fault_hook_;
-  mutable std::uint64_t call_seq_ = 0;  // counts only while a hook is set
 };
 
 }  // namespace rcs::fpga

@@ -85,11 +85,10 @@ inline void send_matrix(Comm& comm, int dst, int tag,
 }
 
 /// Blocking receive of a matrix from `src` with `tag`, read in place.
-/// `overlap_phase` labels the transfer for Comm::overlap_stats (see
-/// minimpi.hpp).
+/// `phase` names the receive's trace event (see Comm::recv).
 inline PackedMatrix recv_matrix(Comm& comm, int src, int tag,
-                                const char* overlap_phase = nullptr) {
-  return PackedMatrix(comm.recv(src, tag, overlap_phase).payload);
+                                const char* phase = nullptr) {
+  return PackedMatrix(comm.recv(src, tag, phase).payload);
 }
 
 /// Deadline-bounded blocking matrix receive: the matrix when it arrives in
@@ -98,9 +97,8 @@ inline PackedMatrix recv_matrix(Comm& comm, int src, int tag,
 inline PackedMatrix recv_matrix_deadline(Comm& comm, int src, int tag,
                                          sim::SimTime timeout_s,
                                          bool* timed_out,
-                                         const char* overlap_phase = nullptr) {
-  Message msg =
-      comm.recv_deadline(src, tag, timeout_s, timed_out, overlap_phase);
+                                         const char* phase = nullptr) {
+  Message msg = comm.recv_deadline(src, tag, timeout_s, timed_out, phase);
   if (timed_out != nullptr && *timed_out) return {};
   return PackedMatrix(std::move(msg.payload));
 }

@@ -72,7 +72,7 @@ void Comm::note_send_trace(sim::CommEvent::Kind kind, int dst, SimTime t0,
 }
 
 void Comm::note_recv_trace(const Message& msg, SimTime before,
-                           const char* overlap_phase) {
+                           const char* phase) {
   if (trace_ == nullptr || !trace_->enabled()) return;
   sim::CommEvent ev;
   ev.kind = sim::CommEvent::Kind::Recv;
@@ -86,9 +86,8 @@ void Comm::note_recv_trace(const Message& msg, SimTime before,
   ev.arrival = msg.src >= 0 ? msg.arrival : ev.t1;
   ev.bytes = msg.payload.size();
   ev.phase = trace_->intern(
-      overlap_phase != nullptr
-          ? overlap_phase
-          : (coll_label_ != nullptr ? coll_label_ : "recv"));
+      phase != nullptr ? phase
+                       : (coll_label_ != nullptr ? coll_label_ : "recv"));
   trace_->add_comm(ev);
 }
 
@@ -99,7 +98,6 @@ void Comm::check_crash() {
   if (clock_.now() < at) return;
   if (!world_->is_failed(rank_)) {
     fault_stats_.crashes += 1;
-    sim::note_crash_injected();
     world_->mark_failed(rank_);
   }
   throw RankFailed(rank_, "rank " + std::to_string(rank_) +
@@ -215,44 +213,32 @@ Payload Comm::bcast_tree(int root, int tag, Payload payload) {
   return payload;
 }
 
-void Comm::finish_recv(const Message& msg, const char* overlap_phase) {
+void Comm::finish_recv(const Message& msg, const char* phase) {
   const SimTime before = clock_.now();
-  if (overlap_phase != nullptr) {
-    // Wire-time attribution: of the message's [depart, arrival] interval,
-    // the part already behind this rank's clock was hidden behind its own
-    // compute; the rest is a visible stall.
-    const SimTime total = std::max(0.0, msg.arrival - msg.depart);
-    const SimTime visible =
-        std::min(total, std::max(0.0, msg.arrival - clock_.now()));
-    OverlapStats& st = overlap_[overlap_phase];
-    st.total_s += total;
-    st.visible_s += visible;
-    st.hidden_s += total - visible;
-  }
   clock_.advance_to(msg.arrival);
-  note_recv_trace(msg, before, overlap_phase);
+  note_recv_trace(msg, before, phase);
 }
 
-Message Comm::recv(int src, int tag, const char* overlap_phase) {
+Message Comm::recv(int src, int tag, const char* phase) {
   RCS_CHECK_MSG(src >= 0 && src < world_->size(), "recv from bad rank " << src);
   RCS_CHECK_MSG(src != rank_, "recv from self (rank " << rank_ << ")");
   RCS_CHECK_MSG(
       tag >= 0, "recv with reserved tag " << tag << " (user tags must be >= 0)");
-  return recv_any_tag(src, tag, overlap_phase);
+  return recv_any_tag(src, tag, phase);
 }
 
-Message Comm::recv_any_tag(int src, int tag, const char* overlap_phase) {
+Message Comm::recv_any_tag(int src, int tag, const char* phase) {
   check_crash();
   // The span covers the blocking mailbox wait — idle time shows up in the
   // trace as long "recv" slices on the waiting rank's lane.
   obs::ScopedTimer span("recv", "net");
   Message msg = world_->take(rank_, src, tag);
-  finish_recv(msg, overlap_phase);
+  finish_recv(msg, phase);
   return msg;
 }
 
 Message Comm::recv_deadline(int src, int tag, SimTime timeout_s,
-                            bool* timed_out, const char* overlap_phase) {
+                            bool* timed_out, const char* phase) {
   RCS_CHECK_MSG(src >= 0 && src < world_->size(),
                 "recv_deadline from bad rank " << src);
   RCS_CHECK_MSG(src != rank_, "recv_deadline from self (rank " << rank_ << ")");
@@ -280,14 +266,13 @@ Message Comm::recv_deadline(int src, int tag, SimTime timeout_s,
     // scheduling cannot change it.
     if (timed_out != nullptr) *timed_out = true;
     fault_stats_.straggler_timeouts += 1;
-    sim::note_straggler_timeout();
     clock_.advance_to(deadline);
     // Deadline-bound wait: t1 = deadline != arrival, so the analyzer treats
     // it as a local stall instead of jumping over the (late) wire.
-    note_recv_trace(msg, wait_t0, overlap_phase);
+    note_recv_trace(msg, wait_t0, phase);
     return msg;
   }
-  finish_recv(msg, overlap_phase);
+  finish_recv(msg, phase);
   return msg;
 }
 
@@ -299,7 +284,6 @@ void Comm::reset_for_run() {
   msg_seq_ = 0;
   fault_stats_ = sim::FaultStats();
   sent_log_.clear();
-  overlap_.clear();
   trace_ = nullptr;
   coll_label_ = nullptr;
 }

@@ -28,7 +28,6 @@
 #include <cstring>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -185,26 +184,6 @@ struct RankFailed : Error {
   int rank;  // the rank that fail-stopped (may be the thrower or a peer)
 };
 
-/// Comm/transfer overlap accounting for one phase label: how much of the
-/// simulated transfer time of received messages was hidden behind the
-/// receiver's own compute (clock already past the wire interval when the
-/// receive was issued) versus visible as a stall.
-struct OverlapStats {
-  SimTime hidden_s = 0.0;   // transfer seconds overlapped with compute
-  SimTime visible_s = 0.0;  // transfer seconds the receiver stalled on
-  SimTime total_s = 0.0;    // total wire seconds of received messages
-
-  /// Fraction of transfer time hidden behind compute (0 when no transfers).
-  double efficiency() const { return total_s > 0.0 ? hidden_s / total_s : 0.0; }
-
-  OverlapStats& operator+=(const OverlapStats& o) {
-    hidden_s += o.hidden_s;
-    visible_s += o.visible_s;
-    total_s += o.total_s;
-    return *this;
-  }
-};
-
 /// A rank's handle to the world: MPI-flavoured operations plus the rank's
 /// virtual clock. One Comm per rank, used only from that rank's fiber.
 class Comm {
@@ -234,11 +213,12 @@ class Comm {
   SimTime nic_free_at() const { return nic_busy_until_; }
 
   /// Blocking receive from a specific source and tag. The clock advances to
-  /// at least the message's simulated arrival. When `overlap_phase` is
-  /// given, the message's wire time is attributed to that phase's
-  /// OverlapStats (hidden vs visible relative to this clock). Throws
-  /// RankFailed when `src` fail-stopped before sending the message.
-  Message recv(int src, int tag, const char* overlap_phase = nullptr);
+  /// at least the message's simulated arrival. `phase` names the receive's
+  /// trace event (default: the active collective, else "recv"); the
+  /// critical-path analyzer splits its wire time into hidden and visible
+  /// per phase. Throws RankFailed when `src` fail-stopped before sending
+  /// the message.
+  Message recv(int src, int tag, const char* phase = nullptr);
 
   /// recv() with a simulated-time budget: if the message's arrival lands
   /// past `clock.now() + timeout_s` (or the source fail-stopped), sets
@@ -246,12 +226,7 @@ class Comm {
   /// late message (src = -1 when the peer died without sending) so the
   /// caller can degrade gracefully instead of stalling on a straggler.
   Message recv_deadline(int src, int tag, SimTime timeout_s, bool* timed_out,
-                        const char* overlap_phase = nullptr);
-
-  /// Per-phase transfer-overlap accounting of every labelled receive so far.
-  const std::map<std::string, OverlapStats>& overlap_stats() const {
-    return overlap_;
-  }
+                        const char* phase = nullptr);
 
   /// Convenience wrappers.
   void send_doubles(int dst, int tag, const double* data, std::size_t count) {
@@ -304,14 +279,14 @@ class Comm {
   void log_message(int dst, std::uint64_t bytes, SimTime depart,
                    SimTime arrival);
 
-  /// Accept a taken message: attribute its wire time to `overlap_phase` and
-  /// advance the clock to its arrival.
-  void finish_recv(const Message& msg, const char* overlap_phase);
+  /// Accept a taken message: advance the clock to its arrival and trace
+  /// the receive under `phase`.
+  void finish_recv(const Message& msg, const char* phase);
 
   /// Internal send/recv that accept reserved (negative) tags — the public
   /// operations validate user tags and then route through these.
   void send_any_tag(int dst, int tag, Payload payload);
-  Message recv_any_tag(int src, int tag, const char* overlap_phase);
+  Message recv_any_tag(int src, int tag, const char* phase);
 
   /// Fail-stop checkpoint: when the installed FaultPlan crashes this rank
   /// at t <= now, mark the rank failed, wake every blocked peer, and throw
@@ -347,8 +322,7 @@ class Comm {
   /// Trace hooks (no-ops when no recorder is attached).
   void note_send_trace(sim::CommEvent::Kind kind, int dst, SimTime t0,
                        SimTime depart, SimTime arrival, std::uint64_t bytes);
-  void note_recv_trace(const Message& msg, SimTime before,
-                       const char* overlap_phase);
+  void note_recv_trace(const Message& msg, SimTime before, const char* phase);
 
   /// Telemetry: bump the global message/byte counters (no-op when
   /// RCS_METRICS is off).
@@ -363,7 +337,6 @@ class Comm {
   std::uint64_t msg_seq_ = 0;  // per-rank send ordinal (fault jitter key)
   sim::FaultStats fault_stats_;
   std::vector<MessageEvent> sent_log_;  // only filled when logging enabled
-  std::map<std::string, OverlapStats> overlap_;  // labelled receives only
   sim::TraceRecorder* trace_ = nullptr;   // per-rank comm-event sink
   const char* coll_label_ = nullptr;      // active collective context
 };

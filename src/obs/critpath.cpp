@@ -44,10 +44,15 @@ double& bucket_slot(PhaseAttribution& a, Bucket b) {
   return a.cpu_s;
 }
 
+/// Wire seconds of a receive: its message's [depart, arrival] interval.
+double wire_of(const Interval& iv) {
+  return std::max(0.0, iv.arrival - iv.depart);
+}
+
 /// Wire seconds of a receive that elapsed behind the receiver's own clock
-/// before the wait began — the same accounting as net::OverlapStats.
+/// before the wait began; the rest of the wire was a visible stall.
 double hidden_of(const Interval& iv) {
-  const double total = std::max(0.0, iv.arrival - iv.depart);
+  const double total = wire_of(iv);
   const double visible =
       std::min(total, std::max(0.0, iv.arrival - iv.start));
   return total - visible;
@@ -270,6 +275,7 @@ Analysis analyze(const Timeline& timeline) {
       const double hidden = hidden_of(raw);
       ra.transfer_hidden_s += hidden;
       pa.transfer_hidden_s += hidden;
+      pa.transfer_wire_s += wire_of(raw);
     }
     ra.finish_s = std::max(ra.finish_s, e);
   }

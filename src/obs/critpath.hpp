@@ -123,6 +123,9 @@ struct PhaseAttribution {
   double transfer_visible_s = 0.0;
   double transfer_hidden_s = 0.0;
   double fault_recovery_s = 0.0;
+  /// Wire seconds of this phase's receives, hidden or not: the transfer
+  /// time transfer_hidden_s is a part of. Not part of write_json.
+  double transfer_wire_s = 0.0;
 
   double total_s() const {
     return cpu_s + fpga_s + transfer_visible_s + fault_recovery_s;

@@ -107,7 +107,7 @@ Registry& Registry::global() {
 
 Counter& Registry::counter(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (gauges_.count(name) || histograms_.count(name)) {
+  if (histograms_.count(name)) {
     throw std::logic_error("metric '" + name + "' exists with another kind");
   }
   auto& slot = counters_[name];
@@ -115,19 +115,9 @@ Counter& Registry::counter(const std::string& name) {
   return *slot;
 }
 
-Gauge& Registry::gauge(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (counters_.count(name) || histograms_.count(name)) {
-    throw std::logic_error("metric '" + name + "' exists with another kind");
-  }
-  auto& slot = gauges_[name];
-  if (!slot) slot = std::make_unique<Gauge>();
-  return *slot;
-}
-
 Histogram& Registry::histogram(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (counters_.count(name) || gauges_.count(name)) {
+  if (counters_.count(name)) {
     throw std::logic_error("metric '" + name + "' exists with another kind");
   }
   auto& slot = histograms_[name];
@@ -138,7 +128,6 @@ Histogram& Registry::histogram(const std::string& name) {
 void Registry::reset() {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& [name, c] : counters_) c->reset();
-  for (auto& [name, g] : gauges_) g->reset();
   for (auto& [name, h] : histograms_) h->reset();
 }
 
@@ -149,12 +138,6 @@ std::map<std::string, MetricValue> Registry::snapshot() const {
     MetricValue v;
     v.kind = MetricValue::Kind::Counter;
     v.value = static_cast<double>(c->value());
-    out.emplace(name, v);
-  }
-  for (const auto& [name, g] : gauges_) {
-    MetricValue v;
-    v.kind = MetricValue::Kind::Gauge;
-    v.value = g->value();
     out.emplace(name, v);
   }
   for (const auto& [name, h] : histograms_) {
@@ -188,9 +171,6 @@ void Registry::write_json(std::ostream& os) const {
         os << "{\"type\": \"counter\", \"value\": "
            << static_cast<std::uint64_t>(v.value) << "}";
         break;
-      case MetricValue::Kind::Gauge:
-        os << "{\"type\": \"gauge\", \"value\": " << v.value << "}";
-        break;
       case MetricValue::Kind::Histogram: {
         os << "{\"type\": \"histogram\", \"count\": " << v.count
            << ", \"sum\": " << v.sum << ", \"min\": " << v.min
@@ -221,9 +201,6 @@ void Registry::write_text(std::ostream& os) const {
     switch (v.kind) {
       case MetricValue::Kind::Counter:
         os << name << " = " << static_cast<std::uint64_t>(v.value) << "\n";
-        break;
-      case MetricValue::Kind::Gauge:
-        os << name << " = " << v.value << "\n";
         break;
       case MetricValue::Kind::Histogram:
         os << name << " count=" << v.count << " sum=" << v.sum

@@ -1,7 +1,7 @@
 #pragma once
 // Process-wide metrics registry — the telemetry counterpart of the simulated
 // RunReport. Instrumented hot paths (thread pool, gemm, MiniMPI, FPGA
-// kernels) record into named Counters/Gauges/Histograms; benches and apps
+// kernels) record into named Counters and Histograms; benches and apps
 // snapshot the registry and export it as JSON or text.
 //
 // Cost model: the hot path is one relaxed atomic add per event — no locks,
@@ -38,17 +38,6 @@ class Counter {
 
  private:
   std::atomic<std::uint64_t> v_{0};
-};
-
-/// Last-write-wins instantaneous value (pool size, active ranks, ...).
-class Gauge {
- public:
-  void set(double v) { v_.store(v, std::memory_order_relaxed); }
-  double value() const { return v_.load(std::memory_order_relaxed); }
-  void reset() { v_.store(0.0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<double> v_{0.0};
 };
 
 /// Fixed log-spaced histogram: bucket i counts values in [2^(i-1), 2^i)
@@ -104,8 +93,8 @@ struct HistogramBucket {
 
 /// Point-in-time copy of one metric, as produced by Registry snapshots.
 struct MetricValue {
-  enum class Kind { Counter, Gauge, Histogram } kind = Kind::Counter;
-  double value = 0.0;          // counter total or gauge value
+  enum class Kind { Counter, Histogram } kind = Kind::Counter;
+  double value = 0.0;          // counter total
   std::uint64_t count = 0;     // histogram sample count
   double sum = 0.0;            // histogram sample sum
   double min = 0.0, max = 0.0; // histogram extrema (0 when count == 0)
@@ -124,7 +113,6 @@ class Registry {
   /// Get-or-create by name. Throws std::logic_error if the name already
   /// exists with a different kind.
   Counter& counter(const std::string& name);
-  Gauge& gauge(const std::string& name);
   Histogram& histogram(const std::string& name);
 
   /// Zero every registered metric (bench harnesses isolate sections).
@@ -141,7 +129,6 @@ class Registry {
  private:
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
 

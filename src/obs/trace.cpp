@@ -29,8 +29,8 @@ struct ThreadBuffer {
 };
 
 /// All lanes ever created. Buffers are shared_ptr so a lane outlives its
-/// thread (the exporter reads after threads exit; MiniMPI spawns fresh
-/// threads per run).
+/// thread (the exporter reads after threads exit) and a rank's lane, which
+/// rides its fiber from worker to worker, outlives any one of them.
 struct TraceState {
   std::mutex mu;
   std::vector<std::shared_ptr<ThreadBuffer>> buffers;

@@ -1,7 +1,7 @@
 #pragma once
 // Simulated time and the resource primitives built on it:
-//   * Timeline — an exclusive resource (a CPU, an FPGA, a DMA engine): jobs
-//                reserve [start, end) intervals and serialize.
+//   * Timeline — an exclusive resource: jobs reserve [start, end)
+//                intervals and serialize.
 //   * BandwidthLink — a shared transfer resource that serializes transfers at
 //                a fixed bytes/second rate plus a per-message latency.
 //
@@ -16,9 +16,9 @@ namespace rcs::sim {
 /// Simulated time in seconds.
 using SimTime = double;
 
-/// An exclusive resource with a busy-until horizon. Used by the analytic
-/// schedule simulator to model a node's processor, its FPGA, and its DMA
-/// engine: work requested at `earliest` starts when the resource frees up.
+/// An exclusive resource with a busy-until horizon: work requested at
+/// `earliest` starts when the resource frees up. BandwidthLink serializes
+/// its transfers on one.
 class Timeline {
  public:
   /// Reserve `duration` seconds starting no earlier than `earliest`.
@@ -49,8 +49,8 @@ class Timeline {
 };
 
 /// A point-to-point or shared link that serializes transfers at `bytes_per_s`
-/// with `latency_s` of per-message latency. Models both the XD1 RapidArray
-/// interconnect (B_n) and the processor-FPGA DRAM path (B_d).
+/// with `latency_s` of per-message latency: the links of the interconnect
+/// models in net::analyze_contention.
 class BandwidthLink {
  public:
   BandwidthLink(double bytes_per_s, double latency_s = 0.0)

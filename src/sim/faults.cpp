@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "obs/metrics.hpp"
 
 namespace rcs::sim {
 
@@ -218,42 +217,6 @@ std::pair<std::size_t, std::size_t> apply_bitflip(const BitFlip& flip,
   bits ^= (1ULL << flip.bit);
   tile(r, c) = std::bit_cast<double>(bits);
   return {r, c};
-}
-
-void note_bitflip_injected() {
-  if (!obs::metrics_enabled()) return;
-  static obs::Counter& c =
-      obs::Registry::global().counter("faults.injected.bitflips");
-  c.add();
-}
-
-void note_crash_injected() {
-  if (!obs::metrics_enabled()) return;
-  static obs::Counter& c =
-      obs::Registry::global().counter("faults.injected.crashes");
-  c.add();
-}
-
-void note_fault_detected() {
-  if (!obs::metrics_enabled()) return;
-  static obs::Counter& c = obs::Registry::global().counter("faults.detected");
-  c.add();
-}
-
-void note_fault_recovered(double mttr_sim_s) {
-  if (!obs::metrics_enabled()) return;
-  static obs::Counter& c = obs::Registry::global().counter("faults.recovered");
-  static obs::Histogram& h =
-      obs::Registry::global().histogram("faults.mttr_ns");
-  c.add();
-  h.record(mttr_sim_s * 1e9);
-}
-
-void note_straggler_timeout() {
-  if (!obs::metrics_enabled()) return;
-  static obs::Counter& c =
-      obs::Registry::global().counter("faults.straggler_timeouts");
-  c.add();
 }
 
 }  // namespace rcs::sim

@@ -10,18 +10,19 @@
 // message's deterministic (src, dst, sequence) coordinates), so the same
 // plan replays byte-identically across runs and RCS_THREADS settings.
 //
-// Injection points live in the layers that own the timing:
+// Injection points live in the layers that own the timing or the data:
 //   * node::ComputeNode — stretches CPU/FPGA charges through
 //     stretch_compute(), piecewise over the overlapping windows;
 //   * net::Comm        — degrades/jitters transfer costs through
 //     link_cost(), and throws net::RankFailed at the first communication
 //     past crash_time();
-//   * fpga::MatMulArray / core::fw_functional — corrupt FPGA result tiles
-//     per flip_for() via apply_bitflip().
+//   * core::lu_functional / core::fw_functional — corrupt FPGA result tiles
+//     (an opMM share's FPGA rows, an FPGA-assigned wave task) per
+//     flip_for() via apply_bitflip().
 //
-// FaultStats is the deterministic per-run accounting the tolerance side
-// (ABFT, deadline receives, wave re-execution) reports back; the obs
-// counters ("faults.*", metrics-gated) mirror it for telemetry exports.
+// FaultStats is the one deterministic per-run ledger of injections and of
+// what the tolerance side (ABFT, deadline receives, wave re-execution)
+// reports back.
 
 #include <cstdint>
 #include <limits>
@@ -66,8 +67,8 @@ struct RankCrash {
 };
 
 /// Transient bit-flip in an FPGA result tile: on rank `rank`'s `call`-th
-/// FPGA result (0-based; MatMulArray calls for LU, FPGA-assigned wave tasks
-/// for FW), flip bit `bit` (0 = lsb .. 63 = sign) of the element at
+/// FPGA result (0-based; opMM shares with b_f > 0 for LU, FPGA-assigned
+/// wave tasks for FW), flip bit `bit` (0 = lsb .. 63 = sign) of the element at
 /// normalized tile coordinates (row_u, col_u) in [0, 1).
 struct BitFlip {
   int rank = -1;
@@ -203,14 +204,5 @@ class FaultPlan {
 /// normalized coordinates. Returns the flipped element's (row, col).
 std::pair<std::size_t, std::size_t> apply_bitflip(const BitFlip& flip,
                                                   Span2D<double> tile);
-
-/// Telemetry mirrors of the FaultStats events (no-ops when RCS_METRICS is
-/// off): counters "faults.injected.*" / "faults.recovery.*" and the MTTR
-/// histogram "faults.mttr_ns" (simulated nanoseconds).
-void note_bitflip_injected();
-void note_crash_injected();
-void note_fault_detected();
-void note_fault_recovered(double mttr_sim_s);
-void note_straggler_timeout();
 
 }  // namespace rcs::sim

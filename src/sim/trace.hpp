@@ -46,7 +46,7 @@ struct CommEvent {
     Recv,     // receive: [t0, t1] is the clock interval of the wait
   };
   Kind kind = Kind::Send;
-  NameId phase = 0;      // overlap phase / collective ("send", "opMM", ...)
+  NameId phase = 0;      // receive phase / collective ("send", "opMM", ...)
   int rank = -1;         // the rank whose clock interval [t0, t1] is
   int peer = -1;         // dst for sends, src for receives
   SimTime t0 = 0.0;      // this rank's clock when the operation began

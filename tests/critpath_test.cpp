@@ -4,6 +4,7 @@
 // byte-identical analysis output across pool sizes and across repeated runs
 // of a reused World.
 
+#include <algorithm>
 #include <iterator>
 #include <sstream>
 #include <string>
@@ -197,6 +198,52 @@ TEST(CritPath, ZeroLengthRecvCarriesHiddenTransfer) {
   EXPECT_DOUBLE_EQ(r0.cpu_s, 10.0);
   EXPECT_TRUE(an.buckets_sum_to_makespan);
   EXPECT_TRUE(an.invariants_hold());
+}
+
+/// Four receives on rank 0, one phase each, split into wire seconds and the
+/// part of the wire that elapsed before the wait began (hidden):
+///   "hidden"   wait [4,4],   wire [1,3]:  arrived before the wait
+///   "partly"   wait [6,8],   wire [4,8]:  [4,6] hidden, [6,8] stalled on
+///   "visible"  wait [8,10],  wire [9,10]: departed after the wait began
+///   "deadline" wait [10,12], wire [9,14]: gave up at the deadline 12;
+///              [9,10] hidden, the rest outlived the wait
+TEST(CritPath, PhaseWireAndHiddenSecondsPerReceive) {
+  cp::Timeline tl;
+  tl.ranks = 2;
+  tl.makespan = 12.0;
+  tl.intervals.push_back(interval(tl, 0, 0.0, 4.0, cp::Bucket::Cpu, "a"));
+  tl.intervals.push_back(
+      comm_interval(tl, 0, 4.0, 4.0, cp::Op::Recv, 1, 1.0, 3.0, "hidden"));
+  tl.intervals.push_back(interval(tl, 0, 4.0, 6.0, cp::Bucket::Cpu, "b"));
+  tl.intervals.push_back(
+      comm_interval(tl, 0, 6.0, 8.0, cp::Op::Recv, 1, 4.0, 8.0, "partly"));
+  tl.intervals.push_back(
+      comm_interval(tl, 0, 8.0, 10.0, cp::Op::Recv, 1, 9.0, 10.0, "visible"));
+  tl.intervals.push_back(comm_interval(tl, 0, 10.0, 12.0, cp::Op::Recv, 1,
+                                       9.0, 14.0, "deadline"));
+
+  const cp::Analysis an = cp::analyze(tl);
+  struct Expect {
+    const char* label;
+    double wire, hidden, visible;
+  };
+  const Expect expect[] = {{"deadline", 5.0, 1.0, 2.0},
+                           {"hidden", 2.0, 2.0, 0.0},
+                           {"partly", 4.0, 2.0, 2.0},
+                           {"visible", 1.0, 0.0, 2.0}};
+  for (const Expect& e : expect) {
+    const auto it = std::find_if(
+        an.per_phase.begin(), an.per_phase.end(),
+        [&](const cp::PhaseAttribution& pa) { return pa.label == e.label; });
+    ASSERT_NE(it, an.per_phase.end()) << e.label;
+    EXPECT_DOUBLE_EQ(it->transfer_wire_s, e.wire) << e.label;
+    EXPECT_DOUBLE_EQ(it->transfer_hidden_s, e.hidden) << e.label;
+    EXPECT_DOUBLE_EQ(it->transfer_visible_s, e.visible) << e.label;
+  }
+  // Compute phases receive nothing.
+  EXPECT_DOUBLE_EQ(an.per_phase.front().transfer_wire_s, 0.0);  // "a"
+  EXPECT_DOUBLE_EQ(an.per_rank[0].transfer_hidden_s, 5.0);
+  EXPECT_TRUE(an.buckets_sum_to_makespan);
 }
 
 /// A NIC chain: rank 0 queues isends whose wires back up behind each other,

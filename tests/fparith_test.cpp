@@ -182,12 +182,10 @@ TEST(Ieee754Compare, Ordering) {
   EXPECT_EQ(fp::compare(1.0, kQNaN), 2);
 }
 
-TEST(Ieee754MinMax, Basic) {
+TEST(Ieee754Min, Basic) {
   EXPECT_EQ(fp::min(1.0, 2.0), 1.0);
-  EXPECT_EQ(fp::max(1.0, 2.0), 2.0);
   EXPECT_EQ(fp::min(-kInf, 5.0), -kInf);
   EXPECT_EQ(fp::min(5.0, kQNaN), 5.0);   // minNum semantics
-  EXPECT_EQ(fp::max(kQNaN, 5.0), 5.0);
   EXPECT_TRUE(std::isnan(fp::min(kQNaN, kQNaN)));
 }
 

@@ -12,7 +12,6 @@
 #include "fpga/fw_kernel.hpp"
 #include "fpga/matmul_array.hpp"
 #include "fpga/pe_cycle_sim.hpp"
-#include "fpga/resources.hpp"
 #include "graph/floyd_warshall.hpp"
 #include "graph/generate.hpp"
 #include "linalg/blas.hpp"
@@ -138,36 +137,6 @@ TEST(MatMulArray, StreamedNtMatchesElementwiseRecompute) {
   }
 }
 
-TEST(MatMulArray, FaultHookFiresOnStreamedPath) {
-  // The fault hook must see the finished tile after the streamed pipeline
-  // writes back (same contract as the soft-float row loop), with call
-  // ordinals advancing across mixed native/soft calls.
-  fpga::MatMulArray array(fpga::DeviceConfig::xc2vp50_matmul());
-  std::vector<std::uint64_t> calls;
-  array.set_fault_hook([&](std::uint64_t call, rcs::Span2D<double> e) {
-    calls.push_back(call);
-    e(0, 0) = -1234.5;  // corrupt: proves the hook ran after write-back
-  });
-  const la::Matrix c = la::random_matrix(80, 80, 37);
-  const la::Matrix d = la::random_matrix(80, 80, 38);
-  la::Matrix e(80, 80);
-  array.multiply_accumulate(c.view(), d.view(), e.view());  // streamed
-  la::Matrix small(8, 8);
-  array.multiply_accumulate_soft(c.block(0, 0, 8, 8), d.block(0, 0, 8, 8),
-                                 small.view());  // soft-float row loop
-  ASSERT_EQ(calls.size(), 2u);
-  EXPECT_EQ(calls[0], 0u);
-  EXPECT_EQ(calls[1], 1u);
-  EXPECT_EQ(e(0, 0), -1234.5);
-  EXPECT_EQ(small(0, 0), -1234.5);
-  // The uncorrupted value is recoverable through element(): it matches the
-  // naive ascending-l accumulation the streamed path produced pre-hook.
-  la::Matrix ref(80, 80);
-  la::gemm_naive(c.view(), d.view(), ref.view());
-  EXPECT_EQ(array.element(c.view(), d.view(), 0, 0, 0.0, false, false),
-            ref(0, 0));
-}
-
 TEST(MatMulArray, ResultTileMustFitSram) {
   auto dev = fpga::DeviceConfig::xc2vp50_matmul();
   dev.sram_bytes = 64;  // 8 words only
@@ -243,78 +212,6 @@ TEST(FwKernel, HandlesInfinityEdges) {
   kernel.run_block(d.view(), d.view(), d.view());
   EXPECT_EQ(d(0, 2), 2.0);
   EXPECT_EQ(d(3, 0), gr::kNoEdge);
-}
-
-TEST(Synthesis, Xc2vp50MatmulMatchesPaperOutcome) {
-  // "At most 8 PEs can be configured ... The clock speed of the design
-  // F_f = 130 MHz" (Section 6.1).
-  const auto synth = fpga::synthesize_matmul(fpga::ResourceBudget::xc2vp50());
-  EXPECT_EQ(synth.pe_count, 8);
-  EXPECT_NEAR(synth.clock_hz, 130e6, 3e6);
-  EXPECT_LT(synth.slice_utilization, 0.85);
-  EXPECT_GT(synth.slice_utilization, 0.5);
-  EXPECT_NEAR(synth.peak_flops(), 2.08e9, 0.06e9);
-}
-
-TEST(Synthesis, Xc2vp50FwMatchesPaperOutcome) {
-  // "At most k = 8 PEs can be configured ... achieved 120 MHz" (§6.1).
-  const auto synth =
-      fpga::synthesize_floyd_warshall(fpga::ResourceBudget::xc2vp50());
-  EXPECT_EQ(synth.pe_count, 8);
-  EXPECT_NEAR(synth.clock_hz, 120e6, 3e6);
-}
-
-TEST(Synthesis, Virtex4FitsMorePes) {
-  const auto lx100 =
-      fpga::synthesize_matmul(fpga::ResourceBudget::virtex4_lx100());
-  EXPECT_EQ(lx100.pe_count, 16);
-  const auto lx200 =
-      fpga::synthesize_matmul(fpga::ResourceBudget::virtex4_lx200());
-  EXPECT_GT(lx200.pe_count, lx100.pe_count);
-  // Bigger device, same PE: faster overall design despite congestion.
-  EXPECT_GT(lx200.peak_flops(), lx100.peak_flops());
-}
-
-TEST(Synthesis, ResourceConstraintsRespected) {
-  const auto dev = fpga::ResourceBudget::xc2vp50();
-  const auto mm = fpga::synthesize_matmul(dev);
-  EXPECT_LE(mm.mult18_used, dev.mult18);
-  EXPECT_LE(mm.bram_blocks_used, dev.bram_blocks);
-  // A tiny hypothetical device fits nothing.
-  fpga::ResourceBudget tiny{"tiny", 1500, 4, 8, 100e6};
-  EXPECT_EQ(fpga::synthesize_matmul(tiny).pe_count, 0);
-}
-
-TEST(Synthesis, Mult18BudgetCanBindBeforeSlices) {
-  fpga::ResourceBudget few_mults{"few-mults", 100000, 300, 18, 200e6};
-  const auto synth = fpga::synthesize_matmul(few_mults);
-  EXPECT_EQ(synth.pe_count, 2);  // 18 MULT18 / 9 per PE, below the 4-step
-}
-
-TEST(Synthesis, ToDeviceConfigRoundTrips) {
-  const auto dev = fpga::ResourceBudget::xc2vp50();
-  const auto synth = fpga::synthesize_matmul(dev);
-  const auto cfg = fpga::to_device_config(dev, synth, "matmul", 8u << 20,
-                                          /*dram path*/ 2.8e9);
-  EXPECT_EQ(cfg.pe_count, synth.pe_count);
-  EXPECT_DOUBLE_EQ(cfg.clock_hz, synth.clock_hz);
-  // One word per design clock beats the 2.8 GB/s RapidArray limit here.
-  EXPECT_NEAR(cfg.dram_bytes_per_s, synth.clock_hz * 8.0, 1.0);
-  // A slow board link caps B_d instead.
-  const auto capped =
-      fpga::to_device_config(dev, synth, "matmul", 8u << 20, 0.5e9);
-  EXPECT_DOUBLE_EQ(capped.dram_bytes_per_s, 0.5e9);
-  // The synthesized config drives the kernel model directly.
-  fpga::MatMulArray array(cfg);
-  EXPECT_EQ(array.k(), synth.pe_count);
-}
-
-TEST(Synthesis, UnfittableKernelThrowsOnConversion) {
-  fpga::ResourceBudget tiny{"tiny", 1500, 4, 8, 100e6};
-  const auto synth = fpga::synthesize_matmul(tiny);
-  EXPECT_THROW(
-      fpga::to_device_config(tiny, synth, "matmul", 8u << 20, 1e9),
-      rcs::Error);
 }
 
 TEST(PeCycleSim, AmortizedLatencyConvergesToKSquared) {

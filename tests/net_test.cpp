@@ -1,6 +1,7 @@
 // Tests for MiniMPI: point-to-point messaging, collectives, virtual-time
 // semantics (§4.3 accounting), determinism, and the matrix channel.
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <mutex>
@@ -14,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "common/thread_pool.hpp"
+#include "core/analysis.hpp"
 #include "core/functional_run.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/generate.hpp"
@@ -385,7 +387,7 @@ TEST(NetworkParams, TransferTime) {
   EXPECT_DOUBLE_EQ(np.transfer_time(2'000'000'000ull), 1.0 + 1e-6);
 }
 
-// --- Receives and overlap accounting ---------------------------------------
+// --- Receives and their traced overlap -------------------------------------
 
 TEST(MiniMpiRecv, DeliversAndAdvancesClock) {
   net::NetworkParams np;
@@ -407,48 +409,55 @@ TEST(MiniMpiRecv, DeliversAndAdvancesClock) {
   });
 }
 
-// A receive issued after the clock has passed the arrival finds the whole
-// transfer behind the receiver's own compute: all of it is hidden.
-TEST(MiniMpiRecv, OverlapAccountingHidesTransferBehindCompute) {
+// Comm -> trace -> analyzer: each receive's wire time lands in the phase
+// named at the receive, split into the part that elapsed behind the
+// receiver's own compute (hidden) and the part it stalled on (visible).
+TEST(MiniMpiRecv, TracedReceivesSplitWireIntoHiddenAndVisible) {
   net::NetworkParams np;
   np.bytes_per_s = 1e6;
   np.latency_s = 0.0;
   net::World world(2, np);
-  world.run([](net::Comm& comm) {
+  std::vector<sim::TraceRecorder> traces;
+  traces.emplace_back(true);
+  traces.emplace_back(true);
+  world.run([&traces](net::Comm& comm) {
+    comm.set_trace(&traces[static_cast<std::size_t>(comm.rank())]);
+    const std::vector<double> big(125'000, 1.0);  // 1 MB -> 1 s on the wire
     if (comm.rank() == 0) {
-      std::vector<double> big(125'000, 1.0);  // depart 0.0, arrival 1.0
-      comm.send_doubles(1, 3, big.data(), big.size());
+      comm.send_doubles(1, 3, big.data(), big.size());  // wire [0, 1]
+      comm.send_doubles(1, 4, big.data(), big.size());  // wire [1, 2]
     } else {
-      comm.clock().advance(2.0);  // compute past the transfer's arrival
-      comm.recv(0, 3, "phaseA");
-      EXPECT_NEAR(comm.clock().now(), 2.0, 1e-9);  // nothing left to wait on
-      const auto& st = comm.overlap_stats().at("phaseA");
-      EXPECT_NEAR(st.total_s, 1.0, 1e-9);
-      EXPECT_NEAR(st.hidden_s, 1.0, 1e-9);
-      EXPECT_NEAR(st.visible_s, 0.0, 1e-9);
-      EXPECT_NEAR(st.efficiency(), 1.0, 1e-9);
+      // Receiving at once exposes the whole first transfer.
+      comm.recv(0, 3, "eager");
+      EXPECT_NEAR(comm.clock().now(), 1.0, 1e-9);
+      // Computing past the second arrival hides all of it.
+      comm.clock().advance(2.0);
+      comm.recv(0, 4, "late");
+      EXPECT_NEAR(comm.clock().now(), 3.0, 1e-9);
     }
   });
-}
-
-TEST(MiniMpiRecv, OverlapAccountingChargesEagerRecvAsVisible) {
-  net::NetworkParams np;
-  np.bytes_per_s = 1e6;
-  np.latency_s = 0.0;
-  net::World world(2, np);
-  world.run([](net::Comm& comm) {
-    if (comm.rank() == 0) {
-      std::vector<double> big(125'000, 1.0);
-      comm.send_doubles(1, 3, big.data(), big.size());
-    } else {
-      // Receiving immediately exposes the whole transfer.
-      comm.recv(0, 3, "phaseB");
-      const auto& st = comm.overlap_stats().at("phaseB");
-      EXPECT_NEAR(st.total_s, 1.0, 1e-9);
-      EXPECT_NEAR(st.visible_s, 1.0, 1e-9);
-      EXPECT_NEAR(st.efficiency(), 0.0, 1e-9);
-    }
-  });
+  sim::TraceRecorder merged(true);
+  merged.merge_from(traces);
+  const rcs::obs::cp::Analysis an =
+      rcs::core::analyze_run(merged, 2, world.makespan());
+  auto phase = [&an](const std::string& label) {
+    const auto it = std::find_if(
+        an.per_phase.begin(), an.per_phase.end(),
+        [&](const rcs::obs::cp::PhaseAttribution& pa) {
+          return pa.label == label;
+        });
+    EXPECT_NE(it, an.per_phase.end()) << label;
+    return it == an.per_phase.end() ? rcs::obs::cp::PhaseAttribution{} : *it;
+  };
+  const auto eager = phase("eager");
+  EXPECT_NEAR(eager.transfer_wire_s, 1.0, 1e-9);
+  EXPECT_NEAR(eager.transfer_hidden_s, 0.0, 1e-9);
+  EXPECT_NEAR(eager.transfer_visible_s, 1.0, 1e-9);
+  const auto late = phase("late");
+  EXPECT_NEAR(late.transfer_wire_s, 1.0, 1e-9);
+  EXPECT_NEAR(late.transfer_hidden_s, 1.0, 1e-9);
+  EXPECT_NEAR(late.transfer_visible_s, 0.0, 1e-9);
+  EXPECT_NEAR(an.per_rank[1].transfer_hidden_s, 1.0, 1e-9);
 }
 
 // The lookahead schedules mix isend (NIC timeline) and send (CPU timeline)

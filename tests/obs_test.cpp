@@ -43,7 +43,7 @@ class TelemetryGuard {
   bool trace_;
 };
 
-TEST(Metrics, CounterGaugeBasics) {
+TEST(Metrics, CounterBasics) {
   obs::Counter c;
   EXPECT_EQ(c.value(), 0u);
   c.add(3);
@@ -51,10 +51,6 @@ TEST(Metrics, CounterGaugeBasics) {
   EXPECT_EQ(c.value(), 7u);
   c.reset();
   EXPECT_EQ(c.value(), 0u);
-
-  obs::Gauge g;
-  g.set(2.5);
-  EXPECT_DOUBLE_EQ(g.value(), 2.5);
 }
 
 TEST(Metrics, HistogramBucketsAndPercentiles) {
@@ -195,7 +191,6 @@ TEST(Metrics, RegistryReturnsStableInstancesAndRejectsKindCollisions) {
   obs::Counter& b = reg.counter("obs_test.stable");
   EXPECT_EQ(&a, &b);
   EXPECT_THROW(reg.histogram("obs_test.stable"), std::logic_error);
-  EXPECT_THROW(reg.gauge("obs_test.stable"), std::logic_error);
 }
 
 TEST(Metrics, PoolHammeredCountersAreExact) {

@@ -168,12 +168,6 @@ TEST(FwPartition, ResidualSmallAtSolution) {
   EXPECT_LE(std::abs(part.residual), std::abs(down.residual) + 1e-9);
 }
 
-TEST(FwPartition, PhaseSecondsIsMaxOfSides) {
-  const auto part = core::fw_partition_at(xd1(), 18432, 256, 2);
-  EXPECT_DOUBLE_EQ(part.phase_seconds(),
-                   std::max(2.0 * part.t_p, 10.0 * (part.t_f + part.t_mem)));
-}
-
 TEST(FwPartition, BaselineEndpoints) {
   const auto cpu = core::fw_partition_at(xd1(), 18432, 256, 12);
   EXPECT_EQ(cpu.l2, 0);
@@ -198,35 +192,6 @@ TEST(PanelTimes, MatchTable1) {
   EXPECT_NEAR(pt.t_lu, 4.9, 1e-9);
   EXPECT_NEAR(pt.t_opl, 7.1, 1e-9);
   EXPECT_NEAR(pt.t_opu, 7.1, 1e-9);
-}
-
-TEST(Presets, FromSynthesisReconstructsXd1) {
-  // Building a system from the XC2VP50's raw resource budget must land on
-  // the measured preset (the estimator is calibrated to the paper's
-  // synthesis outcomes).
-  const auto sys = SystemParams::from_synthesis(
-      "synth-XD1", 6, rcs::fpga::ResourceBudget::xc2vp50(),
-      rcs::node::GppModel::opteron_2p2ghz(), xd1().network);
-  EXPECT_EQ(sys.mm_fpga.pe_count, xd1().mm_fpga.pe_count);
-  EXPECT_NEAR(sys.mm_fpga.clock_hz, xd1().mm_fpga.clock_hz, 3e6);
-  EXPECT_EQ(sys.fw_fpga.pe_count, xd1().fw_fpga.pe_count);
-  EXPECT_NEAR(sys.fw_fpga.clock_hz, xd1().fw_fpga.clock_hz, 3e6);
-  EXPECT_NEAR(sys.mm_fpga.dram_bytes_per_s, xd1().mm_fpga.dram_bytes_per_s,
-              0.03e9);
-  // And the derived system produces the paper-band partitions.
-  const auto part = core::solve_mm_partition(sys, 3000);
-  EXPECT_GE(part.b_f, 960);
-  EXPECT_LE(part.b_f, 1400);
-  const auto fw = core::solve_fw_partition(sys, 18432, 256);
-  EXPECT_EQ(fw.l1, 2);
-}
-
-TEST(Presets, FromSynthesisRejectsTooSmallParts) {
-  rcs::fpga::ResourceBudget tiny{"tiny", 1500, 4, 8, 100e6};
-  EXPECT_THROW(SystemParams::from_synthesis(
-                   "nope", 2, tiny, rcs::node::GppModel::opteron_2p2ghz(),
-                   xd1().network),
-               rcs::Error);
 }
 
 TEST(Presets, AllPresetsSolveCleanly) {

@@ -2,10 +2,10 @@
 //
 // Section 3 describes the XD1 fabric as "a non-blocking crossbar switching
 // fabric which provides two 2 GB/s links to each node", and the design
-// model charges communication to the sender only. This bench records every
-// message of real functional runs (hybrid LU and FW) and replays the logs
-// through three explicit link models, reporting how much queueing the
-// accounting missed.
+// model charges communication to the sender only. This bench traces real
+// functional runs (hybrid LU and FW) and replays their sends through three
+// explicit link models, reporting how much queueing the accounting missed.
+// The untimed verification gather is not traced, so it is not replayed.
 
 #include <iostream>
 
@@ -17,15 +17,15 @@ using namespace rcs;
 
 namespace {
 
-void analyze(const std::string& title,
-             const std::vector<net::MessageEvent>& log,
+void analyze(const std::string& title, const sim::TraceRecorder& trace,
              const net::NetworkParams& np, int p) {
   Table t(title);
   t.set_header({"link model", "messages", "slowdown", "max added delay",
                 "busiest link", "utilization"});
   for (auto model : {net::LinkModel::Crossbar, net::LinkModel::PerNodeLinks,
                      net::LinkModel::SharedBus}) {
-    const auto rep = net::analyze_contention(log, np, p, model);
+    const auto rep =
+        net::analyze_contention(trace.comm_events(), np, p, model);
     t.add_row({net::to_string(model),
                Table::num(static_cast<long long>(rep.messages)),
                Table::num(rep.slowdown(), 4) + "x",
@@ -50,9 +50,9 @@ int main() {
     cfg.mode = core::DesignMode::Hybrid;
     cfg.b_f = 8;
     const auto a = linalg::diagonally_dominant(cfg.n, 11);
-    std::vector<net::MessageEvent> log;
-    core::lu_functional(sys, cfg, a, false, nullptr, &log);
-    analyze("Hybrid LU traffic (n = 144, b = 24, p = 6)", log, sys.network,
+    sim::TraceRecorder trace(true);
+    core::lu_functional(sys, cfg, a, false, &trace);
+    analyze("Hybrid LU traffic (n = 144, b = 24, p = 6)", trace, sys.network,
             sys.p);
   }
   {
@@ -61,14 +61,16 @@ int main() {
     cfg.b = 16;
     cfg.mode = core::DesignMode::Hybrid;
     const auto d0 = graph::random_digraph(cfg.n, 13, 0.4);
-    std::vector<net::MessageEvent> log;
-    core::fw_functional(sys, cfg, d0, false, nullptr, &log);
-    analyze("Hybrid FW traffic (n = 192, b = 16, p = 6)", log, sys.network,
+    sim::TraceRecorder trace(true);
+    core::fw_functional(sys, cfg, d0, false, &trace);
+    analyze("Hybrid FW traffic (n = 192, b = 16, p = 6)", trace, sys.network,
             sys.p);
   }
 
-  std::cout << "Reading: crossbar and per-node-link replays stay at ~1.0x —\n"
-               "the paper's sender-side accounting is sound on XD1-like\n"
-               "fabrics; a shared bus would queue the broadcast traffic.\n";
+  std::cout << "Reading: no link model moves the last arrival (1x everywhere),\n"
+               "so the paper's sender-side accounting holds for this traffic.\n"
+               "Queueing only delays single LU messages, far more on a shared\n"
+               "bus (near saturation) than on per-node links; the FW traffic\n"
+               "never queues.\n";
   return 0;
 }

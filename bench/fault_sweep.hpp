@@ -1,9 +1,9 @@
 #pragma once
-// Fault-injection sweep shared by bench/fault_sweep (the standalone table)
-// and bench/perf_wallclock (the BENCH_perf.json "faults" section): run a
-// functional design point fault-free, then again under a seeded FaultPlan
-// with tolerance on, check the outputs stayed bit-identical, and report the
-// recovery overhead plus the repair-time (MTTR) distribution.
+// Fault-injection points for bench/fault_sweep, whose table
+// golden_fault_sweep pins: run a functional design point fault-free, then
+// again under a seeded FaultPlan with tolerance on, check the outputs stayed
+// bit-identical, and report the recovery overhead plus the repair-time
+// (MTTR) distribution.
 
 #include <cstdint>
 #include <string>

@@ -1,7 +1,6 @@
 #pragma once
-// Blocking-vs-lookahead sweep shared by bench/ablation_lookahead (the
-// standalone ablation table) and bench/perf_wallclock (the "lookahead"
-// section of BENCH_perf.json).
+// Blocking-vs-lookahead points for bench/ablation_lookahead (the ablation
+// table).
 //
 // For one design point it runs the functional LU or Floyd-Warshall twice —
 // once with the blocking per-iteration-barrier schedule, once with

@@ -1,7 +1,6 @@
 #pragma once
-// Large-p scaling sweep shared by bench/scaling_sweep (the standalone
-// table) and bench/perf_wallclock (the "scaling" section of
-// BENCH_perf.json).
+// Large-p scaling points for bench/scaling_sweep (the table, which exits
+// non-zero when a simulated point's critical-path invariants fail).
 //
 // For each world size p it reports the paper's predicted latency
 // T = max(T_tp, T_tf) under the Eq. 4/5 (LU) or Eq. 6 (FW) partition rules,

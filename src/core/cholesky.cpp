@@ -188,10 +188,10 @@ CholFunctionalResult cholesky_functional(const SystemParams& sys,
         const long long cw = c1 - c0;
         for (long long j = 0; j < total; ++j) {
           const auto [u, v] = order[static_cast<std::size_t>(j)];
-          const net::PackedMatrix c =
-              net::recv_matrix(comm, panel, make_tag(kCStripe, t, j));
-          const net::PackedMatrix d =
-              net::recv_matrix(comm, panel, make_tag(kDStripe, t, j));
+          const net::PackedMatrix c = net::recv_matrix(
+              comm, panel, make_tag(kCStripe, t, j), "opMM");
+          const net::PackedMatrix d = net::recv_matrix(
+              comm, panel, make_tag(kDStripe, t, j), "opMM");
           Matrix e(b, cw);
           // E[:, c0:c1) = C * D[c0:c1, :]^T — the worker's column share.
           hybrid_opmm_share(node, array, c.view(), d.block(c0, 0, cw, b),
@@ -218,7 +218,7 @@ CholFunctionalResult cholesky_functional(const SystemParams& sys,
           if (r == panel || r == me) continue;
           const auto [c0, c1] = worker_columns(b, p, panel, r);
           const net::PackedMatrix e =
-              net::recv_matrix(comm, r, make_tag(kEShare, t, j));
+              net::recv_matrix(comm, r, make_tag(kEShare, t, j), "opMS");
           linalg::matrix_sub(blk(u, v).block(0, c0, b, c1 - c0), e.view());
           node.cpu_compute(node::CpuKernel::MemBound,
                            static_cast<double>(b * (c1 - c0)), "opMS");

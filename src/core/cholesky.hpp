@@ -57,7 +57,8 @@ struct CholFunctionalResult {
 };
 
 /// Factor real data over MiniMPI; the result is bit-identical to
-/// linalg::potrf_blocked on the same matrix.
+/// linalg::potrf_blocked on the same matrix. As in LU, the C/D stripe
+/// receives trace as phase "opMM" and the E-share receives as "opMS".
 CholFunctionalResult cholesky_functional(const SystemParams& sys,
                                          const CholConfig& cfg,
                                          const linalg::Matrix& a,

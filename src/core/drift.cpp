@@ -100,7 +100,6 @@ DriftReport lu_drift_report(const SystemParams& sys, const LuConfig& cfg,
                                     before.at(name), after.at(name)));
   }
   if (res.run.seconds > 0.0) rep.utilization = rec.utilization(res.run.seconds);
-  rep.faults = res.faults;
   rep.analysis = analyze_run(rec, sys.p, res.run.seconds);
   attach_overlap(rep.phases, rep.analysis);
   return rep;
@@ -134,65 +133,9 @@ DriftReport fw_drift_report(const SystemParams& sys, const FwConfig& cfg,
                                     before.at(name), after.at(name)));
   }
   if (res.run.seconds > 0.0) rep.utilization = rec.utilization(res.run.seconds);
-  rep.faults = res.faults;
   rep.analysis = analyze_run(rec, sys.p, res.run.seconds);
   attach_overlap(rep.phases, rep.analysis);
   return rep;
-}
-
-void DriftReport::write_json(std::ostream& os, int indent) const {
-  const std::string pad(static_cast<std::size_t>(indent), ' ');
-  const auto flags = os.flags();
-  const auto prec = os.precision();
-  os << std::setprecision(9);
-  os << "{\n";
-  os << pad << "  \"design\": \"" << obs::json_escape(design) << "\",\n";
-  os << pad << "  \"predicted_latency_s\": " << predicted_latency_s << ",\n";
-  os << pad << "  \"simulated_makespan_s\": " << simulated_makespan_s << ",\n";
-  os << pad << "  \"measured_wall_s\": " << measured_wall_s << ",\n";
-  os << pad << "  \"phases\": [\n";
-  for (std::size_t i = 0; i < phases.size(); ++i) {
-    const PhaseDrift& ph = phases[i];
-    os << pad << "    {\"phase\": \"" << obs::json_escape(ph.phase)
-       << "\", \"predicted_s\": " << ph.predicted_s
-       << ", \"simulated_s\": " << ph.simulated_s
-       << ", \"measured_s\": " << ph.measured_s
-       << ", \"drift_simulated\": " << ph.drift_simulated()
-       << ", \"drift_measured\": " << ph.drift_measured()
-       << ", \"overlap_hidden_s\": " << ph.overlap_hidden_s
-       << ", \"overlap_total_s\": " << ph.overlap_total_s
-       << ", \"overlap_efficiency\": " << ph.overlap_efficiency() << '}'
-       << (i + 1 < phases.size() ? "," : "") << '\n';
-  }
-  os << pad << "  ],\n";
-  os << pad << "  \"utilization\": {";
-  bool first = true;
-  for (const auto& [res, u] : utilization) {
-    os << (first ? "" : ", ") << '"' << obs::json_escape(res) << "\": " << u;
-    first = false;
-  }
-  os << "},\n";
-  os << pad << "  \"faults\": {"
-     << "\"bitflips_injected\": " << faults.bitflips_injected
-     << ", \"slowdown_hits\": " << faults.slowdown_hits
-     << ", \"slowdown_added_s\": " << faults.slowdown_added_s
-     << ", \"link_hits\": " << faults.link_hits
-     << ", \"link_added_s\": " << faults.link_added_s
-     << ", \"crashes\": " << faults.crashes
-     << ", \"checks\": " << faults.checks
-     << ", \"detected\": " << faults.detected
-     << ", \"corrected_elements\": " << faults.corrected_elements
-     << ", \"reissued_blocks\": " << faults.reissued_blocks
-     << ", \"straggler_timeouts\": " << faults.straggler_timeouts
-     << ", \"straggler_reissues\": " << faults.straggler_reissues
-     << ", \"recovery_cpu_s\": " << faults.recovery_cpu_s
-     << ", \"mttr_p50_s\": " << faults.mttr_percentile(0.5)
-     << ", \"mttr_p99_s\": " << faults.mttr_percentile(0.99) << "},\n";
-  os << pad << "  \"analysis\": ";
-  analysis.write_json(os, indent + 2);
-  os << '\n' << pad << "}";
-  os.flags(flags);
-  os.precision(prec);
 }
 
 void DriftReport::print(std::ostream& os) const {
@@ -215,6 +158,12 @@ void DriftReport::print(std::ostream& os) const {
       os << std::setw(10) << "-";
     }
     os << '\n';
+  }
+  os << "  " << std::left << std::setw(20) << "resource" << std::right
+     << std::setw(14) << "busy/makespan" << '\n';
+  for (const auto& [resource, u] : utilization) {
+    os << "  " << std::left << std::setw(20) << resource << std::right
+       << std::setw(13) << std::setprecision(3) << 100.0 * u << "%\n";
   }
   analysis.print(os);
 }

@@ -14,8 +14,8 @@
 // Predicted and simulated share the machine model, so their drift isolates
 // scheduling effects the closed-form prediction ignores; measured runs on
 // the host (the FPGA share is emulated), so its drift calibrates how far
-// this machine is from the modeled Cray XD1 node. Reports feed
-// BENCH_perf.json via bench/perf_wallclock.
+// this machine is from the modeled Cray XD1 node. `experiment_runner
+// --drift` prints a report; critpath_test checks the analyses it carries.
 
 #include <iosfwd>
 #include <map>
@@ -26,7 +26,6 @@
 #include "core/lu_analytic.hpp"
 #include "linalg/matrix.hpp"
 #include "obs/critpath.hpp"
-#include "sim/faults.hpp"
 
 namespace rcs::core {
 
@@ -60,19 +59,14 @@ struct DriftReport {
   double predicted_latency_s = 0.0;   // max(T_tp, T_tf), Eq. §4.5
   double simulated_makespan_s = 0.0;  // latest virtual clock across ranks
   double measured_wall_s = 0.0;       // elapsed wall time of the run
-  std::map<std::string, double> utilization;  // resource -> busy / makespan
-  /// Fault injection/recovery accounting of the underlying run (all zeros
-  /// for a fault-free configuration); emitted as the "faults" JSON block.
-  sim::FaultStats faults;
+  /// Resource -> span busy seconds / makespan, from the trace's spans.
+  std::map<std::string, double> utilization;
   /// Critical-path / makespan-attribution analysis of the run's event DAG
-  /// (obs::cp::analyze over spans + comm events); emitted as the
-  /// "analysis" JSON block.
+  /// (obs::cp::analyze over spans + comm events).
   obs::cp::Analysis analysis;
 
-  /// JSON object, each line prefixed with `indent` spaces (for embedding).
-  void write_json(std::ostream& os, int indent = 0) const;
-
-  /// Human-readable table.
+  /// Human-readable tables: the phases, the span utilization per resource,
+  /// then the analysis.
   void print(std::ostream& os) const;
 };
 

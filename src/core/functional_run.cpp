@@ -41,7 +41,6 @@ RunTotals run_ranks(const RunSetup& setup,
   const auto p = static_cast<std::size_t>(setup.p);
 
   net::World world(setup.p, setup.network);
-  world.set_message_logging(setup.message_log != nullptr);
   world.set_fault_plan(plan);
   std::vector<RunTotals> ranks(p);
   std::vector<sim::TraceRecorder> traces(
@@ -61,7 +60,6 @@ RunTotals run_ranks(const RunSetup& setup,
   });
 
   if (setup.trace != nullptr) setup.trace->merge_from(traces);
-  if (setup.message_log != nullptr) *setup.message_log = world.message_log();
 
   RunTotals total;
   for (const RunTotals& r : ranks) {

@@ -10,7 +10,6 @@
 #include <initializer_list>
 #include <map>
 #include <utility>
-#include <vector>
 
 #include "common/span2d.hpp"
 #include "core/design.hpp"
@@ -37,8 +36,6 @@ struct RunSetup {
   /// When non-null and enabled, receives every rank's node spans and comm
   /// events, merged in rank order.
   sim::TraceRecorder* trace = nullptr;
-  /// When non-null, receives every message of the run.
-  std::vector<net::MessageEvent>* message_log = nullptr;
 };
 
 /// A run's outcome: the RunReport (seconds = the latest rank's finish,

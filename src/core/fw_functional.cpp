@@ -52,8 +52,7 @@ Span2D<const double> dmr_operand(Span2D<const double> s, Span2D<double> target,
 
 FwFunctionalResult fw_functional(const SystemParams& sys, const FwConfig& cfg,
                                  const Matrix& d0, bool use_soft_fp,
-                                 sim::TraceRecorder* trace,
-                                 std::vector<net::MessageEvent>* message_log) {
+                                 sim::TraceRecorder* trace) {
   RCS_CHECK_MSG(cfg.n > 0 && cfg.b > 0, "n and b must be positive");
   RCS_CHECK_MSG(cfg.n % (cfg.b * sys.p) == 0, "FW layout needs b*p | n");
   RCS_CHECK_MSG(d0.rows() == static_cast<std::size_t>(cfg.n) &&
@@ -86,8 +85,7 @@ FwFunctionalResult fw_functional(const SystemParams& sys, const FwConfig& cfg,
                        .network = sys.network,
                        .node = sys.node_params_fw(),
                        .faults = cfg.faults,
-                       .trace = trace,
-                       .message_log = message_log};
+                       .trace = trace};
   const RunTotals totals = run_ranks(setup, [&](Rank& rank) {
     net::Comm& comm = rank.comm;
     node::ComputeNode& node = rank.node;

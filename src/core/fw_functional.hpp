@@ -28,11 +28,9 @@ struct FwFunctionalResult {
 /// non-null and enabled, per-node busy intervals and every message are
 /// recorded into it; the D_tt receives trace as phase "op21" and the
 /// per-wave pivot-block receives as "op3".
-/// `message_log`, when non-null, receives every message sent during the
-/// run (for net::analyze_contention).
-FwFunctionalResult fw_functional(
-    const SystemParams& sys, const FwConfig& cfg, const linalg::Matrix& d0,
-    bool use_soft_fp = false, sim::TraceRecorder* trace = nullptr,
-    std::vector<net::MessageEvent>* message_log = nullptr);
+FwFunctionalResult fw_functional(const SystemParams& sys, const FwConfig& cfg,
+                                 const linalg::Matrix& d0,
+                                 bool use_soft_fp = false,
+                                 sim::TraceRecorder* trace = nullptr);
 
 }  // namespace rcs::core

@@ -132,8 +132,7 @@ Matrix recompute_share(const fpga::MatMulArray& mm, Span2D<const double> c,
 
 LuFunctionalResult lu_functional(const SystemParams& sys, const LuConfig& cfg,
                                  const Matrix& a, bool use_soft_fp,
-                                 sim::TraceRecorder* trace,
-                                 std::vector<net::MessageEvent>* message_log) {
+                                 sim::TraceRecorder* trace) {
   RCS_CHECK_MSG(cfg.n > 0 && cfg.b > 0 && cfg.n % cfg.b == 0,
                 "LU requires b | n");
   RCS_CHECK_MSG(a.rows() == static_cast<std::size_t>(cfg.n) &&
@@ -166,8 +165,7 @@ LuFunctionalResult lu_functional(const SystemParams& sys, const LuConfig& cfg,
                        .network = sys.network,
                        .node = sys.node_params_mm(),
                        .faults = cfg.faults,
-                       .trace = trace,
-                       .message_log = message_log};
+                       .trace = trace};
   const RunTotals totals = run_ranks(setup, [&](Rank& rank) {
     net::Comm& comm = rank.comm;
     node::ComputeNode& node = rank.node;

@@ -40,11 +40,9 @@ struct LuFunctionalResult {
 /// every message; the C/D stripe receives trace as phase "opMM" and the
 /// E-share receives as "opMS", so core::analyze_run reports how much of
 /// their transfer time hid behind compute.
-/// `message_log`, when non-null, receives every message sent during the
-/// run (for net::analyze_contention).
-LuFunctionalResult lu_functional(
-    const SystemParams& sys, const LuConfig& cfg, const linalg::Matrix& a,
-    bool use_soft_fp = false, sim::TraceRecorder* trace = nullptr,
-    std::vector<net::MessageEvent>* message_log = nullptr);
+LuFunctionalResult lu_functional(const SystemParams& sys, const LuConfig& cfg,
+                                 const linalg::Matrix& a,
+                                 bool use_soft_fp = false,
+                                 sim::TraceRecorder* trace = nullptr);
 
 }  // namespace rcs::core

@@ -17,7 +17,7 @@
 // RCS_SIMD=scalar|avx2|avx512 (requests above what the CPU supports clamp
 // down with a warning) or programmatically with set_level() (tests sweep
 // every supported path). The resolved path is reported into the obs build
-// provenance so BENCH_perf.json rows say which kernel produced them.
+// provenance so benchmark results say which kernel produced them.
 
 #include <cstddef>
 

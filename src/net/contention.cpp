@@ -1,6 +1,8 @@
 #include "net/contention.hpp"
 
 #include <algorithm>
+#include <map>
+#include <vector>
 
 #include "common/error.hpp"
 
@@ -15,13 +17,12 @@ const char* to_string(LinkModel m) {
   return "?";
 }
 
-ContentionReport analyze_contention(const std::vector<MessageEvent>& log,
+ContentionReport analyze_contention(std::span<const sim::CommEvent> events,
                                     const NetworkParams& net, int world_size,
                                     LinkModel model) {
   RCS_CHECK_MSG(world_size >= 1, "bad world size");
   ContentionReport rep;
   rep.model = model;
-  rep.messages = log.size();
 
   // Link keying per model. A message may traverse up to two links
   // (egress + ingress under PerNodeLinks); it completes when the slower
@@ -38,27 +39,31 @@ ContentionReport analyze_contention(const std::vector<MessageEvent>& log,
     return it->second;
   };
 
-  std::vector<MessageEvent> sorted = log;
-  std::stable_sort(sorted.begin(), sorted.end(),
-                   [](const MessageEvent& a, const MessageEvent& b) {
+  std::vector<sim::CommEvent> sends;
+  for (const sim::CommEvent& ev : events) {
+    if (ev.kind != sim::CommEvent::Kind::Recv) sends.push_back(ev);
+  }
+  std::stable_sort(sends.begin(), sends.end(),
+                   [](const sim::CommEvent& a, const sim::CommEvent& b) {
                      return a.depart < b.depart;
                    });
+  rep.messages = sends.size();
 
-  for (const MessageEvent& m : sorted) {
+  for (const sim::CommEvent& m : sends) {
     rep.original_last_arrival = std::max(rep.original_last_arrival, m.arrival);
     double done = m.depart;
     switch (model) {
       case LinkModel::Crossbar:
-        done = link("pair." + std::to_string(m.src) + "->" +
-                    std::to_string(m.dst))
+        done = link("pair." + std::to_string(m.rank) + "->" +
+                    std::to_string(m.peer))
                    .transfer(m.depart, m.bytes);
         break;
       case LinkModel::PerNodeLinks: {
-        const double egress =
-            link("egress." + std::to_string(m.src)).transfer(m.depart, m.bytes);
+        const double egress = link("egress." + std::to_string(m.rank))
+                                  .transfer(m.depart, m.bytes);
         // Cut-through: the ingress link starts as the first byte arrives
         // (egress completion minus the serialization time).
-        done = link("ingress." + std::to_string(m.dst))
+        done = link("ingress." + std::to_string(m.peer))
                    .transfer(egress - static_cast<double>(m.bytes) /
                                           net.bytes_per_s,
                              m.bytes);

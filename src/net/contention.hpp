@@ -1,24 +1,24 @@
 #pragma once
-// Network-contention analysis: replay a run's message log through explicit
-// link models and measure how much queueing the virtual-time accounting
-// ignored.
+// Network-contention analysis: replay the sends of a traced run through
+// explicit link models and measure how much queueing the virtual-time
+// accounting ignored.
 //
 // MiniMPI charges transfers to the *sender's* clock (or NIC), which encodes
 // the paper's assumption of a non-blocking crossbar (Section 3: "a
 // non-blocking crossbar switching fabric which provides two 2 GB/s links to
 // each node"). This module checks that assumption after the fact: take the
-// MessageEvents of a functional run, push them through per-link
-// BandwidthLink timelines, and report the added delay each link model would
-// have produced. Near-zero added delay under PerNodeLinks confirms the
-// design never oversubscribes a node's links; large delays under SharedBus
-// show why a bus-based system would need a different partition.
+// Send/NicSend events of a functional run's trace, push them through
+// per-link BandwidthLink timelines, and report the added delay each link
+// model would have produced. Near-zero added delay under PerNodeLinks
+// confirms the design never oversubscribes a node's links; large delays
+// under SharedBus show why a bus-based system would need a different
+// partition.
 
-#include <map>
+#include <span>
 #include <string>
-#include <vector>
 
 #include "net/minimpi.hpp"
-#include "sim/engine.hpp"
+#include "sim/trace.hpp"
 
 namespace rcs::net {
 
@@ -33,11 +33,11 @@ enum class LinkModel {
 
 const char* to_string(LinkModel m);
 
-/// Outcome of replaying a message log under one link model.
+/// Outcome of replaying a run's sends under one link model.
 struct ContentionReport {
   LinkModel model{};
-  std::size_t messages = 0;
-  double original_last_arrival = 0.0;  // from the log
+  std::size_t messages = 0;            // Send and NicSend events replayed
+  double original_last_arrival = 0.0;  // from the trace
   double replayed_last_arrival = 0.0;  // with explicit link queueing
   double max_added_delay = 0.0;        // worst per-message queueing
   double total_added_delay = 0.0;
@@ -53,8 +53,11 @@ struct ContentionReport {
   }
 };
 
-/// Replay `log` (as produced by World::message_log()) under `model`.
-ContentionReport analyze_contention(const std::vector<MessageEvent>& log,
+/// Replay the Send and NicSend events among `events` (a traced run's
+/// sim::TraceRecorder::comm_events()) under `model`, in order of departure;
+/// sends that depart together keep their trace order. Receives are skipped:
+/// every message is charged once, on its sender's event.
+ContentionReport analyze_contention(std::span<const sim::CommEvent> events,
                                     const NetworkParams& net, int world_size,
                                     LinkModel model);
 

@@ -45,12 +45,6 @@ void Comm::note_send_metrics(std::uint64_t bytes) {
   nm.bytes.add(bytes);
 }
 
-void Comm::log_message(int dst, std::uint64_t bytes, SimTime depart,
-                       SimTime arrival) {
-  if (!world_->message_logging()) return;
-  sent_log_.push_back(MessageEvent{rank_, dst, bytes, depart, arrival});
-}
-
 void Comm::note_send_trace(sim::CommEvent::Kind kind, int dst, SimTime t0,
                            SimTime depart, SimTime arrival,
                            std::uint64_t bytes) {
@@ -143,7 +137,6 @@ void Comm::send_any_tag(int dst, int tag, Payload payload) {
   clock_.advance(cost.latency_s + static_cast<double>(bytes) / cost.bytes_per_s);
   bytes_sent_ += bytes;
   msgs_sent_ += 1;
-  log_message(dst, bytes, depart, clock_.now());
   note_send_trace(sim::CommEvent::Kind::Send, dst, depart, depart,
                   clock_.now(), bytes);
 
@@ -173,7 +166,6 @@ void Comm::isend(int dst, int tag, Payload payload) {
   nic_busy_until_ = start + static_cast<double>(bytes) / cost.bytes_per_s;
   bytes_sent_ += bytes;
   msgs_sent_ += 1;
-  log_message(dst, bytes, start, nic_busy_until_);
   note_send_trace(sim::CommEvent::Kind::NicSend, dst, setup_t0, start,
                   nic_busy_until_, bytes);
 
@@ -283,7 +275,6 @@ void Comm::reset_for_run() {
   msgs_sent_ = 0;
   msg_seq_ = 0;
   fault_stats_ = sim::FaultStats();
-  sent_log_.clear();
   trace_ = nullptr;
   coll_label_ = nullptr;
 }
@@ -354,18 +345,6 @@ SimTime World::makespan() const {
   SimTime t = 0.0;
   for (const auto& c : comms_) t = std::max(t, c->clock().now());
   return t;
-}
-
-std::vector<MessageEvent> World::message_log() const {
-  std::vector<MessageEvent> all;
-  for (const auto& c : comms_) {
-    all.insert(all.end(), c->sent_log_.begin(), c->sent_log_.end());
-  }
-  std::stable_sort(all.begin(), all.end(),
-                   [](const MessageEvent& a, const MessageEvent& b) {
-                     return a.depart < b.depart;
-                   });
-  return all;
 }
 
 void World::wake_waiters(std::vector<common::Fiber*>& spliced) {

@@ -81,16 +81,6 @@ class VirtualClock {
   SimTime now_ = 0.0;
 };
 
-/// One sent message as seen by the timing layer — recorded when message
-/// logging is enabled, consumed by net::analyze_contention.
-struct MessageEvent {
-  int src = -1;
-  int dst = -1;
-  std::uint64_t bytes = 0;
-  SimTime depart = 0.0;   // when the transfer started
-  SimTime arrival = 0.0;  // when the payload became available
-};
-
 /// An immutable, reference-counted message body. A sender builds it once
 /// and may pass the same Payload to any number of sends: every
 /// destination's Message shares the one buffer, and no rank can write it
@@ -276,9 +266,6 @@ class Comm {
   friend class World;
   Comm(World* world, int rank) : world_(world), rank_(rank) {}
 
-  void log_message(int dst, std::uint64_t bytes, SimTime depart,
-                   SimTime arrival);
-
   /// Accept a taken message: advance the clock to its arrival and trace
   /// the receive under `phase`.
   void finish_recv(const Message& msg, const char* phase);
@@ -336,7 +323,6 @@ class Comm {
   std::uint64_t msgs_sent_ = 0;
   std::uint64_t msg_seq_ = 0;  // per-rank send ordinal (fault jitter key)
   sim::FaultStats fault_stats_;
-  std::vector<MessageEvent> sent_log_;  // only filled when logging enabled
   sim::TraceRecorder* trace_ = nullptr;   // per-rank comm-event sink
   const char* coll_label_ = nullptr;      // active collective context
 };
@@ -370,9 +356,9 @@ class World {
   /// are recorded once into the net.rank_msgs_sent / net.rank_bytes_sent
   /// histograms when the run ends. The Comms (and their clocks / byte
   /// counters) remain inspectable afterwards. Calling run() again first
-  /// resets all per-run state (clocks, NIC timelines, byte counters, send
-  /// logs, undelivered messages), so a World is reusable and each run
-  /// starts from t = 0.
+  /// resets all per-run state (clocks, NIC timelines, byte counters,
+  /// undelivered messages), so a World is reusable and each run starts from
+  /// t = 0.
   void run(const std::function<void(Comm&)>& rank_main);
 
   /// Rank r's Comm — valid between construction and destruction; read its
@@ -382,14 +368,6 @@ class World {
   /// Latest simulated clock across ranks (the run's makespan) — call after
   /// run().
   SimTime makespan() const;
-
-  /// Record every message sent during run() (off by default). Call before
-  /// run(); retrieve with message_log() afterwards.
-  void set_message_logging(bool enabled) { log_messages_ = enabled; }
-  bool message_logging() const { return log_messages_; }
-
-  /// All messages sent during the run, in departure order.
-  std::vector<MessageEvent> message_log() const;
 
   /// Install a fault plan for subsequent run()s (nullptr = fault-free; the
   /// plan must outlive the runs). With a plan, sends see degraded/jittered
@@ -445,7 +423,6 @@ class World {
   int size_;
   NetworkParams net_;
   int max_workers_ = 0;  // 0 = the pool's thread count
-  bool log_messages_ = false;
   bool ran_ = false;  // a run() completed; the next run() resets state
   const sim::FaultPlan* fault_plan_ = nullptr;
   std::unique_ptr<std::atomic<bool>[]> failed_;  // fail-stopped ranks

@@ -26,7 +26,8 @@
 //     Jain fairness, top-k critical-path segments;
 //   * structural invariants — critical path <= makespan <= total
 //     resource-seconds, and per-rank buckets summing to the makespan —
-//     checked here and re-checked by bench/perf_gate on every artifact.
+//     checked here; critpath_test and bench/scaling_sweep assert them on
+//     real runs.
 //
 // This header is pure data + algorithm: obs stays dependency-free, so the
 // conversion from sim::TraceRecorder / MiniMPI lives in core (analysis.cpp).
@@ -165,7 +166,7 @@ struct Analysis {
   double imbalance_max_over_mean = 0.0;  // 1.0 = perfectly balanced
   double jain_fairness = 0.0;            // (sum u)^2 / (p * sum u^2); 1 = fair
 
-  // Structural invariants (perf_gate re-checks these on every artifact).
+  // Structural invariants (critpath_test and scaling_sweep assert them).
   bool cp_le_makespan = true;
   bool makespan_le_resource_seconds = true;
   bool buckets_sum_to_makespan = true;

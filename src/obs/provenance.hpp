@@ -1,8 +1,7 @@
 #pragma once
-// Build/run provenance stamped into benchmark artifacts (BENCH_perf.json)
-// so points on the perf trajectory are comparable: a regression is only a
-// regression if the compiler, build type, machine, and kernel dispatch
-// path match.
+// Build/run provenance stamped into benchmark results (perfbench's JSON)
+// so runs are comparable: a regression is only a regression if the
+// compiler, build type, machine, and kernel dispatch path match.
 
 #include <iosfwd>
 #include <string>

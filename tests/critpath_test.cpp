@@ -332,13 +332,14 @@ core::DriftReport lu_report() {
   return core::lu_drift_report(sys, cfg, a);
 }
 
-core::DriftReport fw_report() {
+core::DriftReport fw_report(bool lookahead) {
   core::SystemParams sys = core::SystemParams::cray_xd1();
   sys.p = 2;
   core::FwConfig cfg;
   cfg.n = 48;
   cfg.b = 8;
   cfg.mode = core::DesignMode::Hybrid;
+  cfg.lookahead = lookahead;
   const rcs::linalg::Matrix d0 = rcs::graph::random_digraph(48, 7, 0.4);
   return core::fw_drift_report(sys, cfg, d0);
 }
@@ -351,10 +352,13 @@ TEST(CritPathRuns, LuInvariantsHold) {
 }
 
 TEST(CritPathRuns, FwInvariantsHold) {
-  const core::DriftReport rep = fw_report();
-  EXPECT_EQ(rep.analysis.ranks, 2);
-  expect_invariants(rep.analysis);
-  EXPECT_FALSE(rep.analysis.critical_path.empty());
+  for (const bool lookahead : {false, true}) {
+    SCOPED_TRACE(lookahead ? "lookahead" : "blocking");
+    const core::DriftReport rep = fw_report(lookahead);
+    EXPECT_EQ(rep.analysis.ranks, 2);
+    expect_invariants(rep.analysis);
+    EXPECT_FALSE(rep.analysis.critical_path.empty());
+  }
 }
 
 TEST(CritPathRuns, LuLookaheadInvariantsHold) {

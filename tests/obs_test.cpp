@@ -582,10 +582,14 @@ TEST(Drift, LuReportLinesUpModelSimulationAndWallClock) {
     EXPECT_LT(ph.drift_simulated(), 0.05) << ph.phase;
   }
 
+  // The printed report carries the span utilization of every resource.
   std::ostringstream os;
-  rep.write_json(os);
-  EXPECT_NE(os.str().find("\"design\""), std::string::npos);
-  EXPECT_NE(os.str().find("\"drift_measured\""), std::string::npos);
+  rep.print(os);
+  EXPECT_NE(os.str().find(rep.design), std::string::npos);
+  for (const auto& [resource, u] : rep.utilization) {
+    EXPECT_NE(os.str().find(resource), std::string::npos) << resource;
+    EXPECT_LE(u, 1.0) << resource;
+  }
 }
 
 TEST(Predict, LuPhaseAggregatesMatchWholeModelFlops) {

@@ -2,13 +2,14 @@
 // third dense factorization of the hybrid-linear-algebra family ([22]).
 // Shows the design-model contrast with LU: half the trailing work per panel
 // operation means the serial panel chain weighs more, so both the absolute
-// GFLOPS and the hybrid's margin over the baselines shrink.
+// GFLOPS and the hybrid's margin over the baselines shrink. Every point is a
+// cost-only run.
 
 #include <iostream>
 
 #include "common/table.hpp"
 #include "core/cholesky.hpp"
-#include "core/lu_analytic.hpp"
+#include "core/lu_functional.hpp"
 
 using namespace rcs;
 using core::DesignMode;
@@ -31,7 +32,7 @@ int main() {
                       DesignMode::FpgaOnly}) {
       core::CholConfig c = cfg;
       c.mode = mode;
-      const auto rep = core::cholesky_analytic(sys, c);
+      const auto rep = core::cholesky_functional(sys, c, {});
       t.add_row({core::to_string(mode), Table::num(rep.run.seconds, 5),
                  Table::num(useful_flops / rep.run.seconds / 1e9, 4),
                  Table::num(rep.run.gflops(), 4)});
@@ -49,13 +50,13 @@ int main() {
       chol.n = 3000 * nb;
       chol.b = 3000;
       chol.mode = DesignMode::Hybrid;
-      const auto crep = core::cholesky_analytic(sys, chol);
+      const auto crep = core::cholesky_functional(sys, chol, {});
       const double cn = static_cast<double>(chol.n);
       core::LuConfig lu;
       lu.n = chol.n;
       lu.b = 3000;
       lu.mode = DesignMode::Hybrid;
-      const auto lrep = core::lu_analytic(sys, lu);
+      const auto lrep = core::lu_functional(sys, lu, {});
       t.add_row({Table::num(nb),
                  Table::num(cn * cn * cn / 3.0 / crep.run.seconds / 1e9, 4),
                  Table::num(2.0 * cn * cn * cn / 3.0 / lrep.run.seconds / 1e9,

@@ -2,16 +2,31 @@
 // versus b_f (the FPGA's row share), b = 3000, p = 6. The paper's curve
 // falls from b_f = 0 (processor-only) to a minimum near its operating point
 // (b_f = 1280), then rises as the FPGA overloads; b_f = b (FPGA-only) is
-// slower than b_f = 0.
+// slower than b_f = 0. Each point is one cost-only block multiply at
+// n = b: the stripes out to the p - 1 workers, their hybrid shares, and the
+// E shares back.
 
 #include <iostream>
 
 #include "common/table.hpp"
-#include "core/lu_analytic.hpp"
+#include "core/mm.hpp"
 #include "core/partition.hpp"
 #include "core/system.hpp"
 
 using namespace rcs;
+
+namespace {
+
+double opmm_latency(const core::SystemParams& sys, long long b,
+                    long long b_f) {
+  core::MmConfig cfg;
+  cfg.n = b;
+  cfg.b = b;
+  cfg.b_f = b_f;
+  return core::mm_functional(sys, cfg, {}, {}).run.seconds;
+}
+
+}  // namespace
 
 int main() {
   const auto sys = core::SystemParams::cray_xd1();
@@ -31,8 +46,7 @@ int main() {
   long long best_bf = 0;
   for (long long bf = 0; bf <= b; bf += 200) {
     const long long bf_k = (bf / 8) * 8;  // multiple of k
-    const double lat = core::lu_single_opmm_latency(
-        sys, b, bf_k, core::SendFanout::SerialAll);
+    const double lat = opmm_latency(sys, b, bf_k);
     const auto part = core::mm_partition_at(sys, b, bf_k);
     std::string note;
     if (bf_k == 0) note = "processor-only";
@@ -48,10 +62,8 @@ int main() {
   }
   t.print(std::cout);
 
-  const double at0 =
-      core::lu_single_opmm_latency(sys, b, 0, core::SendFanout::SerialAll);
-  const double atb =
-      core::lu_single_opmm_latency(sys, b, b, core::SendFanout::SerialAll);
+  const double at0 = opmm_latency(sys, b, 0);
+  const double atb = opmm_latency(sys, b, b);
   std::cout << "\nSweep minimum at b_f = " << best_bf << " (" << best
             << " s); paper minimum at 1280.\n"
             << "Shape: min < b_f=0 (" << Table::num(at0, 4) << " s) < b_f=b ("

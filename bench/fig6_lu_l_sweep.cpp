@@ -1,12 +1,12 @@
 // Figure 6 reproduction: latency of the 0th iteration of LU decomposition
 // versus the interleave depth l (n = 30000, b = 3000, p = 6). The paper's
 // curve falls from l = 0 to a minimum at l = 3 and stays nearly flat
-// through l = 5.
+// through l = 5. Each point is a cost-only run of iteration 0.
 
 #include <iostream>
 
 #include "common/table.hpp"
-#include "core/lu_analytic.hpp"
+#include "core/lu_functional.hpp"
 
 using namespace rcs;
 
@@ -27,9 +27,10 @@ int main() {
             << " (paper sets l = 3; its Eq. 5 with single-destination "
                "T_comm gives 3.3)\n\n";
 
-  // Two conventions for charging the stripe distribution (EXPERIMENTS.md):
-  // serial-all (strict §4.3: the panel CPU serializes one send per worker)
-  // and paper-single (Eq. 5's one T_comm per stripe, DMA-like).
+  // Two conventions for the stripe distribution (EXPERIMENTS.md): serial-all
+  // (strict §4.3: the panel CPU serializes one send per worker) and
+  // paper-single (Eq. 5's one T_comm per stripe: the panel hands its sends
+  // to the NIC, which serializes them).
   Table t;
   t.set_header({"l", "latency, serial-all (s)", "latency, paper-single (s)",
                 "vs best (serial)"});
@@ -38,9 +39,9 @@ int main() {
   for (int l = 0; l <= 8; ++l) {
     core::LuConfig c = cfg;
     c.l = l;
-    lat.push_back(core::lu_analytic(sys, c).run.seconds);
+    lat.push_back(core::lu_functional(sys, c, {}).run.seconds);
     c.fanout = core::SendFanout::PaperSingle;
-    lat_single.push_back(core::lu_analytic(sys, c).run.seconds);
+    lat_single.push_back(core::lu_functional(sys, c, {}).run.seconds);
     best = std::min(best, lat.back());
   }
   for (int l = 0; l <= 8; ++l) {

@@ -3,12 +3,12 @@
 // The paper's curve: latency falls as l1 drops from 12 to the Eq. 6 optimum
 // (l1 = 2), rises again at l1 = 1 (FPGA overloaded), and FPGA-only (l1 = 0)
 // beats several mid-range hybrid points because the FPGA is ~10x the
-// processor for this kernel.
+// processor for this kernel. Each point is a cost-only run of iteration 0.
 
 #include <iostream>
 
 #include "common/table.hpp"
-#include "core/fw_analytic.hpp"
+#include "core/fw_functional.hpp"
 
 using namespace rcs;
 
@@ -33,7 +33,7 @@ int main() {
   for (long long l1 = solved.ops_per_phase; l1 >= 0; --l1) {
     core::FwConfig c = cfg;
     c.l1 = l1;
-    const auto rep = core::fw_analytic(sys, c);
+    const auto rep = core::fw_functional(sys, c, {});
     lat[static_cast<std::size_t>(l1)] = rep.run.seconds;
     const auto& part = rep.partition;
     std::string note;

@@ -2,12 +2,12 @@
 // versus the number of blocks n/b (b = 3000, p = 6). The paper's curve
 // grows with n/b — block matrix multiplication (the only task exploiting
 // both the FPGA and the processor) takes a growing share of the work —
-// reaching ~20 GFLOPS at n/b = 10.
+// reaching ~20 GFLOPS at n/b = 10. Each point is a cost-only run.
 
 #include <iostream>
 
 #include "common/table.hpp"
-#include "core/lu_analytic.hpp"
+#include "core/lu_functional.hpp"
 
 using namespace rcs;
 
@@ -27,7 +27,7 @@ int main() {
     cfg.n = b * nb;
     cfg.b = b;
     cfg.mode = core::DesignMode::Hybrid;
-    const auto rep = core::lu_analytic(sys, cfg);
+    const auto rep = core::lu_functional(sys, cfg, {});
     monotone = monotone && rep.run.gflops() > prev;
     prev = rep.run.gflops();
     final_gflops = rep.run.gflops();

@@ -4,13 +4,13 @@
 //   LU: n = 30000, b = 3000  (paper: 20 / ~15.4 / ~10 GFLOPS)
 //   FW: n = 92160, b = 256   (paper: 6.6 / ~1.14 / ~5.7 GFLOPS)
 // and the model-prediction comparison of §4.5/§6.2 (>= 86% for LU, ~96%
-// for FW).
+// for FW). Every design point is a cost-only run.
 
 #include <iostream>
 
 #include "common/table.hpp"
-#include "core/fw_analytic.hpp"
-#include "core/lu_analytic.hpp"
+#include "core/fw_functional.hpp"
+#include "core/lu_functional.hpp"
 #include "core/predict.hpp"
 
 using namespace rcs;
@@ -26,7 +26,7 @@ int main() {
   auto lu_run = [&](DesignMode m) {
     core::LuConfig c = lu;
     c.mode = m;
-    return core::lu_analytic(sys, c);
+    return core::lu_functional(sys, c, {});
   };
   const auto lu_h = lu_run(DesignMode::Hybrid);
   const auto lu_c = lu_run(DesignMode::ProcessorOnly);
@@ -41,7 +41,7 @@ int main() {
   auto fw_run = [&](DesignMode m) {
     core::FwConfig c = fw;
     c.mode = m;
-    return core::fw_analytic(sys, c);
+    return core::fw_functional(sys, c, {});
   };
   const auto fw_h = fw_run(DesignMode::Hybrid);
   const auto fw_c = fw_run(DesignMode::ProcessorOnly);

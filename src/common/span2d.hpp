@@ -9,7 +9,9 @@
 namespace rcs {
 
 /// Non-owning view of a `rows x cols` block inside a row-major array whose
-/// rows are `stride` elements apart. Cheap to copy; never owns memory.
+/// rows are `stride` elements apart. Cheap to copy; never owns memory. A
+/// view with null data is shape-only: it has rows and columns but no
+/// elements, and its blocks are shape-only too.
 template <typename T>
 class Span2D {
  public:
@@ -45,7 +47,8 @@ class Span2D {
   Span2D block(std::size_t r0, std::size_t c0, std::size_t nr,
                std::size_t nc) const {
     RCS_DASSERT(r0 + nr <= rows_ && c0 + nc <= cols_);
-    return Span2D(data_ + r0 * stride_ + c0, nr, nc, stride_);
+    return Span2D(data_ == nullptr ? nullptr : data_ + r0 * stride_ + c0, nr,
+                  nc, stride_);
   }
 
   /// Implicit widening to a const view.

@@ -31,20 +31,7 @@ struct CholConfig {
   long long b_f = -1;  // -1 = resolve per mode (Eq. 4 for hybrid)
   int l = -1;          // opMM tasks served per panel operation (-1 = Eq. 5)
   SendFanout fanout = SendFanout::SerialAll;
-  int max_iterations = -1;  // -1 = all (analytic plane only)
 };
-
-/// Analytic run outcome.
-struct CholAnalyticReport {
-  RunReport run;
-  MmPartition partition;
-  LuInterleave interleave;
-  std::vector<double> iteration_seconds;
-};
-
-/// Paper-scale schedule simulation of the configured design.
-CholAnalyticReport cholesky_analytic(const SystemParams& sys,
-                                     const CholConfig& cfg);
 
 /// Functional run outcome.
 struct CholFunctionalResult {
@@ -57,8 +44,10 @@ struct CholFunctionalResult {
 };
 
 /// Factor real data over MiniMPI; the result is bit-identical to
-/// linalg::potrf_blocked on the same matrix. As in LU, the C/D stripe
-/// receives trace as phase "opMM" and the E-share receives as "opMS".
+/// linalg::potrf_blocked on the same matrix. An empty `a` makes the run
+/// cost-only (functional_run.hpp): the same schedule, clocks, bytes and
+/// trace, no factor. As in LU, the C/D stripe receives trace as phase
+/// "opMM" and the E-share receives as "opMS".
 CholFunctionalResult cholesky_functional(const SystemParams& sys,
                                          const CholConfig& cfg,
                                          const linalg::Matrix& a,

@@ -19,9 +19,10 @@ enum class DesignMode {
 const char* to_string(DesignMode m);
 
 /// How block-stripe distribution from the panel node is charged.
-///   PaperSingle — one T_comm per stripe regardless of destination count
-///                 (the convention Eq. 5 uses; models concurrent DMA on the
-///                 non-blocking crossbar).
+///   PaperSingle — Eq. 5 solves l with one T_comm per stripe regardless of
+///                 destination count; the run hands its sends to the NIC
+///                 (isend), so the sending CPU pays setup only while the NIC
+///                 serializes the p - 1 transfers.
 ///   SerialAll   — the sending processor serializes one transfer per
 ///                 destination (what MiniMPI's CPU-driven sends do; §4.3's
 ///                 "computations cannot overlap with network communication"

@@ -22,8 +22,8 @@
 #include <string>
 #include <vector>
 
-#include "core/fw_analytic.hpp"
-#include "core/lu_analytic.hpp"
+#include "core/fw_functional.hpp"
+#include "core/lu_functional.hpp"
 #include "linalg/matrix.hpp"
 #include "obs/critpath.hpp"
 

@@ -32,15 +32,6 @@ struct MmConfig {
   SendFanout fanout = SendFanout::SerialAll;
 };
 
-/// Analytic run outcome (paper-scale).
-struct MmAnalyticReport {
-  RunReport run;
-  MmPartition partition;
-};
-
-/// Simulate the configured multiply on `sys` without data.
-MmAnalyticReport mm_analytic(const SystemParams& sys, const MmConfig& cfg);
-
 /// Functional run outcome.
 struct MmFunctionalResult {
   linalg::Matrix c;  // the product, gathered at rank 0
@@ -49,7 +40,9 @@ struct MmFunctionalResult {
 };
 
 /// Compute C = A x B on real data over MiniMPI (or locally when p == 1).
-/// The result is bit-identical to linalg::gemm on the same operands.
+/// The result is bit-identical to linalg::gemm on the same operands. Empty
+/// `a` and `b` make the run cost-only (functional_run.hpp): the same
+/// schedule, clocks, bytes and trace, no product.
 MmFunctionalResult mm_functional(const SystemParams& sys, const MmConfig& cfg,
                                  const linalg::Matrix& a,
                                  const linalg::Matrix& b,

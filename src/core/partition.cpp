@@ -123,57 +123,6 @@ long long resolve_b_f(const SystemParams& sys, DesignMode mode, long long b,
   return 0;
 }
 
-OpmmCosts opmm_costs(const SystemParams& sys, DesignMode mode,
-                     SendFanout fanout, const MmPartition& part) {
-  const long long b = part.b;
-  const long long k = sys.mm_fpga.pe_count;
-  const double p1 = static_cast<double>(std::max(sys.p - 1, 1));
-  const double stripes = static_cast<double>(b) / static_cast<double>(k);
-  const double b2 = static_cast<double>(b) * static_cast<double>(b);
-  const double b3 = b2 * static_cast<double>(b);
-  const double r_gemm = sys.gpp.sustained(node::CpuKernel::Dgemm);
-  const double r_mem = sys.gpp.sustained(node::CpuKernel::MemBound);
-
-  OpmmCosts c;
-  switch (mode) {
-    case DesignMode::Hybrid:
-      c.worker_seconds = stripes * part.stripe_period_seconds();
-      c.fpga_share = static_cast<double>(part.b_f) / static_cast<double>(b);
-      break;
-    case DesignMode::ProcessorOnly:
-      // Plain dgemm of the worker's column share; no striping, no FPGA.
-      c.worker_seconds = 2.0 * b3 / (p1 * r_gemm);
-      break;
-    case DesignMode::FpgaOnly:
-      // The CPU only streams operands; the FPGA computes everything.
-      c.worker_seconds =
-          stripes * std::max(part.t_f_stripe, part.t_mem_stripe);
-      c.fpga_share = 1.0;
-      break;
-  }
-
-  const double dest = fanout == SendFanout::SerialAll
-                          ? static_cast<double>(sys.p - 1)
-                          : 1.0;
-  c.sender_seconds = stripes * part.t_comm_stripe * dest;
-  c.sender_bytes = static_cast<std::uint64_t>(
-      stripes * 2.0 * static_cast<double>(b) * static_cast<double>(k) *
-      kWordBytes * static_cast<double>(sys.p - 1));
-
-  // Each worker returns its b x b/(p-1) slice of E to the block owner, then
-  // the owner's opMS (b^2 subtractions) is amortized across the workers.
-  c.result_bytes = static_cast<std::uint64_t>(b2 * kWordBytes);
-  const double e_send = static_cast<double>(b) * (static_cast<double>(b) / p1) *
-                        kWordBytes / sys.network.bytes_per_s;
-  const double opms = (b2 / p1) / r_mem;
-  c.worker_post = e_send + opms;
-
-  const double total_flops = 2.0 * b3;  // one opMM
-  c.fpga_flops = total_flops * c.fpga_share;
-  c.cpu_flops = total_flops - c.fpga_flops;
-  return c;
-}
-
 PanelTimes panel_times(const SystemParams& sys, long long b) {
   PanelTimes t;
   const double b3 = static_cast<double>(b) * static_cast<double>(b) *

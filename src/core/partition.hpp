@@ -69,24 +69,6 @@ MmPartition mm_partition_at(const SystemParams& sys, long long b,
 long long resolve_b_f(const SystemParams& sys, DesignMode mode, long long b,
                       long long b_f);
 
-/// Mode-resolved cost of one b x b opMM on the max(p - 1, 1) worker nodes
-/// (each computes a column share) fed by one sender node.
-struct OpmmCosts {
-  double worker_seconds = 0.0;  // one worker's latency per opMM
-  double sender_seconds = 0.0;  // sender CPU time to distribute one opMM
-  double worker_post = 0.0;     // E-share return + amortized opMS per opMM
-  double fpga_share = 0.0;      // fraction of the opMM's flops on FPGAs
-  double cpu_flops = 0.0;       // CPU flops per opMM (all workers combined)
-  double fpga_flops = 0.0;      // FPGA flops per opMM (all workers combined)
-  std::uint64_t sender_bytes = 0;  // network bytes per opMM from the sender
-  std::uint64_t result_bytes = 0;  // network bytes per opMM back to owners
-};
-
-/// Cost one opMM of `part` (its block size and b_f) under `mode`, with the
-/// sender's stripe distribution charged per `fanout`.
-OpmmCosts opmm_costs(const SystemParams& sys, DesignMode mode,
-                     SendFanout fanout, const MmPartition& part);
-
 /// Eq. 5 solution plus the quantities that go into it.
 struct LuInterleave {
   int l = 1;                 // opMM tasks served per panel operation

@@ -5,13 +5,13 @@
 // communication overlaps the FPGA's computation. The predicted latency is
 // max(T_tp, T_tf). Section 6.2 reports the implementations reach >= 86%
 // (LU) and >= 96% (FW) of this prediction; the fig9 bench reproduces that
-// comparison against the schedule simulators.
+// comparison against cost-only runs of the executed schedules.
 
 #include <map>
 #include <string>
 
-#include "core/fw_analytic.hpp"
-#include "core/lu_analytic.hpp"
+#include "core/fw_functional.hpp"
+#include "core/lu_functional.hpp"
 
 namespace rcs::core {
 
@@ -27,7 +27,7 @@ struct Prediction {
   }
 };
 
-/// Predict the configured LU design (same resolution rules as lu_analytic:
+/// Predict the configured LU design (same resolution rules as lu_functional:
 /// b_f / l of -1 are solved from the model).
 Prediction predict_lu(const SystemParams& sys, const LuConfig& cfg);
 

@@ -5,10 +5,9 @@
 //   core/system.hpp        — SystemParams + machine presets (Cray XD1, ...)
 //   core/partition.hpp     — Eq. 1/2/4/5/6 workload-partition solvers
 //   core/predict.hpp       — the §4.5 performance predictor
-//   core/lu_analytic.hpp   — paper-scale LU schedule simulator
-//   core/fw_analytic.hpp   — paper-scale Floyd–Warshall schedule simulator
-//   core/lu_functional.hpp — real-data distributed LU over MiniMPI
-//   core/fw_functional.hpp — real-data distributed FW over MiniMPI
+//   core/lu_functional.hpp — distributed LU over MiniMPI (real data, or
+//                            cost-only at paper scale)
+//   core/fw_functional.hpp — distributed Floyd–Warshall over MiniMPI
 //   core/mm.hpp            — hybrid block MM of the companion work [22]
 //   core/cholesky.hpp      — hybrid Cholesky, the same model applied to SPD A
 //   plus the substrates they run on: linalg/ (dense BLAS subset, LU,
@@ -17,9 +16,7 @@
 
 #include "core/cholesky.hpp"
 #include "core/design.hpp"
-#include "core/fw_analytic.hpp"
 #include "core/fw_functional.hpp"
-#include "core/lu_analytic.hpp"
 #include "core/lu_functional.hpp"
 #include "core/mm.hpp"
 #include "core/partition.hpp"

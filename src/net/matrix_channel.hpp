@@ -6,6 +6,10 @@
 // Wire format: two uint64 dimensions followed by row-major doubles. Strided
 // views are packed densely, once: the packed Payload can go to any number of
 // destinations, and receivers read the elements in place (PackedMatrix).
+//
+// A shape-only view (null data, as a cost-only run's blocks are) packs its
+// header alone into a payload that still travels as the whole matrix, and
+// decodes back to a shape-only view.
 
 #include <cstdint>
 #include <cstring>
@@ -16,9 +20,12 @@
 
 namespace rcs::net {
 
+/// Bytes of the matrix header: the two dimensions.
+inline constexpr std::uint64_t kMatrixHeaderBytes = 2 * sizeof(std::uint64_t);
+
 /// Number of payload bytes a rows x cols matrix occupies on the wire.
 inline std::uint64_t matrix_wire_bytes(std::uint64_t rows, std::uint64_t cols) {
-  return 2 * sizeof(std::uint64_t) + rows * cols * sizeof(double);
+  return kMatrixHeaderBytes + rows * cols * sizeof(double);
 }
 
 /// Pack `m` (possibly a strided view) into its wire form. Pack a block once
@@ -26,13 +33,16 @@ inline std::uint64_t matrix_wire_bytes(std::uint64_t rows, std::uint64_t cols) {
 inline Payload pack_matrix(Span2D<const double> m) {
   const std::uint64_t rows = m.rows();
   const std::uint64_t cols = m.cols();
-  return Payload::build(matrix_wire_bytes(rows, cols), [&](std::byte* buf) {
+  const std::uint64_t bytes = matrix_wire_bytes(rows, cols);
+  const bool shape_only = m.data() == nullptr;
+  return Payload::build(bytes, shape_only ? kMatrixHeaderBytes : bytes,
+                        [&](std::byte* buf) {
     std::memcpy(buf, &rows, sizeof(rows));
     std::memcpy(buf + sizeof(rows), &cols, sizeof(cols));
-    std::byte* out = buf + 2 * sizeof(std::uint64_t);
+    std::byte* out = buf + kMatrixHeaderBytes;
     // A zero-width share (a worker owning no columns) has nothing to copy,
     // and its row pointers may be null.
-    for (std::uint64_t r = 0; cols > 0 && r < rows; ++r) {
+    for (std::uint64_t r = 0; !shape_only && cols > 0 && r < rows; ++r) {
       std::memcpy(out, m.row(r), cols * sizeof(double));
       out += cols * sizeof(double);
     }
@@ -48,7 +58,7 @@ class PackedMatrix {
 
   /// Decode `payload`, checking its header against its size.
   explicit PackedMatrix(Payload payload) : payload_(std::move(payload)) {
-    RCS_CHECK_MSG(payload_.size() >= 2 * sizeof(std::uint64_t),
+    RCS_CHECK_MSG(payload_.stored() >= kMatrixHeaderBytes,
                   "matrix message too short");
     std::uint64_t rows = 0, cols = 0;
     std::memcpy(&rows, payload_.data(), sizeof(rows));
@@ -56,10 +66,13 @@ class PackedMatrix {
     RCS_CHECK_MSG(payload_.size() == matrix_wire_bytes(rows, cols),
                   "matrix message size mismatch");
     // Payload buffers are double arrays, so the elements after the 16-byte
-    // header are aligned doubles.
+    // header are aligned doubles. A header-only payload reads back as a
+    // shape-only view.
+    const bool shape_only = payload_.stored() < payload_.size();
     view_ = Span2D<const double>(
-        reinterpret_cast<const double*>(payload_.data() +
-                                        2 * sizeof(std::uint64_t)),
+        shape_only ? nullptr
+                   : reinterpret_cast<const double*>(payload_.data() +
+                                                     kMatrixHeaderBytes),
         rows, cols);
   }
 

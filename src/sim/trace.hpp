@@ -57,7 +57,7 @@ struct CommEvent {
 };
 
 /// Collects TraceSpans and CommEvents during a simulated run. Recording can
-/// be disabled (the default for large analytic sweeps) so hot paths pay one
+/// be disabled (the default for large cost-only sweeps) so hot paths pay one
 /// branch.
 class TraceRecorder {
  public:

@@ -2,7 +2,9 @@
 // on the simulated network. The panel packs each block once and every
 // destination shares that buffer, and receivers read stripes in place, so a
 // run allocates far less than it sends; a copy per destination would
-// allocate more than it sends.
+// allocate more than it sends. A cost-only run at the paper's operating
+// point holds no block at all: its heap stays in megabytes while one b x b
+// block is 72 MB.
 //
 // This binary replaces the global allocation functions, plain and
 // over-aligned, so that it counts every operator new on every thread. It
@@ -111,6 +113,28 @@ TEST(HeapPerRun, LuFunctionalAllocatesLessThanItSends) {
   EXPECT_GT(res.run.bytes_on_network, 0u);
   EXPECT_LT(heap, res.run.bytes_on_network)
       << "one untraced run allocated " << heap << " heap bytes in " << calls
+      << " allocations for " << res.run.bytes_on_network
+      << " bytes on the network";
+}
+
+TEST(HeapPerRun, CostOnlyLuAtPaperPointHoldsNoBlocks) {
+  const core::SystemParams sys = core::SystemParams::cray_xd1();
+  core::LuConfig cfg;
+  cfg.n = 30000;
+  cfg.b = 3000;
+  cfg.mode = core::DesignMode::Hybrid;
+  const rcs::linalg::Matrix none;
+  (void)core::lu_functional(sys, cfg, none);  // warm-up, as above
+
+  const std::uint64_t bytes0 = g_heap_bytes.load();
+  const std::uint64_t calls0 = g_heap_calls.load();
+  const core::LuFunctionalResult res = core::lu_functional(sys, cfg, none);
+  const std::uint64_t heap = g_heap_bytes.load() - bytes0;
+  const std::uint64_t calls = g_heap_calls.load() - calls0;
+
+  EXPECT_GT(res.run.bytes_on_network, 100'000'000'000u);
+  EXPECT_LT(heap, 4u << 20)
+      << "one cost-only run allocated " << heap << " heap bytes in " << calls
       << " allocations for " << res.run.bytes_on_network
       << " bytes on the network";
 }

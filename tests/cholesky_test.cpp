@@ -1,6 +1,6 @@
 // Tests for the Cholesky substrate kernels and the hybrid distributed
 // design: kernel correctness, blocked == distributed bit-identity, residual
-// bounds, mode equivalence, and analytic-plane properties.
+// bounds, mode equivalence, and cost-only properties at paper scale.
 
 #include <cmath>
 
@@ -196,9 +196,9 @@ TEST(CholFunctionalDetail, DmaFanoutSameResultLessSenderTime) {
 }
 
 // ---------------------------------------------------------------------------
-// Analytic plane
+// Cost-only runs at paper scale
 
-TEST(CholAnalytic, PaperScaleUsefulGflopsBelowLu) {
+TEST(CholCostOnly, PaperScaleUsefulGflopsBelowLu) {
   // Cholesky has half the trailing work per panel op, so the serial panel
   // chain weighs more and the *useful* rate (n^3/3 flops over the runtime)
   // lands below LU's ~19 GFLOPS. The executed rate is higher because the
@@ -208,7 +208,7 @@ TEST(CholAnalytic, PaperScaleUsefulGflopsBelowLu) {
   cfg.n = 30000;
   cfg.b = 3000;
   cfg.mode = DesignMode::Hybrid;
-  const auto rep = core::cholesky_analytic(SystemParams::cray_xd1(), cfg);
+  const auto rep = core::cholesky_functional(SystemParams::cray_xd1(), cfg, {});
   const double useful =
       30000.0 * 30000.0 * 30000.0 / 3.0 / rep.run.seconds / 1e9;
   EXPECT_GT(useful, 6.0);
@@ -216,20 +216,21 @@ TEST(CholAnalytic, PaperScaleUsefulGflopsBelowLu) {
   EXPECT_GT(rep.run.gflops(), useful);  // executed > useful (syrk waste)
 }
 
-TEST(CholAnalytic, HybridBeatsFpgaOnly) {
+TEST(CholCostOnly, HybridBeatsFpgaOnly) {
   core::CholConfig cfg;
   cfg.n = 30000;
   cfg.b = 3000;
   auto at = [&](DesignMode m) {
     core::CholConfig c = cfg;
     c.mode = m;
-    return core::cholesky_analytic(SystemParams::cray_xd1(), c).run.seconds;
+    return core::cholesky_functional(SystemParams::cray_xd1(), c, {})
+        .run.seconds;
   };
   EXPECT_LT(at(DesignMode::Hybrid), at(DesignMode::FpgaOnly));
   EXPECT_LE(at(DesignMode::Hybrid), at(DesignMode::ProcessorOnly) * 1.0001);
 }
 
-TEST(CholAnalytic, FunctionalAndAnalyticAgree) {
+TEST(CholCostOnly, MatchesTheFullRun) {
   core::CholConfig cfg;
   cfg.n = 96;
   cfg.b = 24;
@@ -239,11 +240,14 @@ TEST(CholAnalytic, FunctionalAndAnalyticAgree) {
   const SystemParams sys = xd1_p(4);
   const la::Matrix a = la::spd_matrix(96, 47);
   const auto fn = core::cholesky_functional(sys, cfg, a);
-  const auto an = core::cholesky_analytic(sys, cfg);
-  EXPECT_NEAR(fn.run.seconds / an.run.seconds, 1.0, 0.4);
+  const auto cost = core::cholesky_functional(sys, cfg, {});
+  EXPECT_EQ(cost.run.seconds, fn.run.seconds);
+  EXPECT_EQ(cost.run.bytes_on_network, fn.run.bytes_on_network);
+  EXPECT_EQ(cost.run.total_flops, fn.run.total_flops);
+  EXPECT_TRUE(cost.factored.empty());
 }
 
-TEST(CholAnalytic, FlopAccountingExecutedVsUseful) {
+TEST(CholCostOnly, FlopAccountingExecutedVsUseful) {
   // Executed flops = n^3/3 useful + the full-square diagonal trailing
   // blocks (one extra b^3 per diagonal task: sum_t m = 45 of them at
   // b = 3000, n/b = 10) + O(n^2 b) panel/opMS terms.
@@ -251,7 +255,7 @@ TEST(CholAnalytic, FlopAccountingExecutedVsUseful) {
   cfg.n = 30000;
   cfg.b = 3000;
   cfg.mode = DesignMode::Hybrid;
-  const auto rep = core::cholesky_analytic(SystemParams::cray_xd1(), cfg);
+  const auto rep = core::cholesky_functional(SystemParams::cray_xd1(), cfg, {});
   const double b3 = 3000.0 * 3000.0 * 3000.0;
   const double n3 = 30000.0 * 30000.0 * 30000.0;
   const double expected = n3 / 3.0 + 45.0 * b3;  // leading terms

@@ -1,6 +1,6 @@
 // Cross-module integration tests: end-to-end linear solves through the
-// distributed hybrid LU, shortest-path queries through the distributed FW,
-// and functional-vs-analytic plane agreement on a common scale.
+// distributed hybrid LU and shortest-path queries through the distributed
+// FW.
 
 #include <cmath>
 
@@ -78,35 +78,6 @@ TEST(Integration, ShortestPathQueriesThroughHybridFw) {
       }
     }
   }
-}
-
-TEST(Integration, FunctionalAndAnalyticLuAgreeOnTiming) {
-  // Same configuration on both planes: the analytic walk models the same
-  // schedule the functional runtime executes, so simulated latencies must
-  // agree closely (the planes differ only in barrier/control minutiae).
-  core::LuConfig cfg;
-  cfg.n = 96;
-  cfg.b = 24;
-  cfg.mode = DesignMode::Hybrid;
-  cfg.b_f = 8;
-  cfg.l = 2;
-  const SystemParams sys = xd1_p(4);
-  const la::Matrix a = la::diagonally_dominant(96, 997);
-  const auto fn = core::lu_functional(sys, cfg, a);
-  const auto an = core::lu_analytic(sys, cfg);
-  EXPECT_NEAR(fn.run.seconds / an.run.seconds, 1.0, 0.35);
-}
-
-TEST(Integration, FunctionalAndAnalyticFwAgreeOnTiming) {
-  core::FwConfig cfg;
-  cfg.n = 96;
-  cfg.b = 8;
-  cfg.mode = DesignMode::Hybrid;
-  const SystemParams sys = xd1_p(4);
-  const la::Matrix d0 = gr::random_digraph(96, 999, 0.5);
-  const auto fn = core::fw_functional(sys, cfg, d0);
-  const auto an = core::fw_analytic(sys, cfg);
-  EXPECT_NEAR(fn.run.seconds / an.run.seconds, 1.0, 0.35);
 }
 
 TEST(Integration, FunctionalTimingIsDeterministic) {

@@ -30,7 +30,7 @@ TEST(SystemParams, Xd1MatchesSection61) {
 TEST(MmPartition, SolutionMinimizesStripePeriod) {
   const auto part = core::solve_mm_partition(xd1(), 3000);
   // The chosen b_f must beat its k-step neighbours on the steady-state
-  // stripe period (the quantity the schedule simulator charges per stripe).
+  // stripe period (the quantity Eqs. 4-5 balance per stripe).
   const auto up = core::mm_partition_at(xd1(), 3000, part.b_f + 8);
   const auto down = core::mm_partition_at(xd1(), 3000, part.b_f - 8);
   EXPECT_LE(part.stripe_period_seconds(), up.stripe_period_seconds());

@@ -73,6 +73,14 @@ TEST(Span2D, IndexingAndBlocks) {
   EXPECT_EQ(blk.stride(), 4u);
   blk(0, 0) = -1.0;
   EXPECT_EQ(v(1, 1), -1.0);
+  // A shape-only view (null data) keeps its shape through blocks and never
+  // offsets its null pointer.
+  const Span2D<double> shape(nullptr, 3, 4);
+  const auto sblk = shape.block(1, 1, 2, 2);
+  EXPECT_EQ(sblk.data(), nullptr);
+  EXPECT_EQ(sblk.rows(), 2u);
+  EXPECT_EQ(sblk.cols(), 2u);
+  EXPECT_EQ(sblk.stride(), 4u);
 }
 
 TEST(Span2D, ConstConversion) {

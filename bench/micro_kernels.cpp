@@ -10,7 +10,8 @@
 // `busy_ms` growing with it means the kernel does more total work per call.
 // `jobs` and `chunks` count the parallel_for calls that fanned out and the
 // chunks they ran. Each of these rows is labelled with the active SIMD
-// level. Repetitions with spread,
+// level; the FW block rows are labelled with the vector ISA that
+// floyd_warshall.cpp was compiled for. Repetitions with spread,
 // interleaving and JSON output come from google-benchmark's own flags, e.g.
 //   --benchmark_filter='GemmPacked|MatMulArray|Trsm'
 //   --benchmark_repetitions=10 --benchmark_enable_random_interleaving=true
@@ -173,6 +174,26 @@ void BM_TrsmLeftLowerUnit(benchmark::State& state) {
 }
 BENCHMARK(BM_TrsmLeftLowerUnit)->Apply([](auto* b) { pool_sweep(b, {512}); });
 
+// LU's opL: L10 = A10 U00^-1 with U00 the upper factor of a factored
+// diagonal block, at lu_dense's b = 64. The solve is serial and works in
+// place, so each iteration first restores the right-hand side.
+void BM_TrsmRightUpper(benchmark::State& state) {
+  const std::size_t n = state.range(0);
+  linalg::Matrix u = linalg::diagonally_dominant(n, 7);
+  linalg::getrf_unblocked(u.view());
+  const linalg::Matrix b0 = linalg::random_matrix(n, n, 8);
+  linalg::Matrix b(n, n);
+  for (auto _ : state) {
+    b = b0;
+    linalg::trsm_right_upper(u.view(), b.view());
+    benchmark::DoNotOptimize(b.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          linalg::trsm_flops(state.range(0), state.range(0)));
+}
+BENCHMARK(BM_TrsmRightUpper)->Arg(64);
+
 // Raw microkernel A/B: one 8x8 register tile against packed micropanels,
 // per dispatch level. Isolates the SIMD win from packing and pool effects;
 // levels the CPU lacks are skipped.
@@ -224,6 +245,7 @@ void BM_FwBlockKernel(benchmark::State& state) {
     benchmark::DoNotOptimize(c.data());
   }
   state.SetItemsProcessed(state.iterations() * 2 * b * b * b);
+  state.SetLabel(graph::kernel_isa());
 }
 BENCHMARK(BM_FwBlockKernel)->Arg(32)->Arg(64)->Arg(128);
 

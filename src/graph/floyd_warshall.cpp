@@ -5,6 +5,16 @@
 
 namespace rcs::graph {
 
+const char* kernel_isa() {
+#if defined(__AVX512F__)
+  return "avx512";
+#elif defined(__AVX2__)
+  return "avx2";
+#else
+  return "baseline";
+#endif
+}
+
 void floyd_warshall(Matrix& d) {
   RCS_CHECK_MSG(d.rows() == d.cols(), "floyd_warshall: square matrix required");
   const std::size_t n = d.rows();
@@ -65,13 +75,8 @@ std::vector<std::size_t> reconstruct_path(
   return path;
 }
 
-// Cache-line aligned so that the inner loop's placement, and with it the
-// kernel's speed, does not depend on how much code the linker puts in front
-// of it: on a 4-vCPU Xeon VM a blocked n = 1024 solve ran 40% slower when
-// the vector loop straddled two cache lines.
-__attribute__((aligned(64))) void fw_block(Span2D<double> c,
-                                            Span2D<const double> a,
-                                            Span2D<const double> b) {
+void fw_block(Span2D<double> c, Span2D<const double> a,
+              Span2D<const double> b) {
   RCS_CHECK_MSG(a.cols() == b.rows() && c.rows() == a.rows() &&
                     c.cols() == b.cols(),
                 "fw_block shape mismatch");

@@ -4,7 +4,8 @@
 // run allocates far less than it sends; a copy per destination would
 // allocate more than it sends. A cost-only run at the paper's operating
 // point holds no block at all: its heap stays in megabytes while one b x b
-// block is 72 MB.
+// block is 72 MB. A cost-only Floyd-Warshall run at Fig. 9's point reuses
+// its per-wave scratch, so it allocates less often than it runs waves.
 //
 // This binary replaces the global allocation functions, plain and
 // over-aligned, so that it counts every operator new on every thread. It
@@ -17,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/fw_functional.hpp"
 #include "core/lu_functional.hpp"
 #include "core/system.hpp"
 #include "linalg/generate.hpp"
@@ -137,6 +139,32 @@ TEST(HeapPerRun, CostOnlyLuAtPaperPointHoldsNoBlocks) {
       << "one cost-only run allocated " << heap << " heap bytes in " << calls
       << " allocations for " << res.run.bytes_on_network
       << " bytes on the network";
+}
+
+TEST(HeapPerRun, CostOnlyFwAllocatesLessThanOncePerWave) {
+  const core::SystemParams sys = core::SystemParams::cray_xd1();
+  core::FwConfig cfg;
+  cfg.b = 256;
+  cfg.mode = core::DesignMode::Hybrid;
+  const rcs::linalg::Matrix none;
+  cfg.n = cfg.b * sys.p;
+  (void)core::fw_functional(sys, cfg, none);  // warm-up, as above
+
+  cfg.n = 92160;
+  const std::uint64_t bytes0 = g_heap_bytes.load();
+  const std::uint64_t calls0 = g_heap_calls.load();
+  const core::FwFunctionalResult res = core::fw_functional(sys, cfg, none);
+  const std::uint64_t heap = g_heap_bytes.load() - bytes0;
+  const std::uint64_t calls = g_heap_calls.load() - calls0;
+
+  // Each rank runs one wave of block tasks per pivot row in every
+  // iteration: p (n/b)^2 waves in all.
+  const std::uint64_t nb = static_cast<std::uint64_t>(cfg.n / cfg.b);
+  const std::uint64_t waves = static_cast<std::uint64_t>(sys.p) * nb * nb;
+  EXPECT_GT(res.run.bytes_on_network, 0u);
+  EXPECT_LT(calls, waves)
+      << "one cost-only run made " << calls << " heap allocations ("
+      << heap << " bytes) in " << waves << " rank-waves";
 }
 
 }  // namespace

@@ -174,15 +174,40 @@ TEST(FwKernel, MemoryFootprints) {
   EXPECT_THROW(kernel.require_fits(725), rcs::Error);
 }
 
+// graph::fw_block builds at the hot-kernel ISA (graph::kernel_isa()), while
+// FwKernel's NativeFp loop builds at the baseline ISA: the two must agree
+// bit for bit on every shape and aliasing form the blocked algorithm uses,
+// vector tails included.
 TEST(FwKernel, FunctionalMatchesHostKernelBitwise) {
   fpga::FwKernel kernel(fpga::DeviceConfig::xc2vp50_floyd_warshall());
-  la::Matrix d = gr::random_digraph(16, 11, 0.5);
-  la::Matrix a = gr::random_digraph(16, 12, 0.5);
-  la::Matrix b = gr::random_digraph(16, 13, 0.5);
-  la::Matrix d2 = d;
-  kernel.run_block(d.view(), a.view(), b.view());
-  gr::fw_block(d2.view(), a.view(), b.view());
-  EXPECT_TRUE(la::bit_equal(d.view(), d2.view()));
+  for (const std::size_t n : {16u, 67u}) {
+    SCOPED_TRACE(testing::Message() << n << "x" << n << " blocks, fw_block at "
+                                    << gr::kernel_isa());
+    const la::Matrix pivot = gr::random_digraph(n, 10, 0.5);
+    la::Matrix d = gr::random_digraph(n, 11, 0.5);
+    const la::Matrix a = gr::random_digraph(n, 12, 0.5);
+    const la::Matrix b = gr::random_digraph(n, 13, 0.5);
+    la::Matrix d2 = d;
+    // op3: c, a and b disjoint.
+    kernel.run_block(d.view(), a.view(), b.view());
+    gr::fw_block(d2.view(), a.view(), b.view());
+    EXPECT_TRUE(la::bit_equal(d.view(), d2.view())) << "op3";
+    // op1: c = a = b, in place.
+    la::Matrix op1 = pivot, op1_host = pivot;
+    kernel.run_block(op1.view(), op1.view(), op1.view());
+    gr::fw_block(op1_host.view(), op1_host.view(), op1_host.view());
+    EXPECT_TRUE(la::bit_equal(op1.view(), op1_host.view())) << "op1";
+    // op21: c = b, a is the pivot block.
+    la::Matrix op21 = b, op21_host = b;
+    kernel.run_block(op21.view(), op1.view(), op21.view());
+    gr::fw_block(op21_host.view(), op1.view(), op21_host.view());
+    EXPECT_TRUE(la::bit_equal(op21.view(), op21_host.view())) << "op21";
+    // op22: c = a, b is the pivot block.
+    la::Matrix op22 = a, op22_host = a;
+    kernel.run_block(op22.view(), op22.view(), op1.view());
+    gr::fw_block(op22_host.view(), op22_host.view(), op1.view());
+    EXPECT_TRUE(la::bit_equal(op22.view(), op22_host.view())) << "op22";
+  }
 }
 
 TEST(FwKernel, SoftBackendMatchesNativeOnAllOps) {

@@ -145,6 +145,24 @@ TEST(Trsm, RightUpperSolves) {
   la::gemm_overwrite(x.view(), u.view(), bmat.view());
   la::trsm_right_upper(u.view(), bmat.view());
   EXPECT_LT(la::max_abs_diff(bmat.view(), x.view()), 1e-9);
+
+  // The row-update solve equals the dot form bit for bit, here with a row
+  // remainder (10 rows) and vector tails (67 columns).
+  const std::size_t wide = 67;
+  la::Matrix uw = la::random_matrix(wide, wide, 37, 0.1, 1.0);
+  for (std::size_t i = 0; i < wide; ++i) uw(i, i) = 2.0 + double(i % 5);
+  const la::Matrix b0 = la::random_matrix(m, wide, 41);
+  la::Matrix dot = b0;
+  for (std::size_t r = 0; r < m; ++r) {
+    for (std::size_t j = 0; j < wide; ++j) {
+      double acc = dot(r, j);
+      for (std::size_t i = 0; i < j; ++i) acc -= dot(r, i) * uw(i, j);
+      dot(r, j) = acc * (1.0 / uw(j, j));
+    }
+  }
+  la::Matrix solved = b0;
+  la::trsm_right_upper(uw.view(), solved.view());
+  EXPECT_TRUE(la::bit_equal(solved.view(), dot.view()));
 }
 
 TEST(Trsm, SingularUpperThrows) {

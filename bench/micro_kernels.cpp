@@ -10,8 +10,8 @@
 // `busy_ms` growing with it means the kernel does more total work per call.
 // `jobs` and `chunks` count the parallel_for calls that fanned out and the
 // chunks they ran. Each of these rows is labelled with the active SIMD
-// level; the FW block rows are labelled with the vector ISA that
-// floyd_warshall.cpp was compiled for. Repetitions with spread,
+// level; the FW block rows, one per task form, are labelled with the vector
+// ISA that floyd_warshall.cpp was compiled for. Repetitions with spread,
 // interleaving and JSON output come from google-benchmark's own flags, e.g.
 //   --benchmark_filter='GemmPacked|MatMulArray|Trsm'
 //   --benchmark_repetitions=10 --benchmark_enable_random_interleaving=true
@@ -235,19 +235,57 @@ void BM_GetrfBlocked(benchmark::State& state) {
 }
 BENCHMARK(BM_GetrfBlocked)->Arg(128)->Arg(256);
 
-void BM_FwBlockKernel(benchmark::State& state) {
+// The four FW block-task forms on fw_functional's layout: a rank's local
+// store of four block-columns (row stride 4b), with D_tt and D_qt arriving
+// as contiguous packed blocks. op3 and op22 take fw_block's register paths
+// (op22 where a row fits the register file), op21 and op1 its row loop.
+enum class FwForm { Op3, Op22, Op21, Op1 };
+
+void BM_FwBlockKernel(benchmark::State& state, FwForm form) {
   const std::size_t b = state.range(0);
-  linalg::Matrix c = graph::random_digraph(b, 5, 0.6);
-  linalg::Matrix a = graph::random_digraph(b, 6, 0.6);
-  linalg::Matrix d = graph::random_digraph(b, 7, 0.6);
+  linalg::Matrix store = graph::random_digraph(4 * b, 5, 0.6);
+  const linalg::Matrix dtt = graph::random_digraph(b, 6, 0.6);
+  const linalg::Matrix dqt = graph::random_digraph(b, 7, 0.6);
+  auto blk = [&](std::size_t q, std::size_t c) {
+    return store.block(q * b, c * b, b, b);
+  };
+  Span2D<double> c;
+  Span2D<const double> a;
+  Span2D<const double> d;
+  switch (form) {
+    case FwForm::Op3:
+      c = blk(2, 2);
+      a = dqt.view();
+      d = blk(1, 2);
+      break;
+    case FwForm::Op22:
+      c = blk(2, 1);
+      a = c;
+      d = dtt.view();
+      break;
+    case FwForm::Op21:
+      c = blk(1, 2);
+      a = dtt.view();
+      d = c;
+      break;
+    case FwForm::Op1:
+      c = blk(1, 1);
+      a = c;
+      d = c;
+      break;
+  }
   for (auto _ : state) {
-    graph::fw_block(c.view(), a.view(), d.view());
+    graph::fw_block(c, a, d);
     benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * 2 * b * b * b);
   state.SetLabel(graph::kernel_isa());
 }
-BENCHMARK(BM_FwBlockKernel)->Arg(32)->Arg(64)->Arg(128);
+BENCHMARK_CAPTURE(BM_FwBlockKernel, op3, FwForm::Op3)->Arg(64);
+BENCHMARK_CAPTURE(BM_FwBlockKernel, op22, FwForm::Op22)->Arg(64);
+BENCHMARK_CAPTURE(BM_FwBlockKernel, op21, FwForm::Op21)->Arg(64);
+BENCHMARK_CAPTURE(BM_FwBlockKernel, op1, FwForm::Op1)->Arg(64);
 
 void BM_FloydWarshallReference(benchmark::State& state) {
   const std::size_t n = state.range(0);

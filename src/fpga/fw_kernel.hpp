@@ -51,9 +51,13 @@ class FwKernel {
   void require_fits(long long b) const;
 
   /// Functional block task with the host FPU:
-  /// c[i][j] = min(c[i][j], a[i][k'] + b[k'][j]) with k' outermost — the
-  /// same sweep order as the hardware and as graph::fw_block, so the result
-  /// is bit-identical to the CPU path for every aliasing pattern.
+  /// c[i][j] = min(c[i][j], a[i][k'] + b[k'][j]) with k' outermost, the
+  /// hardware's sweep order. Built at the baseline ISA, this loop is the
+  /// reference the tests compare graph::fw_block with. fw_block keeps tiles
+  /// of c in registers for op3 and whole rows for op22 where a row fits,
+  /// and takes this row loop for op1, op21 and any other aliasing; every
+  /// path folds each entry's k' in ascending order, so the result is
+  /// bit-identical to the CPU path for every aliasing pattern.
   void run_block(Span2D<double> c, Span2D<const double> a,
                  Span2D<const double> b) const;
 

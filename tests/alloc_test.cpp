@@ -5,11 +5,13 @@
 // allocate more than it sends. A cost-only run at the paper's operating
 // point holds no block at all: its heap stays in megabytes while one b x b
 // block is 72 MB. A cost-only Floyd-Warshall run at Fig. 9's point reuses
-// its per-wave scratch, so it allocates less often than it runs waves.
+// its per-wave scratch, so it allocates less often than it runs waves, and
+// graph::fw_block allocates nothing in any task form.
 //
 // This binary replaces the global allocation functions, plain and
 // over-aligned, so that it counts every operator new on every thread. It
-// holds no other test than the run and a check of the counter itself.
+// holds no other test than these heap counts and a check of the counter
+// itself.
 
 #include <atomic>
 #include <cstdint>
@@ -21,6 +23,8 @@
 #include "core/fw_functional.hpp"
 #include "core/lu_functional.hpp"
 #include "core/system.hpp"
+#include "graph/floyd_warshall.hpp"
+#include "graph/generate.hpp"
 #include "linalg/generate.hpp"
 
 namespace {
@@ -165,6 +169,25 @@ TEST(HeapPerRun, CostOnlyFwAllocatesLessThanOncePerWave) {
   EXPECT_LT(calls, waves)
       << "one cost-only run made " << calls << " heap allocations ("
       << heap << " bytes) in " << waves << " rank-waves";
+}
+
+// One call per FW task form at b = 64, on fw_functional's layout (a local
+// store of four block-columns, D_tt packed): op3 and op22 take the register
+// paths, op21 and op1 the row loop. None may allocate.
+TEST(HeapPerCall, FwBlockAllocatesNothingInAnyForm) {
+  constexpr std::size_t b = 64;
+  rcs::linalg::Matrix store = rcs::graph::random_digraph(4 * b, 3, 0.5);
+  const rcs::linalg::Matrix dtt = rcs::graph::random_digraph(b, 4, 0.5);
+  auto blk = [&](std::size_t q, std::size_t c) {
+    return store.block(q * b, c * b, b, b);
+  };
+
+  const std::uint64_t calls0 = g_heap_calls.load();
+  rcs::graph::fw_block(blk(1, 1), blk(1, 1), blk(1, 1));   // op1
+  rcs::graph::fw_block(blk(1, 2), dtt.view(), blk(1, 2));  // op21
+  rcs::graph::fw_block(blk(2, 1), blk(2, 1), dtt.view());  // op22
+  rcs::graph::fw_block(blk(2, 2), blk(2, 1), blk(1, 2));   // op3
+  EXPECT_EQ(g_heap_calls.load() - calls0, 0u);
 }
 
 }  // namespace

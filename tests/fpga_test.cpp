@@ -6,8 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
+#include <string>
+#include <tuple>
 #include <vector>
 
+#include "common/rng.hpp"
+#include "common/span2d.hpp"
 #include "fpga/device.hpp"
 #include "fpga/fw_kernel.hpp"
 #include "fpga/matmul_array.hpp"
@@ -20,6 +25,7 @@
 namespace fpga = rcs::fpga;
 namespace la = rcs::linalg;
 namespace gr = rcs::graph;
+using rcs::Span2D;
 
 namespace {
 
@@ -174,39 +180,144 @@ TEST(FwKernel, MemoryFootprints) {
   EXPECT_THROW(kernel.require_fits(725), rcs::Error);
 }
 
-// graph::fw_block builds at the hot-kernel ISA (graph::kernel_isa()), while
-// FwKernel's NativeFp loop builds at the baseline ISA: the two must agree
-// bit for bit on every shape and aliasing form the blocked algorithm uses,
-// vector tails included.
+using Task = std::tuple<rcs::Span2D<double>, rcs::Span2D<const double>,
+                        rcs::Span2D<const double>>;
+
+// Runs one block task through FwKernel's NativeFp row loop and through
+// graph::fw_block on two copies of the same storage. `views` makes the task's
+// (c, a, b) in a copy; operands it takes from elsewhere are never written.
+// All of the storage is compared, so a write outside c fails too.
+template <typename Views>
+void expect_fw_block_bitwise(const la::Matrix& storage, Views views,
+                             const std::string& what) {
+  const fpga::FwKernel kernel(fpga::DeviceConfig::xc2vp50_floyd_warshall());
+  la::Matrix ref = storage;
+  la::Matrix got = storage;
+  const auto [c, a, b] = views(ref);
+  kernel.run_block(c, a, b);
+  const auto [c2, a2, b2] = views(got);
+  gr::fw_block(c2, a2, b2);
+  EXPECT_TRUE(la::bit_equal(ref.view(), got.view()))
+      << what << ", fw_block at " << gr::kernel_isa();
+}
+
+// Distances holding the entries min-plus must carry through exactly: +inf
+// (no edge), NaN, -0.0 and +0.0, and negative weights.
+la::Matrix special_distances(std::size_t rows, std::size_t cols,
+                             std::uint64_t seed) {
+  la::Matrix d = la::random_matrix(rows, cols, seed, -1.0, 9.0);
+  rcs::Rng rng(seed);
+  for (std::size_t i = 0; i < d.size(); ++i) {
+    const double u = rng.uniform();
+    if (u < 0.05) {
+      d.data()[i] = gr::kNoEdge;
+    } else if (u < 0.07) {
+      d.data()[i] = std::numeric_limits<double>::quiet_NaN();
+    } else if (u < 0.09) {
+      d.data()[i] = -0.0;
+    } else if (u < 0.11) {
+      d.data()[i] = 0.0;
+    }
+  }
+  return d;
+}
+
+// graph::fw_block builds at the hot-kernel ISA (graph::kernel_isa()) and
+// keeps a tile of c in registers for op3 and whole rows for op22 where a row
+// fits, while FwKernel's NativeFp row loop builds at the baseline ISA: the
+// two must agree bit for bit on every shape and aliasing form the blocked
+// algorithm uses, tile and vector remainders included.
 TEST(FwKernel, FunctionalMatchesHostKernelBitwise) {
-  fpga::FwKernel kernel(fpga::DeviceConfig::xc2vp50_floyd_warshall());
   for (const std::size_t n : {16u, 67u}) {
-    SCOPED_TRACE(testing::Message() << n << "x" << n << " blocks, fw_block at "
-                                    << gr::kernel_isa());
     const la::Matrix pivot = gr::random_digraph(n, 10, 0.5);
-    la::Matrix d = gr::random_digraph(n, 11, 0.5);
+    const la::Matrix d = gr::random_digraph(n, 11, 0.5);
     const la::Matrix a = gr::random_digraph(n, 12, 0.5);
     const la::Matrix b = gr::random_digraph(n, 13, 0.5);
-    la::Matrix d2 = d;
-    // op3: c, a and b disjoint.
-    kernel.run_block(d.view(), a.view(), b.view());
-    gr::fw_block(d2.view(), a.view(), b.view());
-    EXPECT_TRUE(la::bit_equal(d.view(), d2.view())) << "op3";
-    // op1: c = a = b, in place.
-    la::Matrix op1 = pivot, op1_host = pivot;
-    kernel.run_block(op1.view(), op1.view(), op1.view());
-    gr::fw_block(op1_host.view(), op1_host.view(), op1_host.view());
-    EXPECT_TRUE(la::bit_equal(op1.view(), op1_host.view())) << "op1";
-    // op21: c = b, a is the pivot block.
-    la::Matrix op21 = b, op21_host = b;
-    kernel.run_block(op21.view(), op1.view(), op21.view());
-    gr::fw_block(op21_host.view(), op1.view(), op21_host.view());
-    EXPECT_TRUE(la::bit_equal(op21.view(), op21_host.view())) << "op21";
-    // op22: c = a, b is the pivot block.
-    la::Matrix op22 = a, op22_host = a;
-    kernel.run_block(op22.view(), op22.view(), op1.view());
-    gr::fw_block(op22_host.view(), op22_host.view(), op1.view());
-    EXPECT_TRUE(la::bit_equal(op22.view(), op22_host.view())) << "op22";
+    const std::string shape = std::to_string(n) + "x" + std::to_string(n);
+    expect_fw_block_bitwise(
+        d, [&](la::Matrix& s) { return Task{s.view(), a.view(), b.view()}; },
+        "op3 (c, a, b disjoint), " + shape);
+    expect_fw_block_bitwise(
+        pivot,
+        [&](la::Matrix& s) { return Task{s.view(), s.view(), s.view()}; },
+        "op1 (c = a = b), " + shape);
+    expect_fw_block_bitwise(
+        b,
+        [&](la::Matrix& s) { return Task{s.view(), pivot.view(), s.view()}; },
+        "op21 (c = b), " + shape);
+    expect_fw_block_bitwise(
+        a,
+        [&](la::Matrix& s) { return Task{s.view(), s.view(), pivot.view()}; },
+        "op22 (c = a), " + shape);
+  }
+
+  // The four forms on fw_functional's layout: a rank's local store of n
+  // rows and four block-columns (row stride 4b; n = 1024, b = 64), with D_tt
+  // and D_qt as contiguous packed blocks. The pivot block has a negative
+  // diagonal entry, and every operand holds +inf, NaN and -0.0.
+  constexpr std::size_t b = 64;
+  const la::Matrix store = special_distances(16 * b, 4 * b, 31);
+  la::Matrix pivot = special_distances(b, b, 32);
+  pivot(5, 5) = -1.5;
+  const la::Matrix dqt = special_distances(b, b, 33);
+  const Span2D<const double> dtt = pivot.view();
+  auto blk = [&](la::Matrix& s, std::size_t q, std::size_t c) {
+    return s.block(q * b, c * b, b, b);
+  };
+  expect_fw_block_bitwise(
+      store,
+      [&](la::Matrix& s) {
+        return Task{blk(s, 1, 1), blk(s, 1, 1), blk(s, 1, 1)};
+      },
+      "op1 in the local store");
+  expect_fw_block_bitwise(
+      store,
+      [&](la::Matrix& s) { return Task{blk(s, 1, 2), dtt, blk(s, 1, 2)}; },
+      "op21: c = b in the local store, a = D_tt");
+  expect_fw_block_bitwise(
+      store,
+      [&](la::Matrix& s) { return Task{blk(s, 9, 1), blk(s, 9, 1), dtt}; },
+      "op22: c = a in the local store, b = D_tt");
+  expect_fw_block_bitwise(
+      store,
+      [&](la::Matrix& s) {
+        return Task{blk(s, 3, 2), dqt.view(), blk(s, 1, 2)};
+      },
+      "op3: a = D_qt, b = row t of the local store");
+
+  // op3 with c 37 x 45 and K = 64: a row and a column remainder at every
+  // tile width.
+  const la::Matrix ragged = special_distances(270, 96, 34);
+  const la::Matrix a37 = special_distances(37, 64, 35);
+  expect_fw_block_bitwise(
+      ragged,
+      [&](la::Matrix& s) {
+        return Task{s.block(100, 3, 37, 45), a37.view(),
+                    s.block(200, 50, 64, 45)};
+      },
+      "op3, c 37x45, K = 64");
+
+  // op22 at every row width up to 72: whole rows in registers where a row
+  // fits (up to 64 at AVX-512), the row loop at other widths such as 67;
+  // 67 rows leave a remainder after every row group. Then c = a shifted
+  // down one row, a partial overlap that must match the row loop.
+  for (std::size_t w = 1; w <= 72; ++w) {
+    la::Matrix dw = special_distances(w, w, 100 + w);
+    dw(w / 2, w / 2) = -0.25;
+    const std::string width = ", width " + std::to_string(w);
+    expect_fw_block_bitwise(
+        ragged,
+        [&](la::Matrix& s) {
+          const Span2D<double> c = s.block(1, 7, 67, w);
+          return Task{c, c, dw.view()};
+        },
+        "op22" + width);
+    expect_fw_block_bitwise(
+        ragged,
+        [&](la::Matrix& s) {
+          return Task{s.block(2, 7, 67, w), s.block(1, 7, 67, w), dw.view()};
+        },
+        "c = a shifted by one row" + width);
   }
 }
 

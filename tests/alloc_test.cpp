@@ -2,11 +2,12 @@
 // on the simulated network. The panel packs each block once and every
 // destination shares that buffer, and receivers read stripes in place, so a
 // run allocates far less than it sends; a copy per destination would
-// allocate more than it sends. A cost-only run at the paper's operating
-// point holds no block at all: its heap stays in megabytes while one b x b
-// block is 72 MB. A cost-only Floyd-Warshall run at Fig. 9's point reuses
-// its per-wave scratch, so it allocates less often than it runs waves, and
-// graph::fw_block allocates nothing in any task form.
+// allocate more than it sends. A cost-only LU or Cholesky run at the
+// paper's operating point holds no block at all: its heap stays in
+// megabytes while one b x b block is 72 MB. A cost-only Floyd-Warshall run
+// at Fig. 9's point reuses its per-wave scratch, so it allocates less often
+// than it runs waves, and graph::fw_block allocates nothing in any task
+// form.
 //
 // This binary replaces the global allocation functions, plain and
 // over-aligned, so that it counts every operator new on every thread. It
@@ -20,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/cholesky.hpp"
 #include "core/fw_functional.hpp"
 #include "core/lu_functional.hpp"
 #include "core/system.hpp"
@@ -125,24 +127,36 @@ TEST(HeapPerRun, LuFunctionalAllocatesLessThanItSends) {
 
 TEST(HeapPerRun, CostOnlyLuAtPaperPointHoldsNoBlocks) {
   const core::SystemParams sys = core::SystemParams::cray_xd1();
-  core::LuConfig cfg;
-  cfg.n = 30000;
-  cfg.b = 3000;
-  cfg.mode = core::DesignMode::Hybrid;
+  core::LuConfig lu;
+  lu.n = 30000;
+  lu.b = 3000;
+  lu.mode = core::DesignMode::Hybrid;
+  core::CholConfig chol;
+  chol.n = 30000;
+  chol.b = 3000;
+  chol.mode = core::DesignMode::Hybrid;
   const rcs::linalg::Matrix none;
-  (void)core::lu_functional(sys, cfg, none);  // warm-up, as above
 
-  const std::uint64_t bytes0 = g_heap_bytes.load();
-  const std::uint64_t calls0 = g_heap_calls.load();
-  const core::LuFunctionalResult res = core::lu_functional(sys, cfg, none);
-  const std::uint64_t heap = g_heap_bytes.load() - bytes0;
-  const std::uint64_t calls = g_heap_calls.load() - calls0;
+  auto expect_no_blocks = [](const char* what, const auto& run) {
+    (void)run();  // warm-up, as above
 
-  EXPECT_GT(res.run.bytes_on_network, 100'000'000'000u);
-  EXPECT_LT(heap, 4u << 20)
-      << "one cost-only run allocated " << heap << " heap bytes in " << calls
-      << " allocations for " << res.run.bytes_on_network
-      << " bytes on the network";
+    const std::uint64_t bytes0 = g_heap_bytes.load();
+    const std::uint64_t calls0 = g_heap_calls.load();
+    const core::RunReport rep = run();
+    const std::uint64_t heap = g_heap_bytes.load() - bytes0;
+    const std::uint64_t calls = g_heap_calls.load() - calls0;
+
+    EXPECT_GT(rep.bytes_on_network, 100'000'000'000u) << what;
+    EXPECT_LT(heap, 4u << 20)
+        << "one cost-only " << what << " run allocated " << heap
+        << " heap bytes in " << calls << " allocations for "
+        << rep.bytes_on_network << " bytes on the network";
+  };
+  expect_no_blocks("LU",
+                   [&] { return core::lu_functional(sys, lu, none).run; });
+  expect_no_blocks("Cholesky", [&] {
+    return core::cholesky_functional(sys, chol, none).run;
+  });
 }
 
 TEST(HeapPerRun, CostOnlyFwAllocatesLessThanOncePerWave) {

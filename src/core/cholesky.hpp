@@ -14,6 +14,12 @@
 // iteration instead of LU's m^2, so the serial panel chain weighs more and
 // the hybrid's advantage is correspondingly smaller — a useful contrast
 // the ext_cholesky bench quantifies.
+//
+// cholesky_functional runs lu_functional's executed schedule
+// (core/lu_functional.cpp) under its symmetric switch: the same panel
+// pipeline, worker shares, opMS at the owners and per-iteration barrier.
+// It never sets LU's lookahead, faults, fault_tolerance,
+// straggler_timeout_s or max_iterations.
 
 #include "core/design.hpp"
 #include "core/partition.hpp"

@@ -8,9 +8,11 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "core/cholesky.hpp"
 #include "core/functional_run.hpp"
 #include "fpga/matmul_array.hpp"
 #include "linalg/blas.hpp"
+#include "linalg/cholesky.hpp"
 #include "linalg/getrf.hpp"
 #include "net/matrix_channel.hpp"
 #include "node/compute_node.hpp"
@@ -25,15 +27,17 @@ using linalg::Matrix;
 
 /// Deterministic per-iteration list of opMM tasks (u, v), ordered by the
 /// panel pipeline: tasks become ready when both their opL (row u) and opU
-/// (column v) are done, i.e. after panel pair i = max(u, v) - t.
+/// (column v) are done, i.e. after panel pair i = max(u, v) - t. A
+/// symmetric factorization has only the tasks u >= v.
 std::vector<std::pair<long long, long long>> opmm_order(long long t,
-                                                        long long nb) {
+                                                        long long nb,
+                                                        bool sym) {
   std::vector<std::pair<long long, long long>> order;
   const long long m = nb - 1 - t;
-  order.reserve(static_cast<std::size_t>(m * m));
+  order.reserve(static_cast<std::size_t>(sym ? m * (m + 1) / 2 : m * m));
   for (long long i = 1; i <= m; ++i) {
     for (long long j = 1; j <= i; ++j) order.emplace_back(t + i, t + j);
-    for (long long j = 1; j < i; ++j) order.emplace_back(t + j, t + i);
+    for (long long j = 1; j < i && !sym; ++j) order.emplace_back(t + j, t + i);
   }
   return order;
 }
@@ -128,18 +132,25 @@ Matrix recompute_share(const fpga::MatMulArray& mm, Span2D<const double> c,
   return e;
 }
 
-}  // namespace
-
-LuFunctionalResult lu_functional(const SystemParams& sys, const LuConfig& cfg,
-                                 const Matrix& a, bool use_soft_fp,
-                                 sim::TraceRecorder* trace) {
+/// The §5.1 panel-fed schedule, on data or cost-only. `sym` runs it as the
+/// symmetric factorization (Cholesky): opPOTRF on the diagonal, opL only
+/// (L_ut = A_ut L_tt^-T), the tasks u >= v, D stripes from the packed
+/// column with the worker's share taken as C x D^T, and only the lower
+/// triangle owned; the gathered strict upper triangle keeps the input. LU's
+/// lookahead, fault, ABFT, straggler and max_iterations switches are never
+/// set with it.
+LuFunctionalResult panel_fed(const SystemParams& sys, const LuConfig& cfg,
+                             const Matrix& a, bool use_soft_fp,
+                             sim::TraceRecorder* trace, bool sym) {
+  const char* name = sym ? "Cholesky" : "LU";
   RCS_CHECK_MSG(cfg.n > 0 && cfg.b > 0 && cfg.n % cfg.b == 0,
-                "LU requires b | n");
+                name << " requires b | n");
   const bool data = !a.empty();  // otherwise a cost-only run
   RCS_CHECK_MSG(!data || (a.rows() == static_cast<std::size_t>(cfg.n) &&
                           a.cols() == static_cast<std::size_t>(cfg.n)),
                 "input matrix shape mismatch");
-  RCS_CHECK_MSG(sys.p >= 2, "the distributed LU design needs p >= 2");
+  RCS_CHECK_MSG(sys.p >= 2,
+                "the distributed " << name << " design needs p >= 2");
   RCS_CHECK_MSG(data || cfg.faults == nullptr ||
                     cfg.faults->bitflip_count() == 0,
                 "a cost-only run cannot inject bit-flips: ABFT outcomes "
@@ -169,7 +180,9 @@ LuFunctionalResult lu_functional(const SystemParams& sys, const LuConfig& cfg,
   RCS_CHECK_MSG(straggler_s == 0.0 || cfg.fault_tolerance,
                 "straggler_timeout_s requires fault_tolerance");
 
-  Matrix factored = data ? Matrix(n, n) : Matrix();
+  // The phase spans' category; lu_drift_report reads "lu".
+  const char* cat = sym ? "chol" : "lu";
+  Matrix factored = !data ? Matrix() : sym ? a : Matrix(n, n);
   const RunSetup setup{.p = p,
                        .network = sys.network,
                        .node = sys.node_params_mm(),
@@ -187,11 +200,11 @@ LuFunctionalResult lu_functional(const SystemParams& sys, const LuConfig& cfg,
         cfg.faults != nullptr && cfg.faults->bitflip_count() > 0;
     std::uint64_t fpga_calls = 0;
 
-    OwnedBlocks blk(a, n, b, p, me, /*lower=*/false);
+    OwnedBlocks blk(a, n, b, p, me, /*lower=*/sym);
 
     for (long long t = 0; t < iterations; ++t) {
       const int panel = static_cast<int>(t % p);
-      const auto order = opmm_order(t, nb);
+      const auto order = opmm_order(t, nb, sym);
       const long long total = static_cast<long long>(order.size());
       const double b3 = static_cast<double>(b) * static_cast<double>(b) *
                         static_cast<double>(b);
@@ -203,10 +216,15 @@ LuFunctionalResult lu_functional(const SystemParams& sys, const LuConfig& cfg,
           stash;
 
       if (me == panel) {
-        // --- Panel pipeline: opLU, then opL/opU pairs, serving stripe data
-        // for up to l ready opMM tasks after each panel operation.
-        {
-          obs::PhaseSpan phase("lu", "opLU");
+        // --- Panel pipeline: opLU (opPOTRF), then opL/opU pairs (opL
+        // alone), serving stripe data for up to l ready opMM tasks after
+        // each panel operation.
+        if (sym) {
+          obs::PhaseSpan phase(cat, "opPOTRF");
+          if (data) linalg::potrf_unblocked(blk(t, t));
+          node.cpu_compute(node::CpuKernel::Dpotrf, b3 / 3.0, "opPOTRF");
+        } else {
+          obs::PhaseSpan phase(cat, "opLU");
           if (data) linalg::getrf_unblocked(blk(t, t));
           node.cpu_compute(node::CpuKernel::Dgetrf, (2.0 / 3.0) * b3, "opLU");
         }
@@ -219,7 +237,7 @@ LuFunctionalResult lu_functional(const SystemParams& sys, const LuConfig& cfg,
         const bool dma = cfg.fanout == SendFanout::PaperSingle || cfg.lookahead;
         // Panel blocks packed once, as each is finished: lcol[i] holds
         // (t+i, t) and urow[i] holds (t, t+i). Every task's C/D stripes go
-        // out from these 2m buffers.
+        // out from these 2m buffers; a symmetric run sends D from lcol.
         const long long m = nb - 1 - t;
         std::vector<net::Payload> lcol(static_cast<std::size_t>(m + 1));
         std::vector<net::Payload> urow(static_cast<std::size_t>(m + 1));
@@ -230,20 +248,26 @@ LuFunctionalResult lu_functional(const SystemParams& sys, const LuConfig& cfg,
                     {{make_tag(kCStripe, t, served),
                       lcol[static_cast<std::size_t>(u - t)]},
                      {make_tag(kDStripe, t, served),
-                      urow[static_cast<std::size_t>(v - t)]}});
+                      (sym ? lcol : urow)[static_cast<std::size_t>(v - t)]}});
           }
         };
         for (long long i = 1; i <= m; ++i) {
           const auto pi = static_cast<std::size_t>(i);
           {
-            obs::PhaseSpan phase("lu", "opL");
-            if (data) linalg::trsm_right_upper(blk(t, t), blk(t + i, t));
+            obs::PhaseSpan phase(cat, "opL");
+            if (data && sym) {
+              linalg::trsm_right_lower_transposed(blk(t, t), blk(t + i, t));
+            } else if (data) {
+              linalg::trsm_right_upper(blk(t, t), blk(t + i, t));
+            }
             node.cpu_compute(node::CpuKernel::Dtrsm, b3, "opL");
           }
           lcol[pi] = net::pack_matrix(blk(t + i, t));
+          if (sym) ready = i * (i + 1) / 2;
           if (l > 0) serve(l);
+          if (sym) continue;
           {
-            obs::PhaseSpan phase("lu", "opU");
+            obs::PhaseSpan phase(cat, "opU");
             if (data) linalg::trsm_left_lower_unit(blk(t, t), blk(t, t + i));
             node.cpu_compute(node::CpuKernel::Dtrsm, b3, "opU");
           }
@@ -264,12 +288,13 @@ LuFunctionalResult lu_functional(const SystemParams& sys, const LuConfig& cfg,
               net::recv_matrix(comm, panel, make_tag(kDStripe, t, j), "opMM");
           Matrix e_store;
           const Span2D<double> e = work_block(e_store, b, cw, data);
-          auto dshare = d.block(0, c0, b, cw);
+          // E = C x D[:, c0:c1), or C x D[c0:c1, :]^T when symmetric.
+          auto dshare = sym ? d.block(c0, 0, cw, b) : d.block(0, c0, b, cw);
 
           {
-            obs::PhaseSpan phase("lu", "opMM");
+            obs::PhaseSpan phase(cat, "opMM");
             hybrid_opmm_share(node, array, c.view(), dshare, e, b_f,
-                              /*nt=*/false, use_soft_fp, "opMM");
+                              /*nt=*/sym, use_soft_fp, "opMM");
             if (b_f > 0) {
               node.fpga_wait();
               node.read_fpga_results("opMM partial product");
@@ -288,7 +313,7 @@ LuFunctionalResult lu_functional(const SystemParams& sys, const LuConfig& cfg,
             // element, recomputed exactly in stream order; anything wider
             // re-solves the whole share element-wise, bypassing the faulty
             // call. Either repair is bit-identical to the fault-free tile.
-            obs::PhaseSpan phase("lu", "abft");
+            obs::PhaseSpan phase(cat, "abft");
             const sim::SimTime check_start = comm.clock().now();
             fstats.checks += 1;
             node.cpu_compute(
@@ -327,7 +352,7 @@ LuFunctionalResult lu_functional(const SystemParams& sys, const LuConfig& cfg,
           const int dst = owner_of(u, v, p);
           if (dst == me) {
             // This worker owns the block: apply its own opMS share locally.
-            obs::PhaseSpan phase("lu", "opMS");
+            obs::PhaseSpan phase(cat, "opMS");
             if (data) linalg::matrix_sub(blk(u, v).block(0, c0, b, cw), e);
             node.cpu_compute(node::CpuKernel::MemBound,
                              static_cast<double>(b * cw), "opMS");
@@ -368,7 +393,7 @@ LuFunctionalResult lu_functional(const SystemParams& sys, const LuConfig& cfg,
             // Re-solve its columns locally from the stashed (or owned) full
             // stripes — bit-identical to the share the worker would have
             // sent, so the factors don't move.
-            obs::PhaseSpan phase("lu", "straggler");
+            obs::PhaseSpan phase(cat, "straggler");
             const sim::SimTime repair_start = comm.clock().now();
             Span2D<const double> cm;
             Span2D<const double> dm;
@@ -393,7 +418,7 @@ LuFunctionalResult lu_functional(const SystemParams& sys, const LuConfig& cfg,
             fstats.mttr_s.push_back(mttr);
             fstats.recovery_cpu_s += mttr;
           }
-          obs::PhaseSpan phase("lu", "opMS");
+          obs::PhaseSpan phase(cat, "opMS");
           if (data) linalg::matrix_sub(blk(u, v).block(0, c0, b, c1 - c0), e);
           node.cpu_compute(node::CpuKernel::MemBound,
                            static_cast<double>(b * (c1 - c0)), "opMS");
@@ -407,7 +432,7 @@ LuFunctionalResult lu_functional(const SystemParams& sys, const LuConfig& cfg,
 
     // The gather is untimed and stays out of the analyzed timeline.
     rank.end_timed();
-    obs::PhaseSpan phase("lu", "gather");
+    obs::PhaseSpan phase(cat, "gather");
     blk.gather(comm, factored);
   });
 
@@ -416,10 +441,33 @@ LuFunctionalResult lu_functional(const SystemParams& sys, const LuConfig& cfg,
   res.partition = part;
   res.l = l;
   res.run = totals.run;
-  res.run.design = std::string("LU/") + to_string(cfg.mode) + "/functional" +
-                   (cfg.lookahead ? "+lookahead" : "");
+  res.run.design = std::string(sym ? "CHOL/" : "LU/") + to_string(cfg.mode) +
+                   "/functional" + (cfg.lookahead ? "+lookahead" : "");
   res.faults = totals.faults;
   return res;
+}
+
+}  // namespace
+
+LuFunctionalResult lu_functional(const SystemParams& sys, const LuConfig& cfg,
+                                 const Matrix& a, bool use_soft_fp,
+                                 sim::TraceRecorder* trace) {
+  return panel_fed(sys, cfg, a, use_soft_fp, trace, /*sym=*/false);
+}
+
+CholFunctionalResult cholesky_functional(const SystemParams& sys,
+                                         const CholConfig& cfg,
+                                         const Matrix& a, bool use_soft_fp,
+                                         sim::TraceRecorder* trace) {
+  const LuConfig lu{.n = cfg.n,
+                    .b = cfg.b,
+                    .mode = cfg.mode,
+                    .b_f = cfg.b_f,
+                    .l = cfg.l,
+                    .fanout = cfg.fanout};
+  LuFunctionalResult res = panel_fed(sys, lu, a, use_soft_fp, trace,
+                                     /*sym=*/true);
+  return {std::move(res.factored), std::move(res.run), res.partition, res.l};
 }
 
 }  // namespace rcs::core

@@ -12,6 +12,10 @@
 // opMM results return to the block's owner for the opMS update. (The paper's
 // text says "P_t'' where t'' = max{u, v}", which contradicts its own initial
 // distribution; we follow the distribution.)
+//
+// The schedule has two entry points: lu_functional below, and
+// cholesky_functional (core/cholesky.hpp), which runs it as the symmetric
+// factorization A = L L^T.
 
 #include "core/design.hpp"
 #include "core/partition.hpp"

@@ -5,11 +5,12 @@
 //   core/system.hpp        — SystemParams + machine presets (Cray XD1, ...)
 //   core/partition.hpp     — Eq. 1/2/4/5/6 workload-partition solvers
 //   core/predict.hpp       — the §4.5 performance predictor
-//   core/lu_functional.hpp — distributed LU over MiniMPI (real data, or
-//                            cost-only at paper scale)
+//   core/lu_functional.hpp — lu_functional: distributed LU over MiniMPI
+//                            (real data, or cost-only at paper scale)
 //   core/fw_functional.hpp — distributed Floyd–Warshall over MiniMPI
 //   core/mm.hpp            — hybrid block MM of the companion work [22]
-//   core/cholesky.hpp      — hybrid Cholesky, the same model applied to SPD A
+//   core/cholesky.hpp      — cholesky_functional: hybrid Cholesky of SPD A,
+//                            run on lu_functional's schedule
 //   plus the substrates they run on: linalg/ (dense BLAS subset, LU,
 //   Cholesky), graph/ (Floyd–Warshall), fpga/, node/, net/ (MiniMPI),
 //   sim/, fparith/ (add, mul and min cores) and common/.

@@ -194,6 +194,43 @@ void BM_TrsmRightUpper(benchmark::State& state) {
 }
 BENCHMARK(BM_TrsmRightUpper)->Arg(64);
 
+// One worker's opMM share at lu_dense's split: the 64 x 64 C stripe times
+// a 64 x 32 D share, its first b_f = 32 rows on MatMulArray and the rest
+// on gemm. `unpacked` passes views, so every call packs both operands, as
+// a worker that packs per task does; `packed_once` packs the stripe's two
+// row halves and the share before the loop, as a worker that reuses them
+// across an iteration's tasks does. Serial (the share never fans out);
+// labelled with the SIMD level.
+void BM_OpmmShare(benchmark::State& state, bool packed_once) {
+  constexpr std::size_t b = 64, cw = 32, b_f = 32;
+  const fpga::MatMulArray array(core::SystemParams::cray_xd1().mm_fpga);
+  const linalg::Matrix c = linalg::random_matrix(b, b, 5);
+  const linalg::Matrix d = linalg::random_matrix(b, cw, 6);
+  linalg::Matrix e(b, cw);
+  linalg::PackedA c_f, c_p;
+  linalg::PackedB pd;
+  c_f.pack(c.block(0, 0, b_f, b));
+  c_p.pack(c.block(b_f, 0, b - b_f, b));
+  pd.pack(d.view(), /*transposed=*/false);
+  for (auto _ : state) {
+    if (packed_once) {
+      array.multiply_accumulate(c_f, pd, e.block(0, 0, b_f, cw));
+      linalg::gemm(c_p, pd, e.block(b_f, 0, b - b_f, cw));
+    } else {
+      array.multiply_accumulate(c.block(0, 0, b_f, b), d.view(),
+                                e.block(0, 0, b_f, cw));
+      linalg::gemm(c.block(b_f, 0, b - b_f, b), d.view(),
+                   e.block(b_f, 0, b - b_f, cw));
+    }
+    benchmark::DoNotOptimize(e.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * linalg::gemm_flops(b, b, cw));
+  state.SetLabel(linalg::simd::level_name(linalg::simd::active_level()));
+}
+BENCHMARK_CAPTURE(BM_OpmmShare, unpacked, false);
+BENCHMARK_CAPTURE(BM_OpmmShare, packed_once, true);
+
 // Raw microkernel A/B: one 8x8 register tile against packed micropanels,
 // per dispatch level. Isolates the SIMD win from packing and pool effects;
 // levels the CPU lacks are skipped.

@@ -72,11 +72,12 @@ class ThreadPool {
 /// — a parallel_for issued from inside a running body — still runs serial.
 bool exchange_in_parallel_body(bool value);
 
-/// Convenience: parallel_for on the shared global pool.
-inline void parallel_for(
-    std::size_t begin, std::size_t end, std::size_t grain,
-    const std::function<void(std::size_t, std::size_t)>& body) {
-  ThreadPool::global().parallel_for(begin, end, grain, body);
+/// Convenience: parallel_for on the shared global pool. The body is passed
+/// by reference, so no call allocates a std::function for its captures.
+template <typename Body>
+void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
+                  const Body& body) {
+  ThreadPool::global().parallel_for(begin, end, grain, std::cref(body));
 }
 
 /// Floor on the useful work per chunk: dispatching one chunk costs a few

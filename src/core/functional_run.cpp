@@ -79,7 +79,7 @@ RunTotals run_ranks(const RunSetup& setup,
 void hybrid_opmm_share(node::ComputeNode& node, const fpga::MatMulArray& mm,
                        Span2D<const double> c, Span2D<const double> d,
                        Span2D<double> e, long long b_f, bool nt, bool soft,
-                       const char* label) {
+                       const char* label, const SharePacks* packs) {
   const auto rows = static_cast<long long>(e.rows());
   const auto cols = static_cast<long long>(e.cols());
   const auto inner = static_cast<long long>(c.cols());
@@ -107,18 +107,24 @@ void hybrid_opmm_share(node::ComputeNode& node, const fpga::MatMulArray& mm,
   if (b_f > 0) {
     const auto c_f = c.block(0, 0, b_f, inner);
     const auto e_f = e.block(0, 0, b_f, cols);
-    if (nt) {
-      soft ? mm.multiply_accumulate_nt_soft(c_f, d, e_f)
-           : mm.multiply_accumulate_nt(c_f, d, e_f);
+    if (soft) {
+      nt ? mm.multiply_accumulate_nt_soft(c_f, d, e_f)
+         : mm.multiply_accumulate_soft(c_f, d, e_f);
+    } else if (packs != nullptr) {
+      mm.multiply_accumulate(*packs->c_fpga, *packs->d, e_f);
     } else {
-      soft ? mm.multiply_accumulate_soft(c_f, d, e_f)
-           : mm.multiply_accumulate(c_f, d, e_f);
+      nt ? mm.multiply_accumulate_nt(c_f, d, e_f)
+         : mm.multiply_accumulate(c_f, d, e_f);
     }
   }
   if (b_p > 0) {
     const auto c_p = c.block(b_f, 0, b_p, inner);
     const auto e_p = e.block(b_f, 0, b_p, cols);
-    nt ? linalg::gemm_nt(c_p, d, e_p) : linalg::gemm(c_p, d, e_p);
+    if (packs != nullptr) {
+      linalg::gemm(*packs->c_cpu, *packs->d, e_p);
+    } else {
+      nt ? linalg::gemm_nt(c_p, d, e_p) : linalg::gemm(c_p, d, e_p);
+    }
   }
 }
 

@@ -30,6 +30,11 @@ namespace rcs::fpga {
 class MatMulArray;
 }
 
+namespace rcs::linalg {
+class PackedA;
+class PackedB;
+}  // namespace rcs::linalg
+
 namespace rcs::core {
 
 /// How to set up one harnessed run.
@@ -77,6 +82,16 @@ class Rank {
 RunTotals run_ranks(const RunSetup& setup,
                     const std::function<void(Rank&)>& body);
 
+/// The operands of an opMM share packed once for the native-FP kernels:
+/// the C stripe's FPGA rows [0, b_f) and CPU rows [b_f, b), and the D share
+/// as the share multiplies it (packed transposed for C x D^T). A worker
+/// whose shares read the same stripe passes the same packs to each.
+struct SharePacks {
+  const linalg::PackedA* c_fpga = nullptr;  // unread under soft FP
+  const linalg::PackedA* c_cpu = nullptr;
+  const linalg::PackedB* d = nullptr;
+};
+
 /// One worker's hybrid opMM share (§5.1, Eq. 4): E += C x D, or C x D^T
 /// when `nt`, with the first b_f rows of E on the FPGA (MatMulArray; the
 /// bit-accurate cores when `soft`) and the rest on the CPU (gemm /
@@ -84,11 +99,13 @@ RunTotals run_ranks(const RunSetup& setup,
 /// stripe, the FPGA rows' DRAM transfer and start signal, then the CPU
 /// rows' dgemm. The FPGA's completion (fpga_wait) is the caller's, which
 /// may batch several shares behind one handshake. Shape-only operands
-/// (a cost-only run) are charged and not computed.
+/// (a cost-only run) are charged and not computed. With `packs` the
+/// native kernels read them instead of packing `c` and `d` themselves;
+/// the charges and the bits are the same either way.
 void hybrid_opmm_share(node::ComputeNode& node, const fpga::MatMulArray& mm,
                        Span2D<const double> c, Span2D<const double> d,
                        Span2D<double> e, long long b_f, bool nt, bool soft,
-                       const char* label);
+                       const char* label, const SharePacks* packs = nullptr);
 
 /// Rank owning block (u, v) under the paper's frame distribution:
 /// min(u, v) mod p, so iteration t's whole panel lives on rank t mod p.

@@ -132,6 +132,21 @@ Matrix recompute_share(const fpga::MatMulArray& mm, Span2D<const double> c,
   return e;
 }
 
+/// A worker's pack of the C stripe (u, t) for its native-FP shares: the
+/// FPGA rows and the CPU rows, and the iteration t it holds (-1: none).
+struct StripePack {
+  long long t = -1;
+  linalg::PackedA fpga;
+  linalg::PackedA cpu;
+};
+
+/// A worker's pack of its share of the D stripe (t, v), and the iteration
+/// it holds.
+struct DSharePack {
+  long long t = -1;
+  linalg::PackedB d;
+};
+
 /// The §5.1 panel-fed schedule, on data or cost-only. `sym` runs it as the
 /// symmetric factorization (Cholesky): opPOTRF on the diagonal, opL only
 /// (L_ut = A_ut L_tt^-T), the tasks u >= v, D stripes from the packed
@@ -201,6 +216,13 @@ LuFunctionalResult panel_fed(const SystemParams& sys, const LuConfig& cfg,
     std::uint64_t fpga_calls = 0;
 
     OwnedBlocks blk(a, n, b, p, me, /*lower=*/sym);
+    // A worker's packs, in slots u - t (C stripes) and v - t (D shares),
+    // kept from one iteration to the next; sized at a rank's first pack, so
+    // a rank that never packs holds none.
+    std::vector<StripePack> cpacks;
+    std::vector<DSharePack> dpacks;
+    // The E share of a block this rank owns, reused from task to task.
+    std::vector<double> e_local;
 
     for (long long t = 0; t < iterations; ++t) {
       const int panel = static_cast<int>(t % p);
@@ -280,34 +302,62 @@ LuFunctionalResult panel_fed(const SystemParams& sys, const LuConfig& cfg,
         // --- Worker: one column share of every opMM of this iteration.
         const auto [c0, c1] = worker_columns(b, p, panel, me);
         const long long cw = c1 - c0;
+        const long long b_p = b - b_f;
+        // Native FP packs each C stripe (u, t) and each D share (t, v)
+        // once, at the first task that reads it; the tasks that share it
+        // reuse the pack. A cost-only run, or a worker with no columns,
+        // packs nothing.
+        const bool pack = data && cw > 0;
+        if (pack && cpacks.empty()) {
+          cpacks.resize(static_cast<std::size_t>(nb));
+          dpacks.resize(static_cast<std::size_t>(nb));
+        }
         for (long long j = 0; j < total; ++j) {
           const auto [u, v] = order[static_cast<std::size_t>(j)];
           net::PackedMatrix c =
               net::recv_matrix(comm, panel, make_tag(kCStripe, t, j), "opMM");
           net::PackedMatrix d =
               net::recv_matrix(comm, panel, make_tag(kDStripe, t, j), "opMM");
-          Matrix e_store;
-          const Span2D<double> e = work_block(e_store, b, cw, data);
           // E = C x D[:, c0:c1), or C x D[c0:c1, :]^T when symmetric.
           auto dshare = sym ? d.block(c0, 0, cw, b) : d.block(0, c0, b, cw);
+          SharePacks packs;
+          if (pack) {
+            StripePack& cp = cpacks[static_cast<std::size_t>(u - t)];
+            if (cp.t != t) {
+              cp.t = t;
+              if (b_f > 0 && !use_soft_fp) cp.fpga.pack(c.block(0, 0, b_f, b));
+              if (b_p > 0) cp.cpu.pack(c.block(b_f, 0, b_p, b));
+            }
+            DSharePack& dp = dpacks[static_cast<std::size_t>(v - t)];
+            if (dp.t != t) {
+              dp.t = t;
+              dp.d.pack(dshare, /*transposed=*/sym);
+            }
+            packs = {&cp.fpga, &cp.cpu, &dp.d};
+          }
 
-          {
-            obs::PhaseSpan phase(cat, "opMM");
-            hybrid_opmm_share(node, array, c.view(), dshare, e, b_f,
-                              /*nt=*/sym, use_soft_fp, "opMM");
-            if (b_f > 0) {
-              node.fpga_wait();
-              node.read_fpga_results("opMM partial product");
+          // The share, computed into `e` from zero: the opMM kernels, then
+          // any scheduled bit-flip, then the ABFT scan and repair.
+          auto run_share = [&](Span2D<double> e) {
+            if (data) std::fill(e.data(), e.data() + b * cw, 0.0);
+            {
+              obs::PhaseSpan phase(cat, "opMM");
+              hybrid_opmm_share(node, array, c.view(), dshare, e, b_f,
+                                /*nt=*/sym, use_soft_fp, "opMM",
+                                pack ? &packs : nullptr);
+              if (b_f > 0) {
+                node.fpga_wait();
+                node.read_fpga_results("opMM partial product");
+              }
             }
-          }
-          if (inject && b_f > 0) {
-            if (const sim::BitFlip* f =
-                    cfg.faults->flip_for(me, fpga_calls++)) {
-              sim::apply_bitflip(*f, e.block(0, 0, b_f, cw));
-              fstats.bitflips_injected += 1;
+            if (inject && b_f > 0) {
+              if (const sim::BitFlip* f =
+                      cfg.faults->flip_for(me, fpga_calls++)) {
+                sim::apply_bitflip(*f, e.block(0, 0, b_f, cw));
+                fstats.bitflips_injected += 1;
+              }
             }
-          }
-          if (abft && b_f > 0) {
+            if (!abft || b_f == 0) return;
             // --- ABFT: row/column checksum scan of the FPGA share. A
             // single mismatched (row, col) pair pinpoints one corrupted
             // element, recomputed exactly in stream order; anything wider
@@ -348,18 +398,28 @@ LuFunctionalResult panel_fed(const SystemParams& sys, const LuConfig& cfg,
               fstats.mttr_s.push_back(comm.clock().now() - repair_start);
             }
             fstats.recovery_cpu_s += comm.clock().now() - check_start;
-          }
+          };
+
           const int dst = owner_of(u, v, p);
           if (dst == me) {
-            // This worker owns the block: apply its own opMS share locally.
+            // This worker owns the block: build the share in the rank's
+            // reused buffer and apply its own opMS share locally.
+            e_local.resize(data ? static_cast<std::size_t>(b * cw) : 0);
+            const Span2D<double> e(data ? e_local.data() : nullptr,
+                                   static_cast<std::size_t>(b),
+                                   static_cast<std::size_t>(cw));
+            run_share(e);
             obs::PhaseSpan phase(cat, "opMS");
             if (data) linalg::matrix_sub(blk(u, v).block(0, c0, b, cw), e);
             node.cpu_compute(node::CpuKernel::MemBound,
                              static_cast<double>(b * cw), "opMS");
           } else {
-            // Lookahead returns the E share over the worker's NIC, so its
-            // CPU moves straight on to the next task's opMM.
-            net::Payload share = net::pack_matrix(e);
+            // Any other owner's share is built straight in the payload
+            // that carries it. Lookahead returns it over the worker's NIC,
+            // so its CPU moves straight on to the next task's opMM.
+            net::Payload share = net::build_matrix(
+                static_cast<std::uint64_t>(b), static_cast<std::uint64_t>(cw),
+                !data, run_share);
             const int tag = make_tag(kEShare, t, j);
             cfg.lookahead ? comm.isend(dst, tag, std::move(share))
                           : comm.send(dst, tag, std::move(share));

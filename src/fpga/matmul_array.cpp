@@ -45,8 +45,12 @@ MatMulArray::MatMulArray(DeviceConfig dev) : dev_(std::move(dev)) {
                "matmul PE array");
 }
 
-void MatMulArray::note_call(std::size_t m, std::size_t inner,
-                            std::size_t n) const {
+void MatMulArray::note_call(std::size_t m, std::size_t inner, std::size_t n,
+                            bool nt) const {
+  require_sram(dev_, sram_words(static_cast<long long>(m),
+                                static_cast<long long>(n)),
+               nt ? "matmul-nt result tile" : "matmul result tile");
+  if (!obs::metrics_enabled()) return;
   MmMetrics& mm = MmMetrics::get();
   mm.calls.add(1);
   const std::uint64_t useful = static_cast<std::uint64_t>(m) * inner * n;
@@ -75,11 +79,8 @@ void MatMulArray::mac(Span2D<const double> c, Span2D<const double> d,
                     c.rows() == e.rows() &&
                     (nt ? d.rows() : d.cols()) == e.cols(),
                 (nt ? "matmul-nt shape mismatch" : "matmul shape mismatch"));
-  require_sram(dev_, sram_words(static_cast<long long>(e.rows()),
-                                static_cast<long long>(e.cols())),
-               nt ? "matmul-nt result tile" : "matmul result tile");
+  note_call(e.rows(), c.cols(), e.cols(), nt);
   obs::ScopedTimer span(nt ? "mm_nt" : "mm", "fpga");
-  if (obs::metrics_enabled()) note_call(e.rows(), c.cols(), e.cols());
   // Dot products accumulate in ascending inner-index order, exactly like the
   // streaming PEs (and the host gemm), so both paths below yield identical
   // bits at any thread count.
@@ -92,7 +93,7 @@ void MatMulArray::mac(Span2D<const double> c, Span2D<const double> d,
   // engine's grain checks keep an opMM-share-sized product on the calling
   // thread; only products big enough to split fan out to the pool.
   if (!soft) {
-    linalg::detail::gemm_packed_engine(c, d, e, nt);
+    linalg::detail::gemm_views(c, d, e, nt);
   } else {
     // Bit-accurate cores: plain row loop through element(); the grain
     // heuristic keeps cheap calls serial instead of paying chunk dispatch.
@@ -108,6 +109,18 @@ void MatMulArray::mac(Span2D<const double> c, Span2D<const double> d,
       }
     });
   }
+}
+
+void MatMulArray::multiply_accumulate(const linalg::PackedA& c,
+                                      const linalg::PackedB& d,
+                                      Span2D<double> e) const {
+  const bool nt = d.transposed();
+  RCS_CHECK_MSG(c.depth() == d.depth() && c.rows() == e.rows() &&
+                    d.cols() == e.cols(),
+                (nt ? "matmul-nt shape mismatch" : "matmul shape mismatch"));
+  note_call(e.rows(), c.depth(), e.cols(), nt);
+  obs::ScopedTimer span(nt ? "mm_nt" : "mm", "fpga");
+  linalg::detail::gemm_packed(c, d, e);
 }
 
 double MatMulArray::element(Span2D<const double> c, Span2D<const double> d,

@@ -28,6 +28,11 @@
 #include "fparith/backend.hpp"
 #include "fpga/device.hpp"
 
+namespace rcs::linalg {
+class PackedA;
+class PackedB;
+}  // namespace rcs::linalg
+
 namespace rcs::fpga {
 
 class MatMulArray {
@@ -81,6 +86,13 @@ class MatMulArray {
                                    Span2D<const double> d,
                                    Span2D<double> e) const;
 
+  /// Functional E += C x D (C x D^T when `d` was packed transposed) from
+  /// operands packed once, so a stripe that feeds several products is
+  /// packed once: the native path's kernel, checks and telemetry without
+  /// its packs. Native FP only; the soft cores read views element-wise.
+  void multiply_accumulate(const linalg::PackedA& c, const linalg::PackedB& d,
+                           Span2D<double> e) const;
+
   /// Recompute one element of E += C x D exactly as the array computes it —
   /// `init` (the pre-call value of e(i, j)) accumulated with c(i, l) * d(l, j)
   /// in ascending l — so an ABFT repair reproduces the uncorrupted result
@@ -95,8 +107,10 @@ class MatMulArray {
   void mac(Span2D<const double> c, Span2D<const double> d, Span2D<double> e,
            bool soft, bool nt) const;
 
-  /// Telemetry: bump fpga.mm.{calls,macs,stalls} for one m x inner x n call.
-  void note_call(std::size_t m, std::size_t inner, std::size_t n) const;
+  /// Every call's SRAM check and fpga.mm.{calls,macs,stalls} telemetry for
+  /// an E of m x n over `inner`.
+  void note_call(std::size_t m, std::size_t inner, std::size_t n,
+                 bool nt) const;
 
   DeviceConfig dev_;
 };

@@ -116,10 +116,29 @@ std::pair<std::uintptr_t, std::uintptr_t> extent(Span2D<const double> v) {
   return {lo, lo + ((v.rows() - 1) * v.stride() + v.cols()) * sizeof(double)};
 }
 
+// Whether two views share an element. Views of one stride are compared by
+// their row and column ranges, so blocks of one matrix side by side in the
+// same rows are disjoint; views of different strides, or offset by part of
+// an element, by their byte extents.
 bool overlap(Span2D<const double> x, Span2D<const double> y) {
-  const auto [x0, x1] = extent(x);
-  const auto [y0, y1] = extent(y);
-  return x0 < y1 && y0 < x1;
+  auto [x0, x1] = extent(x);
+  auto [y0, y1] = extent(y);
+  if (!(x0 < y1 && y0 < x1)) return false;
+  const std::size_t s = x.stride();
+  if (y.stride() != s) return true;
+  if (y0 < x0) {
+    std::swap(x, y);
+    std::swap(x0, y0);
+  }
+  if ((y0 - x0) % sizeof(double) != 0) return true;
+  // In x's frame, y's row r starts at row dr + r, column dc, and its
+  // columns past the stride run on into the next row from column 0.
+  const std::size_t d = (y0 - x0) / sizeof(double);
+  const std::size_t dr = d / s;
+  const std::size_t dc = d % s;
+  const bool same_row = dr < x.rows() && dc < x.cols();
+  const bool next_row = dc + y.cols() > s && dr + 1 < x.rows();
+  return same_row || next_row;
 }
 
 // The k-outer row loop. Each (k, i) reads a(i, k) before row i's j loop

@@ -63,7 +63,7 @@ void gemm_nt(Span2D<const double> a, Span2D<const double> b,
                                              << c.rows() << "x" << c.cols());
   // The packed engine supports B^T natively (it packs b(j, l) micropanels),
   // accumulating each C entry in ascending-k order.
-  detail::gemm_packed_engine(a, b, c, /*b_transposed=*/true);
+  detail::gemm_views(a, b, c, /*b_transposed=*/true);
 }
 
 void potrf_blocked(Span2D<double> a, std::size_t bs) {

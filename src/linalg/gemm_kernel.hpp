@@ -1,58 +1,48 @@
 #pragma once
-// Internal packing + blocked-engine API of the packed GEMM (implemented in
-// blas.cpp). Not part of the public BLAS surface: the FPGA MatMulArray
-// emulation streams its tiles through the same machinery so the host and
-// "hardware" kernels share one microkernel, one packing layout, and one
-// bit-identity argument.
+// Internal blocking constants and compute loop of the packed GEMM
+// (implemented in blas.cpp). The public face is linalg::PackedA / PackedB
+// and the gemm overloads in blas.hpp; the FPGA MatMulArray emulation runs
+// the same loop without gemm's telemetry, so the host and "hardware"
+// kernels share one microkernel, one packing layout, and one bit-identity
+// argument.
 //
-// Packed layouts (extents from simd::kMR / simd::kNR):
-//   A micropanel strip: strip[l*MR + ir] = a(i0 + ip*MR + ir, k0 + l)
-//   B micropanel:       panel[l*NR + jr] = b(k0 + l, j + jr)          (NN)
-//                       panel[l*NR + jr] = b(j + jr, k0 + l)          (NT)
-// Ragged edges are zero-padded so the microkernel always reads full MR/NR
-// lanes; the padded lanes never reach C.
+// Packed layouts (extents from simd::kMR / simd::kNR). For the KC-deep
+// chunk of the inner dimension starting at k0 (kc = its depth):
+//   A strip ip: strip[l*MR + ir] = a(ip*MR + ir, k0 + l)
+//   B panel jp: panel[l*NR + jr] = b(k0 + l, jp*NR + jr)          (NN)
+//               panel[l*NR + jr] = b(jp*NR + jr, k0 + l)          (NT)
+// The chunk's strips start at k0 * strips * MR and lie kc * MR apart (its
+// panels at k0 * panels * NR, kc * NR apart), so a pack holds exactly
+// strips * depth * MR (panels * depth * NR) doubles. Ragged edges are
+// zero-padded so the microkernel always reads full MR/NR lanes; the padded
+// lanes never reach C.
 
 #include <cstddef>
-#include <vector>
 
 #include "common/span2d.hpp"
+#include "linalg/blas.hpp"
 #include "linalg/simd.hpp"
 
 namespace rcs::linalg::detail {
 
 /// Cache-blocking extents of the packed engine.
-inline constexpr std::size_t kKC = 256;  // k extent of a packed panel
-inline constexpr std::size_t kNC = 512;  // column extent of a packed B slab
+inline constexpr std::size_t kKC = 256;  // k extent of a packed chunk
+inline constexpr std::size_t kNC = 512;  // columns per slab of C
 inline constexpr std::size_t kMC = 64;   // rows per parallel i-tile
+static_assert(kMC % simd::kMR == 0 && kNC % simd::kNR == 0,
+              "tiles and slabs hold whole strips and panels");
 
-/// Pack one kc x w B micropanel (w <= NR live columns, rest zero-padded)
-/// into `panel` (kc * NR doubles, fully overwritten). `transposed` reads
-/// b(j + jr, k0 + l) instead of b(k0 + l, j + jr) — the NT product's
-/// second operand.
-void pack_b_micropanel(Span2D<const double> b, bool transposed,
-                       std::size_t k0, std::size_t kc, std::size_t j,
-                       std::size_t w, double* panel);
+/// C += A * B from packed operands: per kNC-column slab, one parallel
+/// region over kMC-row tiles; each tile task applies the k-chunks in
+/// ascending order, so every C entry accumulates in ascending inner-index
+/// order (bit-identical to gemm_naive at any thread count and on every
+/// SIMD dispatch path). Shapes are NOT validated here; callers check first.
+void gemm_packed(const PackedA& a, const PackedB& b, Span2D<double> c);
 
-/// Pack a.block(i0.., k0..) into MR-tall micropanels (column-major inside a
-/// strip so the microkernel broadcasts MR contiguous values per step).
-void pack_a_tile(Span2D<const double> a, std::size_t i0, std::size_t mc,
-                 std::size_t k0, std::size_t kc, std::vector<double>& ap);
-
-/// Run `kern` against the (possibly ragged) mr x nr corner of C at
-/// (i0, j0): load the live entries, accumulate, store them back.
-void micro_tile(simd::MicroKernelFn kern, std::size_t kc, const double* ap,
-                const double* bp, Span2D<double> c, std::size_t i0,
-                std::size_t j0, std::size_t mr, std::size_t nr);
-
-/// C += A * B (or A * B^T with `b_transposed`) through the packed engine:
-/// per NC-column slab, the B micropanels for every k-chunk are packed
-/// cooperatively on the shared pool, then one fused parallel region sweeps
-/// the (i-tile, k-chunk, j-panel) space — each i-tile task visits k-chunks
-/// in ascending order with per-thread A-pack scratch, so every C entry
-/// accumulates in ascending inner-index order (bit-identical to gemm_naive
-/// at any thread count and on every SIMD dispatch path). Shapes are NOT
-/// validated here; callers check first.
-void gemm_packed_engine(Span2D<const double> a, Span2D<const double> b,
-                        Span2D<double> c, bool b_transposed);
+/// C += A * B (A * B^T with `b_transposed`) from views: per kNC-column
+/// slab, packs B's slab and A into per-thread scratch and runs gemm_packed.
+/// Every slab packs A again. Shapes are NOT validated here.
+void gemm_views(Span2D<const double> a, Span2D<const double> b,
+                Span2D<double> c, bool b_transposed);
 
 }  // namespace rcs::linalg::detail

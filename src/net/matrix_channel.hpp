@@ -28,23 +28,38 @@ inline std::uint64_t matrix_wire_bytes(std::uint64_t rows, std::uint64_t cols) {
   return kMatrixHeaderBytes + rows * cols * sizeof(double);
 }
 
-/// Pack `m` (possibly a strided view) into its wire form. Pack a block once
-/// and send the payload to every rank that needs it.
-inline Payload pack_matrix(Span2D<const double> m) {
-  const std::uint64_t rows = m.rows();
-  const std::uint64_t cols = m.cols();
+/// A rows x cols matrix built straight in its wire form: `fill` receives
+/// the payload's elements as a contiguous view and writes every one, before
+/// any other handle to the buffer exists. With `shape_only` (a cost-only
+/// run's message) the payload holds its header alone and `fill` receives a
+/// shape-only view.
+template <typename Fill>
+Payload build_matrix(std::uint64_t rows, std::uint64_t cols, bool shape_only,
+                     Fill&& fill) {
   const std::uint64_t bytes = matrix_wire_bytes(rows, cols);
-  const bool shape_only = m.data() == nullptr;
   return Payload::build(bytes, shape_only ? kMatrixHeaderBytes : bytes,
                         [&](std::byte* buf) {
     std::memcpy(buf, &rows, sizeof(rows));
     std::memcpy(buf + sizeof(rows), &cols, sizeof(cols));
-    std::byte* out = buf + kMatrixHeaderBytes;
+    // The buffer is a double array, so the elements after the 16-byte
+    // header are aligned doubles.
+    double* elems = shape_only ? nullptr
+                               : reinterpret_cast<double*>(
+                                     buf + kMatrixHeaderBytes);
+    fill(Span2D<double>(elems, rows, cols));
+  });
+}
+
+/// Pack `m` (possibly a strided view) into its wire form. Pack a block once
+/// and send the payload to every rank that needs it.
+inline Payload pack_matrix(Span2D<const double> m) {
+  return build_matrix(m.rows(), m.cols(), m.data() == nullptr,
+                      [&](Span2D<double> out) {
     // A zero-width share (a worker owning no columns) has nothing to copy,
     // and its row pointers may be null.
-    for (std::uint64_t r = 0; !shape_only && cols > 0 && r < rows; ++r) {
-      std::memcpy(out, m.row(r), cols * sizeof(double));
-      out += cols * sizeof(double);
+    if (out.data() == nullptr || out.empty()) return;
+    for (std::size_t r = 0; r < out.rows(); ++r) {
+      std::memcpy(out.row(r), m.row(r), out.cols() * sizeof(double));
     }
   });
 }

@@ -125,6 +125,32 @@ TEST(HeapPerRun, LuFunctionalAllocatesLessThanItSends) {
       << " bytes on the network";
 }
 
+// lu_dense's design at n = 256 (b = 64, p = 3, b_f = 32): 14 opMM tasks
+// over four iterations, each computed as two worker shares. Workers pack
+// each stripe once per iteration into storage kept across iterations, and
+// build each E share in the payload that carries it, so the shares add no
+// allocation but their messages. The bound is this design's count (234 to
+// 243 at RCS_THREADS 1 to 7) plus a margin; packing every operand per share
+// into an E buffer per task made 347 to 353.
+TEST(HeapPerRun, LuFunctionalPacksOncePerIteration) {
+  const core::SystemParams sys = core::SystemParams::cray_xd1().with_nodes(3);
+  core::LuConfig cfg;
+  cfg.n = 256;
+  cfg.b = 64;
+  cfg.mode = core::DesignMode::Hybrid;
+  const rcs::linalg::Matrix a = rcs::linalg::diagonally_dominant(256, 12);
+
+  (void)core::lu_functional(sys, cfg, a);  // warm-up, as above
+
+  const std::uint64_t calls0 = g_heap_calls.load();
+  const core::LuFunctionalResult res = core::lu_functional(sys, cfg, a);
+  const std::uint64_t calls = g_heap_calls.load() - calls0;
+
+  EXPECT_EQ(res.partition.b_f, 32);
+  EXPECT_LE(calls, 270u) << "one run at n = 256, b = 64, p = 3 made " << calls
+                         << " heap allocations";
+}
+
 TEST(HeapPerRun, CostOnlyLuAtPaperPointHoldsNoBlocks) {
   const core::SystemParams sys = core::SystemParams::cray_xd1();
   core::LuConfig lu;

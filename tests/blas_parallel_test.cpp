@@ -10,9 +10,11 @@
 #include <cstdint>
 #include <functional>
 #include <numeric>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/thread_pool.hpp"
 #include "core/system.hpp"
 #include "fpga/matmul_array.hpp"
@@ -40,15 +42,20 @@ const int kThreadCounts[] = {1, 2, 7};
 // aligned ones, degenerate edges, and a size big enough to cross panel
 // boundaries. {32, 64, 32} is one opMM share of the paper's LU split (b = 64,
 // b_f = b_p = 32); {48, 48, 48} and {49, 48, 48} sit on either side of the
-// 48^3 cut where small products once left the packed engine.
+// 48^3 cut where small products once left the packed engine; {300, 300, 61}
+// is a b = 300 stripe (k > KC) against a ragged worker share.
 struct Shape {
   std::size_t m, k, n;
 };
 const Shape kShapes[] = {
-    {1, 1, 1},     {3, 5, 2},     {4, 8, 8},     {37, 53, 29},
-    {32, 64, 32},  {48, 48, 48},  {49, 48, 48},  {64, 64, 64},
-    {65, 63, 66},  {70, 300, 17}, {128, 260, 130},
+    {1, 1, 1},     {3, 5, 2},     {4, 8, 8},       {37, 53, 29},
+    {32, 64, 32},  {48, 48, 48},  {49, 48, 48},    {64, 64, 64},
+    {65, 63, 66},  {70, 300, 17}, {128, 260, 130}, {300, 300, 61},
 };
+
+/// Where the packed sweeps split A's rows in two packs, as a worker splits a
+/// stripe into its FPGA and CPU rows: off the MR = 8 grid for every m > 2.
+std::size_t row_split(std::size_t m) { return m * 3 / 7; }
 
 // Ragged sweep from {1, 7, 63, 257, 1000}: every extent class (unit, tiny,
 // one-under-tile, panel-crossing, above-NC slab) in non-square mixes, each
@@ -110,16 +117,37 @@ TEST_P(BlasParallel, GemmBitIdenticalToNaive) {
     gemm_nt_naive(a, bt, cnt_ref);
     for_each_simd_level([&](simd::Level level) {
       simd::set_level(level);
+      const std::string where = " m=" + std::to_string(s.m) +
+                                " k=" + std::to_string(s.k) +
+                                " n=" + std::to_string(s.n) + " threads=" +
+                                std::to_string(GetParam()) +
+                                " simd=" + simd::level_name(level);
       la::Matrix c = c0;
       la::gemm(a.view(), b.view(), c.view());
-      EXPECT_TRUE(la::bit_equal(c.view(), c_ref.view()))
-          << "gemm m=" << s.m << " k=" << s.k << " n=" << s.n
-          << " threads=" << GetParam() << " simd=" << simd::level_name(level);
+      EXPECT_TRUE(la::bit_equal(c.view(), c_ref.view())) << "gemm" << where;
       la::Matrix cnt = c0;
       la::gemm_nt(a.view(), bt.view(), cnt.view());
       EXPECT_TRUE(la::bit_equal(cnt.view(), cnt_ref.view()))
-          << "gemm_nt m=" << s.m << " k=" << s.k << " n=" << s.n
-          << " threads=" << GetParam() << " simd=" << simd::level_name(level);
+          << "gemm_nt" << where;
+      // Packed once, A's rows in two packs split off the MR grid: the same
+      // loop on kept operands, NN and NT.
+      const std::size_t h = row_split(s.m);
+      la::PackedA top, rest;
+      top.pack(a.block(0, 0, h, s.k));
+      rest.pack(a.block(h, 0, s.m - h, s.k));
+      la::PackedB pb, pbt;
+      pb.pack(b.view(), /*transposed=*/false);
+      pbt.pack(bt.view(), /*transposed=*/true);
+      la::Matrix cp = c0;
+      la::gemm(top, pb, cp.block(0, 0, h, s.n));
+      la::gemm(rest, pb, cp.block(h, 0, s.m - h, s.n));
+      EXPECT_TRUE(la::bit_equal(cp.view(), c_ref.view()))
+          << "packed gemm" << where;
+      la::Matrix cpt = c0;
+      la::gemm(top, pbt, cpt.block(0, 0, h, s.n));
+      la::gemm(rest, pbt, cpt.block(h, 0, s.m - h, s.n));
+      EXPECT_TRUE(la::bit_equal(cpt.view(), cnt_ref.view()))
+          << "packed gemm_nt" << where;
     });
   }
 }
@@ -154,16 +182,35 @@ TEST_P(BlasParallel, MatMulArrayBitIdenticalToNaive) {
     gemm_nt_naive(c, dt, ent_ref);
     for_each_simd_level([&](simd::Level level) {
       simd::set_level(level);
+      const std::string where = " m=" + std::to_string(s.m) +
+                                " k=" + std::to_string(s.k) +
+                                " n=" + std::to_string(s.n) + " threads=" +
+                                std::to_string(GetParam()) +
+                                " simd=" + simd::level_name(level);
       la::Matrix e = e0;
       array.multiply_accumulate(c.view(), d.view(), e.view());
-      EXPECT_TRUE(la::bit_equal(e.view(), e_ref.view()))
-          << "nn m=" << s.m << " k=" << s.k << " n=" << s.n
-          << " threads=" << GetParam() << " simd=" << simd::level_name(level);
+      EXPECT_TRUE(la::bit_equal(e.view(), e_ref.view())) << "nn" << where;
       la::Matrix ent = e0;
       array.multiply_accumulate_nt(c.view(), dt.view(), ent.view());
-      EXPECT_TRUE(la::bit_equal(ent.view(), ent_ref.view()))
-          << "nt m=" << s.m << " k=" << s.k << " n=" << s.n
-          << " threads=" << GetParam() << " simd=" << simd::level_name(level);
+      EXPECT_TRUE(la::bit_equal(ent.view(), ent_ref.view())) << "nt" << where;
+      // Packed once, C's rows in two packs split off the MR grid.
+      const std::size_t h = row_split(s.m);
+      la::PackedA top, rest;
+      top.pack(c.block(0, 0, h, s.k));
+      rest.pack(c.block(h, 0, s.m - h, s.k));
+      la::PackedB pd, pdt;
+      pd.pack(d.view(), /*transposed=*/false);
+      pdt.pack(dt.view(), /*transposed=*/true);
+      la::Matrix ep = e0;
+      array.multiply_accumulate(top, pd, ep.block(0, 0, h, s.n));
+      array.multiply_accumulate(rest, pd, ep.block(h, 0, s.m - h, s.n));
+      EXPECT_TRUE(la::bit_equal(ep.view(), e_ref.view()))
+          << "packed nn" << where;
+      la::Matrix ept = e0;
+      array.multiply_accumulate(top, pdt, ept.block(0, 0, h, s.n));
+      array.multiply_accumulate(rest, pdt, ept.block(h, 0, s.m - h, s.n));
+      EXPECT_TRUE(la::bit_equal(ept.view(), ent_ref.view()))
+          << "packed nt" << where;
     });
   }
 }
@@ -365,6 +412,38 @@ TEST(SmallProducts, PackBytesCountsBytesWritten) {
   EXPECT_EQ(bytes(32, 64, 32), 32768u);
   // Two NC slabs and a ragged k chunk: (75*300*8 + 2*3*300*8) * 8.
   EXPECT_EQ(bytes(20, 300, 600), 1555200u);
+}
+
+TEST(PackedOperands, PackOnceMultiplyMany) {
+  // A kept pack is written once, however many products read it: packing a
+  // 32 x 64 stripe and a 64 x 32 share counts their bytes, and two packed
+  // products count two gemm calls and no further pack bytes.
+  const MetricsOn metrics;
+  obs::Counter& packed = obs::Registry::global().counter("gemm.pack_bytes");
+  obs::Counter& calls = obs::Registry::global().counter("gemm.calls");
+  const la::Matrix a = seeded(32, 64, 720);
+  const la::Matrix b = seeded(64, 32, 721);
+  const std::uint64_t bytes0 = packed.value();
+  la::PackedA pa;
+  la::PackedB pb;
+  pa.pack(a.view());
+  pb.pack(b.view(), /*transposed=*/false);
+  EXPECT_EQ(packed.value() - bytes0, 2u * 4 * 64 * 8 * 8);
+  const std::uint64_t bytes1 = packed.value();
+  const std::uint64_t calls1 = calls.value();
+  la::Matrix c(32, 32);
+  la::gemm(pa, pb, c.view());
+  la::gemm(pa, pb, c.view());
+  EXPECT_EQ(packed.value(), bytes1);
+  EXPECT_EQ(calls.value() - calls1, 2u);
+  la::Matrix ref(32, 32);
+  la::gemm_naive(a.view(), b.view(), ref.view());
+  la::gemm_naive(a.view(), b.view(), ref.view());
+  EXPECT_TRUE(la::bit_equal(c.view(), ref.view()));
+  // Mismatched operands are refused before any arithmetic.
+  la::PackedA wide;
+  wide.pack(seeded(32, 65, 722).view());
+  EXPECT_THROW(la::gemm(wide, pb, c.view()), rcs::Error);
 }
 
 // ---------------------------------------------------------------------------

@@ -138,6 +138,36 @@ INSTANTIATE_TEST_SUITE_P(
                  .substr(0, 4);
     });
 
+TEST(CholFunctionalDetail, PackedSharesMatchBlockedCholesky) {
+  // The symmetric schedule packs each D share transposed once per
+  // iteration: the factors stay potrf_blocked's at the points LU's packed
+  // shares are checked at (functional_test).
+  struct Case {
+    long long n, b;
+    int p;
+    long long b_f;  // -1 = solve
+    bool soft;
+  };
+  for (const Case& k : {Case{256, 64, 3, -1, false}, Case{900, 300, 3, -1, false},
+                        Case{256, 64, 3, 30, false}, Case{256, 64, 6, 24, false},
+                        Case{64, 16, 3, 5, true}}) {
+    const la::Matrix a =
+        la::spd_matrix(static_cast<std::size_t>(k.n), 600 + static_cast<int>(k.b));
+    la::Matrix ref = a;
+    la::potrf_blocked(ref.view(), static_cast<std::size_t>(k.b));
+    core::CholConfig cfg;
+    cfg.n = k.n;
+    cfg.b = k.b;
+    cfg.mode = DesignMode::Hybrid;
+    cfg.b_f = k.b_f;
+    const auto res = core::cholesky_functional(xd1_p(k.p), cfg, a, k.soft);
+    EXPECT_GT(res.partition.b_f, 0) << "n=" << k.n << " p=" << k.p;
+    EXPECT_TRUE(la::bit_equal(res.factored.view(), ref.view()))
+        << "n=" << k.n << " b=" << k.b << " p=" << k.p << " b_f=" << k.b_f
+        << " soft=" << k.soft;
+  }
+}
+
 TEST(CholFunctionalDetail, SoftFpMatchesNative) {
   const la::Matrix a = la::spd_matrix(32, 41);
   core::CholConfig cfg;

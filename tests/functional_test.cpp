@@ -98,6 +98,36 @@ INSTANTIATE_TEST_SUITE_P(
                  .substr(0, 4);
     });
 
+TEST(LuFunctionalDetail, PackedSharesMatchBlockedLu) {
+  // Workers pack each stripe once per iteration and reuse it across tasks:
+  // the factors stay getrf_blocked's at lu_dense's split (b = 64, p = 3,
+  // b_f = 32), with k = b = 300 above the engine's KC, with an explicit b_f
+  // off the MR grid, at p = 6 (worker widths 13 and 12; the solver gives
+  // b_f = 0 there, so b_f = 24 is set), and with the FPGA rows on the
+  // soft-FP cores.
+  struct Case {
+    long long n, b;
+    int p;
+    long long b_f;  // -1 = solve
+    bool soft;
+  };
+  for (const Case& k : {Case{256, 64, 3, -1, false}, Case{900, 300, 3, -1, false},
+                        Case{256, 64, 3, 30, false}, Case{256, 64, 6, 24, false},
+                        Case{64, 16, 3, 5, true}}) {
+    const la::Matrix a = la::diagonally_dominant(
+        static_cast<std::size_t>(k.n), 500 + static_cast<int>(k.b));
+    la::Matrix ref = a;
+    la::getrf_blocked(ref.view(), static_cast<std::size_t>(k.b));
+    core::LuConfig cfg = lu_cfg(k.n, k.b, DesignMode::Hybrid);
+    cfg.b_f = k.b_f;
+    const auto res = core::lu_functional(xd1_p(k.p), cfg, a, k.soft);
+    EXPECT_GT(res.partition.b_f, 0) << "n=" << k.n << " p=" << k.p;
+    EXPECT_TRUE(la::bit_equal(res.factored.view(), ref.view()))
+        << "n=" << k.n << " b=" << k.b << " p=" << k.p << " b_f=" << k.b_f
+        << " soft=" << k.soft;
+  }
+}
+
 TEST(LuFunctionalDetail, AllModesProduceIdenticalNumbers) {
   const la::Matrix a = la::diagonally_dominant(48, 7);
   const auto h =

@@ -768,6 +768,41 @@ TEST(PinnedRuns, LuFunctionalFiberWorld) {
   }
 }
 
+// The lu_wide benchmark point itself, cost-only: 1,024 ranks, 1.3 M trace
+// events and a critical path of 287 k segments, under both fan-outs. The
+// analysis JSON pins every attribution sum, the rollups and the top
+// segments at the scale where the analyzer's indexing and walk are hot.
+TEST(PinnedRuns, LuWidePoint) {
+  core::LuConfig cfg;
+  cfg.n = 128;
+  cfg.b = 16;
+  cfg.mode = core::DesignMode::Hybrid;
+  struct WidePin {
+    core::SendFanout fanout;
+    std::uint64_t analysis_digest;
+    std::size_t segments;
+    double seconds;
+  };
+  const WidePin pins[] = {
+      {core::SendFanout::SerialAll, 3222200667193721122ull, 287570u,
+       0.29567292967957476},
+      {core::SendFanout::PaperSingle, 11119574974575354727ull, 287528u,
+       0.29562769163512997}};
+  for (const WidePin& pin : pins) {
+    cfg.fanout = pin.fanout;
+    sim::TraceRecorder rec(true);
+    const auto res = core::lu_functional(xd1_p(1024), cfg, kNoInput, false,
+                                         &rec);
+    const rcs::obs::cp::Analysis an =
+        core::analyze_run(rec, 1024, res.run.seconds);
+    const char* what = core::to_string(pin.fanout);
+    EXPECT_EQ(analysis_digest(an), pin.analysis_digest) << what;
+    EXPECT_EQ(rec.event_count(), 1321500u) << what;
+    EXPECT_EQ(an.critical_path.size(), pin.segments) << what;
+    EXPECT_DOUBLE_EQ(res.run.seconds, pin.seconds) << what;
+  }
+}
+
 TEST(PinnedRuns, CostOnlyPaperPoints) {
   const core::SystemParams xd1 = core::SystemParams::cray_xd1();
   core::LuConfig lu;

@@ -1,13 +1,9 @@
 #pragma once
-// Critical-path analysis and makespan attribution over a simulated run.
+// The result of critical-path analysis and makespan attribution over a
+// simulated run, with its JSON and text reports.
 //
 // The paper's bound T = max(T_tp, T_tf) says what the makespan should be;
-// this analyzer says why the measured makespan is what it is. Input is a
-// Timeline: every clock-occupying interval on every rank (compute spans,
-// exposed FPGA waits, transfer serialization and stalls) plus the wire
-// intervals of every message. Intervals name their phase by an index into
-// the Timeline's label table, so analysis makes no per-interval string
-// copies or comparisons. Output is an Analysis:
+// the analysis says why the measured makespan is what it is:
 //
 //   * per-rank attribution — the interval [0, makespan] of each rank
 //     partitioned into buckets (CPU compute, exposed FPGA time, visible
@@ -20,81 +16,23 @@
 //     along binding constraints (last interval to end; a receive whose
 //     clock was bound by a message arrival jumps over the wire to the
 //     sender at its departure time; NIC-serialized sends chain through the
-//     sender's wire log), yielding a chronological chain of segments whose
+//     sender's wires), yielding a chronological chain of segments whose
 //     non-idle length is the critical-path time;
 //   * cluster rollups — per-rank utilization, max-over-mean imbalance,
 //     Jain fairness, top-k critical-path segments;
 //   * structural invariants — critical path <= makespan <= total
-//     resource-seconds, and per-rank buckets summing to the makespan —
-//     checked here; critpath_test and bench/scaling_sweep assert them on
-//     real runs.
+//     resource-seconds, and per-rank buckets summing to the makespan;
+//     critpath_test and bench/scaling_sweep assert them on real runs.
 //
-// This header is pure data + algorithm: obs stays dependency-free, so the
-// conversion from sim::TraceRecorder / MiniMPI lives in core (analysis.cpp).
+// This header is pure data: obs stays dependency-free, so the analyzer,
+// which reads a sim::TraceRecorder, is core::analyze_run (core/analysis).
 
 #include <cstddef>
-#include <cstdint>
 #include <iosfwd>
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace rcs::obs::cp {
-
-/// Attribution buckets partitioning a rank's timeline.
-enum class Bucket : std::uint8_t {
-  Cpu,              // CPU compute (kernel flops)
-  Fpga,             // exposed FPGA time (CPU blocked in fpga_wait)
-  TransferVisible,  // data movement the clock had to wait for
-  FaultRecovery,    // detection/repair/reissue work
-  WaitIdle,         // derived: gaps + idle tail (never set on an Interval)
-};
-
-/// What kind of operation produced an interval — receives are special on
-/// the critical-path walk (arrival-bound receives jump to the sender).
-enum class Op : std::uint8_t { Compute, Send, Recv };
-
-/// One clock-occupying interval on a rank's timeline. Intervals on one rank
-/// must not overlap (they are [clock-before, clock-after] of sequential
-/// operations). Zero-length Recv intervals are meaningful: they carry the
-/// wire interval of a fully hidden transfer.
-struct Interval {
-  int rank = -1;
-  Bucket bucket = Bucket::Cpu;
-  Op op = Op::Compute;
-  double start = 0.0;
-  double end = 0.0;
-  std::uint32_t label = 0;  // Timeline::labels index ("opMM", "send", ...)
-  int peer = -1;            // message peer for transfer intervals
-  double depart = -1.0;     // wire interval (transfer intervals only)
-  double arrival = -1.0;
-};
-
-/// One message transfer on the src->dst link.
-struct Wire {
-  int src = -1;
-  int dst = -1;
-  double depart = 0.0;
-  double arrival = 0.0;
-  std::uint64_t bytes = 0;
-};
-
-/// Everything the analyzer needs about one run.
-struct Timeline {
-  int ranks = 0;
-  double makespan = 0.0;
-  std::vector<Interval> intervals;
-  std::vector<Wire> wires;
-  /// Distinct phase names; Interval::label indexes this table.
-  std::vector<std::string> labels;
-  /// Resource-busy seconds that run concurrently with the rank timelines
-  /// (the FPGA pipelines' true busy time); added into resource_seconds_s.
-  double concurrent_fpga_s = 0.0;
-
-  /// The index of `name` in `labels`, appended on first use (a linear
-  /// search: the table holds a few names).
-  std::uint32_t intern_label(std::string_view name);
-};
 
 /// Makespan attribution for one rank: the buckets partition [0, makespan].
 struct RankAttribution {
@@ -178,7 +116,8 @@ struct Analysis {
   }
 
   /// The k longest critical-path segments (duration descending; ties by
-  /// start then rank, so the order is deterministic).
+  /// start, then rank, then place on the path, so the order is
+  /// deterministic). Selects over the path without copying it.
   std::vector<Segment> top_segments(std::size_t k) const;
 
   /// JSON object; the opening brace lands where the stream already is,
@@ -189,11 +128,5 @@ struct Analysis {
   /// Human-readable summary (attribution table + top critical-path rows).
   void print(std::ostream& os) const;
 };
-
-/// Run the analysis. The timeline's intervals may be in any order; per-rank
-/// they must be non-overlapping, and each label must index `labels`
-/// (std::out_of_range otherwise). Returns an empty Analysis (invariants
-/// trivially true) when makespan <= 0 or ranks <= 0.
-Analysis analyze(const Timeline& timeline);
 
 }  // namespace rcs::obs::cp

@@ -1,8 +1,9 @@
-// Tests for the critical-path analyzer (obs::cp) and its core bridge:
-// exact-match attribution on hand-built timelines with a known critical
-// path, structural invariants on real LU/FW/Cholesky/MM runs, and
-// byte-identical analysis output across pool sizes and across repeated runs
-// of a reused World.
+// Tests for the critical-path analyzer (core::analyze_run) and its result
+// types (obs::cp): exact-match attribution on hand-built traces with a
+// known critical path, the same analysis from a trace in any event order,
+// the top-segment selection, structural invariants on real
+// LU/FW/Cholesky/MM runs, and byte-identical analysis output across pool
+// sizes and across repeated runs of a reused World.
 
 #include <algorithm>
 #include <iterator>
@@ -33,28 +34,32 @@ namespace common = rcs::common;
 
 namespace {
 
-cp::Interval interval(cp::Timeline& tl, int rank, double start, double end,
-                      cp::Bucket bucket, const char* label) {
-  cp::Interval iv;
-  iv.rank = rank;
-  iv.start = start;
-  iv.end = end;
-  iv.bucket = bucket;
-  iv.label = tl.intern_label(label);
-  return iv;
+/// A span on rank `rank`'s resource "node<rank>.<unit>".
+void span(sim::TraceRecorder& rec, int rank, const char* unit, double start,
+          double end, const char* label) {
+  rec.add("node" + std::to_string(rank) + "." + unit, start, end, label);
 }
 
-cp::Interval comm_interval(cp::Timeline& tl, int rank, double start,
-                           double end, cp::Op op, int peer, double depart,
-                           double arrival, const char* label) {
-  cp::Interval iv = interval(tl, rank, start, end,
-                             cp::Bucket::TransferVisible, label);
-  iv.op = op;
-  iv.peer = peer;
-  iv.depart = depart;
-  iv.arrival = arrival;
-  return iv;
+/// A comm event on `rank`'s clock [t0, t1], of a message on the wire over
+/// [depart, arrival].
+void comm(sim::TraceRecorder& rec, sim::CommEvent::Kind kind, int rank,
+          int peer, double t0, double t1, double depart, double arrival,
+          const char* phase) {
+  sim::CommEvent ev;
+  ev.kind = kind;
+  ev.phase = rec.intern(phase);
+  ev.rank = rank;
+  ev.peer = peer;
+  ev.t0 = t0;
+  ev.t1 = t1;
+  ev.depart = depart;
+  ev.arrival = arrival;
+  rec.add_comm(ev);
 }
+
+constexpr auto kSend = sim::CommEvent::Kind::Send;
+constexpr auto kNicSend = sim::CommEvent::Kind::NicSend;
+constexpr auto kRecv = sim::CommEvent::Kind::Recv;
 
 std::string analysis_json(const cp::Analysis& an) {
   std::ostringstream os;
@@ -67,24 +72,19 @@ std::string analysis_json(const cp::Analysis& an) {
 ///           "b" [5,7]; idle [7,10]
 ///   rank 1: cpu "c" [0,2]; recv [2,6] (arrival-bound); cpu "d" [6,10]
 /// The critical path is a(0-4 on 0) -> wire(4-6) -> d(6-10 on 1).
-cp::Timeline known_timeline() {
-  cp::Timeline tl;
-  tl.ranks = 2;
-  tl.makespan = 10.0;
-  tl.intervals.push_back(interval(tl, 0, 0.0, 4.0, cp::Bucket::Cpu, "a"));
-  tl.intervals.push_back(
-      comm_interval(tl, 0, 4.0, 5.0, cp::Op::Send, 1, 4.0, 6.0, "send"));
-  tl.intervals.push_back(interval(tl, 0, 5.0, 7.0, cp::Bucket::Cpu, "b"));
-  tl.intervals.push_back(interval(tl, 1, 0.0, 2.0, cp::Bucket::Cpu, "c"));
-  tl.intervals.push_back(
-      comm_interval(tl, 1, 2.0, 6.0, cp::Op::Recv, 0, 4.0, 6.0, "recv"));
-  tl.intervals.push_back(interval(tl, 1, 6.0, 10.0, cp::Bucket::Cpu, "d"));
-  tl.wires.push_back(cp::Wire{0, 1, 4.0, 6.0, 100});
-  return tl;
+cp::Analysis known_analysis() {
+  sim::TraceRecorder rec(true);
+  span(rec, 0, "cpu", 0.0, 4.0, "a");
+  span(rec, 0, "cpu", 5.0, 7.0, "b");
+  span(rec, 1, "cpu", 0.0, 2.0, "c");
+  span(rec, 1, "cpu", 6.0, 10.0, "d");
+  comm(rec, kSend, 0, 1, 4.0, 5.0, 4.0, 6.0, "send");
+  comm(rec, kRecv, 1, 0, 2.0, 6.0, 4.0, 6.0, "recv");
+  return core::analyze_run(rec, 2, 10.0);
 }
 
 TEST(CritPath, KnownTimelineBucketsExactly) {
-  const cp::Analysis an = cp::analyze(known_timeline());
+  const cp::Analysis an = known_analysis();
   ASSERT_EQ(an.ranks, 2);
   EXPECT_DOUBLE_EQ(an.makespan_s, 10.0);
 
@@ -120,7 +120,7 @@ TEST(CritPath, KnownTimelineBucketsExactly) {
 }
 
 TEST(CritPath, KnownTimelineCriticalPathExactly) {
-  const cp::Analysis an = cp::analyze(known_timeline());
+  const cp::Analysis an = known_analysis();
   EXPECT_DOUBLE_EQ(an.critical_path_s, 10.0);
   EXPECT_DOUBLE_EQ(an.cp_idle_s, 0.0);
   EXPECT_TRUE(an.invariants_hold());
@@ -149,17 +149,14 @@ TEST(CritPath, KnownTimelineCriticalPathExactly) {
 }
 
 TEST(CritPath, RecoveryAndFpgaBucketsAndIdleTail) {
-  cp::Timeline tl;
-  tl.ranks = 1;
-  tl.makespan = 10.0;
-  tl.intervals.push_back(interval(tl, 0, 0.0, 2.0, cp::Bucket::Cpu, "x"));
-  tl.intervals.push_back(
-      interval(tl, 0, 2.0, 5.0, cp::Bucket::FaultRecovery, "abft.repair"));
-  tl.intervals.push_back(
-      interval(tl, 0, 5.0, 9.0, cp::Bucket::Fpga, "fpga.wait"));
-  tl.concurrent_fpga_s = 4.0;  // device busy span backing the exposed wait
+  sim::TraceRecorder rec(true);
+  span(rec, 0, "cpu", 0.0, 2.0, "x");
+  span(rec, 0, "cpu", 2.0, 5.0, "abft.repair");
+  span(rec, 0, "fpga_wait", 5.0, 9.0, "fpga.wait");
+  // The device busy span backing the exposed wait: resource-seconds only.
+  span(rec, 0, "fpga", 5.0, 9.0, "opMM");
 
-  const cp::Analysis an = cp::analyze(tl);
+  const cp::Analysis an = core::analyze_run(rec, 1, 10.0);
   const cp::RankAttribution& r0 = an.per_rank[0];
   EXPECT_DOUBLE_EQ(r0.cpu_s, 2.0);
   EXPECT_DOUBLE_EQ(r0.fault_recovery_s, 3.0);
@@ -182,16 +179,13 @@ TEST(CritPath, RecoveryAndFpgaBucketsAndIdleTail) {
 }
 
 TEST(CritPath, ZeroLengthRecvCarriesHiddenTransfer) {
-  cp::Timeline tl;
-  tl.ranks = 1;
-  tl.makespan = 10.0;
-  tl.intervals.push_back(interval(tl, 0, 0.0, 10.0, cp::Bucket::Cpu, "busy"));
+  sim::TraceRecorder rec(true);
+  span(rec, 0, "cpu", 0.0, 10.0, "busy");
   // Fully hidden transfer: the wait found the message already arrived, so
   // the recv interval is zero-length and contributes no visible time.
-  tl.intervals.push_back(
-      comm_interval(tl, 0, 5.0, 5.0, cp::Op::Recv, 0, 3.0, 5.0, "recv"));
+  comm(rec, kRecv, 0, 0, 5.0, 5.0, 3.0, 5.0, "recv");
 
-  const cp::Analysis an = cp::analyze(tl);
+  const cp::Analysis an = core::analyze_run(rec, 1, 10.0);
   const cp::RankAttribution& r0 = an.per_rank[0];
   EXPECT_DOUBLE_EQ(r0.transfer_visible_s, 0.0);
   EXPECT_DOUBLE_EQ(r0.transfer_hidden_s, 2.0);
@@ -208,21 +202,15 @@ TEST(CritPath, ZeroLengthRecvCarriesHiddenTransfer) {
 ///   "deadline" wait [10,12], wire [9,14]: gave up at the deadline 12;
 ///              [9,10] hidden, the rest outlived the wait
 TEST(CritPath, PhaseWireAndHiddenSecondsPerReceive) {
-  cp::Timeline tl;
-  tl.ranks = 2;
-  tl.makespan = 12.0;
-  tl.intervals.push_back(interval(tl, 0, 0.0, 4.0, cp::Bucket::Cpu, "a"));
-  tl.intervals.push_back(
-      comm_interval(tl, 0, 4.0, 4.0, cp::Op::Recv, 1, 1.0, 3.0, "hidden"));
-  tl.intervals.push_back(interval(tl, 0, 4.0, 6.0, cp::Bucket::Cpu, "b"));
-  tl.intervals.push_back(
-      comm_interval(tl, 0, 6.0, 8.0, cp::Op::Recv, 1, 4.0, 8.0, "partly"));
-  tl.intervals.push_back(
-      comm_interval(tl, 0, 8.0, 10.0, cp::Op::Recv, 1, 9.0, 10.0, "visible"));
-  tl.intervals.push_back(comm_interval(tl, 0, 10.0, 12.0, cp::Op::Recv, 1,
-                                       9.0, 14.0, "deadline"));
+  sim::TraceRecorder rec(true);
+  span(rec, 0, "cpu", 0.0, 4.0, "a");
+  span(rec, 0, "cpu", 4.0, 6.0, "b");
+  comm(rec, kRecv, 0, 1, 4.0, 4.0, 1.0, 3.0, "hidden");
+  comm(rec, kRecv, 0, 1, 6.0, 8.0, 4.0, 8.0, "partly");
+  comm(rec, kRecv, 0, 1, 8.0, 10.0, 9.0, 10.0, "visible");
+  comm(rec, kRecv, 0, 1, 10.0, 12.0, 9.0, 14.0, "deadline");
 
-  const cp::Analysis an = cp::analyze(tl);
+  const cp::Analysis an = core::analyze_run(rec, 2, 12.0);
   struct Expect {
     const char* label;
     double wire, hidden, visible;
@@ -253,24 +241,23 @@ TEST(CritPath, PhaseWireAndHiddenSecondsPerReceive) {
 ///   0->3 [4,5]  ties on departure with 0->2 [4,5], which has the lower dst
 ///   0->1 [5,5]  latest departure, but zero-length: never followed
 /// Wires arriving before the window ([2,3], [3,4]) and after it ([5,6])
-/// must not be chosen there; the first two continue the chain.
+/// must not be chosen there; the first two continue the chain. Each isend's
+/// CPU setup is zero-length, so it is only a wire.
 TEST(CritPath, NicChainPicksLatestDepartureThenLowerDst) {
-  cp::Timeline tl;
-  tl.ranks = 4;
-  tl.makespan = 10.0;
-  tl.intervals.push_back(interval(tl, 0, 0.0, 2.0, cp::Bucket::Cpu, "a"));
-  tl.intervals.push_back(
-      comm_interval(tl, 1, 1.0, 6.0, cp::Op::Recv, 0, 5.0, 6.0, "recv"));
-  tl.intervals.push_back(interval(tl, 1, 6.0, 10.0, cp::Bucket::Cpu, "d"));
-  tl.wires.push_back(cp::Wire{0, 1, 2.0, 3.0, 8});
-  tl.wires.push_back(cp::Wire{0, 3, 3.0, 4.0, 8});
-  tl.wires.push_back(cp::Wire{0, 2, 3.0, 5.0, 8});
-  tl.wires.push_back(cp::Wire{0, 3, 4.0, 5.0, 8});
-  tl.wires.push_back(cp::Wire{0, 2, 4.0, 5.0, 8});
-  tl.wires.push_back(cp::Wire{0, 1, 5.0, 5.0, 8});
-  tl.wires.push_back(cp::Wire{0, 1, 5.0, 6.0, 8});
+  sim::TraceRecorder rec(true);
+  span(rec, 0, "cpu", 0.0, 2.0, "a");
+  span(rec, 1, "cpu", 6.0, 10.0, "d");
+  const struct {
+    int dst;
+    double depart, arrival;
+  } isends[] = {{1, 2.0, 3.0}, {3, 3.0, 4.0}, {2, 3.0, 5.0}, {3, 4.0, 5.0},
+                {2, 4.0, 5.0}, {1, 5.0, 5.0}, {1, 5.0, 6.0}};
+  for (const auto& w : isends) {
+    comm(rec, kNicSend, 0, w.dst, 2.0, 2.0, w.depart, w.arrival, "send");
+  }
+  comm(rec, kRecv, 1, 0, 1.0, 6.0, 5.0, 6.0, "recv");
 
-  const cp::Analysis an = cp::analyze(tl);
+  const cp::Analysis an = core::analyze_run(rec, 4, 10.0);
   EXPECT_DOUBLE_EQ(an.critical_path_s, 10.0);
   EXPECT_DOUBLE_EQ(an.cp_idle_s, 0.0);
   struct Expect {
@@ -296,11 +283,182 @@ TEST(CritPath, NicChainPicksLatestDepartureThenLowerDst) {
 }
 
 TEST(CritPath, EmptyTimelineIsHarmless) {
-  cp::Timeline tl;
-  const cp::Analysis an = cp::analyze(tl);
+  const sim::TraceRecorder rec(true);
+  const cp::Analysis an = core::analyze_run(rec, 0, 0.0);
   EXPECT_EQ(an.ranks, 0);
   EXPECT_DOUBLE_EQ(an.critical_path_s, 0.0);
   EXPECT_TRUE(an.critical_path.empty());
+}
+
+/// The events of a small hand-scheduled run: rank 0 computes a panel,
+/// sends a stripe to each of three workers and collects their results;
+/// each worker waits, computes on its CPU and its FPGA, and isends its
+/// result back. Three rounds give arrival-bound, partly hidden and fully
+/// hidden receives, recovery work, device spans and idle gaps. Every time
+/// is a multiple of 1/8, so every sum the analysis makes is exact in any
+/// order of its terms.
+struct HandTrace {
+  struct Span {
+    int rank;
+    const char* unit;
+    double start, end;
+    const char* label;
+  };
+  struct Comm {
+    sim::CommEvent::Kind kind;
+    int rank, peer;
+    double t0, t1, depart, arrival;
+    const char* phase;
+  };
+  std::vector<Span> spans;
+  std::vector<Comm> comms;
+  double makespan = 0.0;
+
+  HandTrace() {
+    constexpr int kRanks = 4;
+    double clock[kRanks] = {};
+    double nic_free[kRanks] = {};
+    for (int round = 0; round < 3; ++round) {
+      spans.push_back({0, "cpu", clock[0], clock[0] + 1.0, "panel"});
+      clock[0] += 1.0;
+      double arrival[kRanks] = {};
+      for (int w = 1; w < kRanks; ++w) {
+        arrival[w] = clock[0] + 0.5;
+        comms.push_back(
+            {kSend, 0, w, clock[0], clock[0] + 0.125, clock[0], arrival[w],
+             "send"});
+        clock[0] += 0.125;
+      }
+      spans.push_back({0, "dram", clock[0], clock[0] + 0.25, "panel"});
+      clock[0] += 0.25;
+      double result[kRanks] = {};
+      for (int w = 1; w < kRanks; ++w) {
+        // Worker w is busy for w/2 s before it waits, so later workers find
+        // their stripe already there.
+        spans.push_back({w, "cpu", clock[w], clock[w] + 0.5 * w, "update"});
+        clock[w] += 0.5 * w;
+        const double t1 = std::max(clock[w], arrival[w]);
+        comms.push_back(
+            {kRecv, w, 0, clock[w], t1, arrival[w] - 0.5, arrival[w], "opMM"});
+        clock[w] = t1;
+        spans.push_back({w, "cpu", clock[w], clock[w] + 0.25, "opMM"});
+        clock[w] += 0.25;
+        spans.push_back({w, "fpga_wait", clock[w], clock[w] + 0.375, "opMM"});
+        spans.push_back({w, "fpga", clock[w] - 0.25, clock[w] + 0.375, "opMM"});
+        clock[w] += 0.375;
+        const double depart = std::max(clock[w], nic_free[w]);
+        result[w] = depart + 0.25 * w;
+        nic_free[w] = result[w];
+        comms.push_back(
+            {kNicSend, w, 0, clock[w], clock[w], depart, result[w], "send"});
+      }
+      for (int w = kRanks - 1; w >= 1; --w) {
+        const double t1 = std::max(clock[0], result[w]);
+        comms.push_back({kRecv, 0, w, clock[0], t1, result[w] - 0.25 * w,
+                         result[w], "opMS"});
+        clock[0] = t1;
+      }
+      if (round == 1) {
+        spans.push_back({0, "cpu", clock[0], clock[0] + 0.125, "abft"});
+        clock[0] += 0.125;
+      }
+    }
+    makespan = *std::max_element(std::begin(clock), std::end(clock)) + 0.5;
+  }
+
+  /// Record the spans, then the comm events, each in the order `order`
+  /// gives of their indices.
+  template <class Order>
+  sim::TraceRecorder record(Order order) const {
+    sim::TraceRecorder rec(true);
+    for (const std::size_t i : order(spans)) {
+      const Span& s = spans[i];
+      span(rec, s.rank, s.unit, s.start, s.end, s.label);
+    }
+    for (const std::size_t i : order(comms)) {
+      const Comm& c = comms[i];
+      comm(rec, c.kind, c.rank, c.peer, c.t0, c.t1, c.depart, c.arrival,
+           c.phase);
+    }
+    return rec;
+  }
+};
+
+// A merged per-rank recording lists each rank's events in clock order, rank
+// after rank; that is the only order a run's recorder has. The analysis of
+// the same events appended with ranks interleaved and out of start order
+// (the generation order, reversed) must be the same, byte for byte.
+TEST(CritPath, AnyEventOrderGivesTheSameAnalysis) {
+  const HandTrace trace;
+  const auto by_rank = [](const auto& events) {
+    std::vector<std::size_t> order;
+    for (int r = 0; r < 4; ++r) {
+      for (std::size_t i = 0; i < events.size(); ++i) {
+        if (events[i].rank == r) order.push_back(i);
+      }
+    }
+    return order;
+  };
+  const auto reversed = [](const auto& events) {
+    std::vector<std::size_t> order(events.size());
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      order[i] = order.size() - 1 - i;
+    }
+    return order;
+  };
+  const cp::Analysis merged =
+      core::analyze_run(trace.record(by_rank), 4, trace.makespan);
+  const cp::Analysis shuffled =
+      core::analyze_run(trace.record(reversed), 4, trace.makespan);
+
+  EXPECT_TRUE(merged.invariants_hold());
+  EXPECT_GT(merged.cp_idle_s, 0.0);
+  EXPECT_GE(merged.critical_path.size(), 20u);
+  const auto has = [&](const char* kind) {
+    return std::any_of(merged.critical_path.begin(),
+                       merged.critical_path.end(),
+                       [&](const cp::Segment& s) { return s.kind == kind; });
+  };
+  EXPECT_TRUE(has("wire") && has("fpga") && has("transfer") && has("cpu"));
+  EXPECT_EQ(analysis_json(shuffled), analysis_json(merged));
+  ASSERT_EQ(shuffled.critical_path.size(), merged.critical_path.size());
+  for (std::size_t i = 0; i < merged.critical_path.size(); ++i) {
+    EXPECT_EQ(shuffled.critical_path[i].label, merged.critical_path[i].label);
+    EXPECT_EQ(shuffled.critical_path[i].start, merged.critical_path[i].start);
+  }
+}
+
+// top_segments selects the k longest segments without sorting the path.
+// With durations, starts and ranks tied, it must return what a stable sort
+// of the whole path by (duration descending, start, rank) returns.
+TEST(CritPath, TopSegmentsMatchAStableSortUnderTies) {
+  cp::Analysis an;
+  const struct {
+    int rank;
+    double start, end;
+  } steps[] = {{0, 0.0, 1.0}, {1, 0.0, 1.0}, {0, 0.0, 1.0}, {2, 1.0, 1.5},
+               {1, 1.5, 2.5}, {0, 1.5, 2.5}, {1, 1.5, 2.5}, {3, 2.5, 3.0},
+               {0, 3.0, 3.0}, {2, 3.0, 4.0}, {2, 3.0, 4.0}, {1, 4.0, 4.5}};
+  for (std::size_t i = 0; i < std::size(steps); ++i) {
+    an.critical_path.push_back(cp::Segment{"cpu", steps[i].rank, -1,
+                                           "s" + std::to_string(i),
+                                           steps[i].start, steps[i].end});
+  }
+  std::vector<cp::Segment> sorted = an.critical_path;
+  std::stable_sort(sorted.begin(), sorted.end(),
+                   [](const cp::Segment& a, const cp::Segment& b) {
+                     if (a.duration() != b.duration())
+                       return a.duration() > b.duration();
+                     if (a.start != b.start) return a.start < b.start;
+                     return a.rank < b.rank;
+                   });
+  for (std::size_t k = 0; k <= sorted.size() + 1; ++k) {
+    const std::vector<cp::Segment> top = an.top_segments(k);
+    ASSERT_EQ(top.size(), std::min(k, sorted.size())) << k;
+    for (std::size_t i = 0; i < top.size(); ++i) {
+      EXPECT_EQ(top[i].label, sorted[i].label) << "k=" << k << " i=" << i;
+    }
+  }
 }
 
 // --- Real runs: invariants asserted on LU and FW drift reports -------------

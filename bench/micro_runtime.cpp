@@ -1,13 +1,16 @@
 // Microbenchmarks of the simulation runtime: timeline reservations, MiniMPI
-// message latency/throughput, and the cost-only runs at the paper's
-// operating points (which every figure bench makes).
+// message latency/throughput, the cost-only runs at the paper's operating
+// points (which every figure bench makes), and the critical-path analysis
+// of a traced run.
 
 #include <benchmark/benchmark.h>
 
+#include "core/analysis.hpp"
 #include "core/fw_functional.hpp"
 #include "core/lu_functional.hpp"
 #include "net/minimpi.hpp"
 #include "sim/engine.hpp"
+#include "sim/trace.hpp"
 
 using namespace rcs;
 
@@ -99,5 +102,29 @@ void BM_FwCostOnlyPaperPoint(benchmark::State& state) {
 BENCHMARK(BM_FwCostOnlyPaperPoint)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
+
+// core::analyze_run alone, over the trace of one cost-only LU run at p
+// ranks recorded outside the timed loop: n = 64 at p = 64 (the fiber world
+// PinnedRuns pins), n = 128 at p = 1024 (lu_wide's shape).
+void BM_AnalyzeRun(benchmark::State& state) {
+  const int p = static_cast<int>(state.range(0));
+  core::LuConfig cfg;
+  cfg.n = p < 1024 ? 64 : 128;
+  cfg.b = 16;
+  cfg.mode = core::DesignMode::Hybrid;
+  sim::TraceRecorder rec(true);
+  const double makespan =
+      core::lu_functional(core::SystemParams::cray_xd1().with_nodes(p), cfg,
+                          {}, false, &rec)
+          .run.seconds;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::analyze_run(rec, p, makespan));
+  }
+  state.counters["events"] = static_cast<double>(rec.event_count());
+}
+BENCHMARK(BM_AnalyzeRun)
+    ->Arg(64)
+    ->Arg(1024)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace

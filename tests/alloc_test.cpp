@@ -7,7 +7,8 @@
 // megabytes while one b x b block is 72 MB. A cost-only Floyd-Warshall run
 // at Fig. 9's point reuses its per-wave scratch, so it allocates less often
 // than it runs waves, and graph::fw_block allocates nothing in any task
-// form.
+// form. The critical-path analysis of a traced run allocates a fixed number
+// of arrays, however many ranks and events the trace holds.
 //
 // This binary replaces the global allocation functions, plain and
 // over-aligned, so that it counts every operator new on every thread. It
@@ -21,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/analysis.hpp"
 #include "core/cholesky.hpp"
 #include "core/fw_functional.hpp"
 #include "core/lu_functional.hpp"
@@ -28,6 +30,7 @@
 #include "graph/floyd_warshall.hpp"
 #include "graph/generate.hpp"
 #include "linalg/generate.hpp"
+#include "sim/trace.hpp"
 
 namespace {
 
@@ -209,6 +212,54 @@ TEST(HeapPerRun, CostOnlyFwAllocatesLessThanOncePerWave) {
   EXPECT_LT(calls, waves)
       << "one cost-only run made " << calls << " heap allocations ("
       << heap << " bytes) in " << waves << " rank-waves";
+}
+
+// core::analyze_run reads the merged recorder in place: a handful of flat
+// arrays per run (name classes, per-rank attribution and index slices, the
+// interval and wire indexes, the reserved path), none per rank or per
+// event. At the 64-rank fiber world of PinnedRuns.LuFunctionalFiberWorld
+// (8,934 events) and at the lu_wide point (1,024 ranks, 1.3 M events) it
+// makes 11 allocations, of 1.11 MB and 137.7 MB; the count's bound is 16.
+// A copy of the trace into per-rank pointer lists made 920 and 19,620
+// allocations, of 1,227,692 and 194,901,628 bytes: those are the byte
+// bounds.
+TEST(HeapPerRun, AnalyzeRunAllocatesPerRunNotPerRank) {
+  struct Point {
+    int p;
+    long long n;
+    bool data;
+    std::uint64_t max_bytes;
+  };
+  for (const Point& pt : {Point{64, 64, true, 1'227'692},
+                          Point{1024, 128, false, 194'901'628}}) {
+    const core::SystemParams sys =
+        core::SystemParams::cray_xd1().with_nodes(pt.p);
+    core::LuConfig cfg;
+    cfg.n = pt.n;
+    cfg.b = 16;
+    cfg.mode = core::DesignMode::Hybrid;
+    const rcs::linalg::Matrix a =
+        pt.data ? rcs::linalg::diagonally_dominant(pt.n, 1234)
+                : rcs::linalg::Matrix{};
+    rcs::sim::TraceRecorder rec(true);
+    const core::LuFunctionalResult res =
+        core::lu_functional(sys, cfg, a, false, &rec);
+    (void)core::analyze_run(rec, pt.p, res.run.seconds);  // warm-up
+
+    const std::uint64_t bytes0 = g_heap_bytes.load();
+    const std::uint64_t calls0 = g_heap_calls.load();
+    const rcs::obs::cp::Analysis an =
+        core::analyze_run(rec, pt.p, res.run.seconds);
+    const std::uint64_t heap = g_heap_bytes.load() - bytes0;
+    const std::uint64_t calls = g_heap_calls.load() - calls0;
+
+    EXPECT_TRUE(an.invariants_hold()) << "p=" << pt.p;
+    EXPECT_GT(an.critical_path.size(), 1000u) << "p=" << pt.p;
+    EXPECT_LE(calls, 16u) << "analyze_run at p=" << pt.p << " made " << calls
+                          << " heap allocations (" << heap << " bytes) for "
+                          << rec.event_count() << " trace events";
+    EXPECT_LE(heap, pt.max_bytes) << "p=" << pt.p;
+  }
 }
 
 // One call per FW task form at b = 64, on fw_functional's layout (a local

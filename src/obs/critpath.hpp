@@ -24,8 +24,8 @@
 //     resource-seconds, and per-rank buckets summing to the makespan;
 //     critpath_test and bench/scaling_sweep assert them on real runs.
 //
-// This header is pure data: obs stays dependency-free, so the analyzer,
-// which reads a sim::TraceRecorder, is core::analyze_run (core/analysis).
+// The analyzer that fills these types reads a sim::TraceRecorder, so it is
+// core::analyze_run (core/analysis.hpp); obs stays dependency-free.
 
 #include <cstddef>
 #include <iosfwd>

@@ -9,10 +9,10 @@
 // pool size while `busy_ms` stays flat means chunk dispatch overhead;
 // `busy_ms` growing with it means the kernel does more total work per call.
 // `jobs` and `chunks` count the parallel_for calls that fanned out and the
-// chunks they ran. Each of these rows is labelled with the active SIMD
-// level; the FW block rows, one per task form, are labelled with the vector
-// ISA that floyd_warshall.cpp was compiled for. Repetitions with spread,
-// interleaving and JSON output come from google-benchmark's own flags, e.g.
+// chunks they ran. These rows, the microkernel row and the FW block rows
+// (one per task form) are labelled with the vector ISA the hot kernels were
+// compiled for (obs::kernel_isa()). Repetitions with spread, interleaving
+// and JSON output come from google-benchmark's own flags, e.g.
 //   --benchmark_filter='GemmPacked|MatMulArray|Trsm'
 //   --benchmark_repetitions=10 --benchmark_enable_random_interleaving=true
 
@@ -32,9 +32,10 @@
 #include "linalg/blas.hpp"
 #include "linalg/cholesky.hpp"
 #include "linalg/generate.hpp"
+#include "linalg/gemm_kernel.hpp"
 #include "linalg/getrf.hpp"
-#include "linalg/simd.hpp"
 #include "obs/metrics.hpp"
+#include "obs/provenance.hpp"
 
 using namespace rcs;
 
@@ -55,7 +56,7 @@ BENCHMARK(BM_GemmNaive)->Arg(64)->Arg(128)->Arg(256)->Arg(1024);
 
 /// For one pool-sized row: sizes the global pool to state.range(1) threads
 /// with pool telemetry on. On destruction it reports the telemetry deltas
-/// per iteration as counters, labels the row with the SIMD level, and
+/// per iteration as counters, labels the row with the hot-kernel ISA, and
 /// restores the pool size and the metrics switch.
 class PoolRow {
  public:
@@ -78,7 +79,7 @@ class PoolRow {
         per_iter((after.busy_ns - before_.busy_ns) / 1e6);
     state_.counters["queue_wait_ms"] =
         per_iter((after.queue_wait_ns - before_.queue_wait_ns) / 1e6);
-    state_.SetLabel(linalg::simd::level_name(linalg::simd::active_level()));
+    state_.SetLabel(obs::kernel_isa());
     obs::set_metrics_enabled(saved_metrics_);
     common::ThreadPool::set_global_threads(saved_threads_);
   }
@@ -200,7 +201,7 @@ BENCHMARK(BM_TrsmRightUpper)->Arg(64);
 // a worker that packs per task does; `packed_once` packs the stripe's two
 // row halves and the share before the loop, as a worker that reuses them
 // across an iteration's tasks does. Serial (the share never fans out);
-// labelled with the SIMD level.
+// labelled with the hot-kernel ISA.
 void BM_OpmmShare(benchmark::State& state, bool packed_once) {
   constexpr std::size_t b = 64, cw = 32, b_f = 32;
   const fpga::MatMulArray array(core::SystemParams::cray_xd1().mm_fpga);
@@ -226,39 +227,30 @@ void BM_OpmmShare(benchmark::State& state, bool packed_once) {
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * linalg::gemm_flops(b, b, cw));
-  state.SetLabel(linalg::simd::level_name(linalg::simd::active_level()));
+  state.SetLabel(obs::kernel_isa());
 }
 BENCHMARK_CAPTURE(BM_OpmmShare, unpacked, false);
 BENCHMARK_CAPTURE(BM_OpmmShare, packed_once, true);
 
-// Raw microkernel A/B: one 8x8 register tile against packed micropanels,
-// per dispatch level. Isolates the SIMD win from packing and pool effects;
-// levels the CPU lacks are skipped.
+// The raw microkernel: one 8x8 register tile against a KC-deep packed
+// strip and panel, apart from packing and pool effects.
 void BM_MicroKernel(benchmark::State& state) {
-  const auto level = static_cast<linalg::simd::Level>(state.range(0));
-  if (!linalg::simd::level_supported(level)) {
-    state.SkipWithError("SIMD level not supported on this CPU");
-    return;
-  }
-  const linalg::simd::MicroKernelFn kern = linalg::simd::micro_kernel(level);
+  using linalg::detail::kMR;
+  using linalg::detail::kNR;
   constexpr std::size_t kc = 256;
   Rng rng(23);
-  std::vector<double> ap(kc * linalg::simd::kMR), bp(kc * linalg::simd::kNR);
+  std::vector<double> ap(kc * kMR), bp(kc * kNR);
   for (auto& v : ap) v = rng.uniform(-1.0, 1.0);
   for (auto& v : bp) v = rng.uniform(-1.0, 1.0);
-  double acc[linalg::simd::kMR * linalg::simd::kNR] = {0.0};
+  double acc[kMR * kNR] = {0.0};
   for (auto _ : state) {
-    kern(kc, ap.data(), bp.data(), acc);
+    linalg::detail::micro_kernel(kc, ap.data(), bp.data(), acc);
     benchmark::DoNotOptimize(acc);
   }
-  state.SetItemsProcessed(state.iterations() * 2 * kc *
-                          linalg::simd::kMR * linalg::simd::kNR);
-  state.SetLabel(linalg::simd::level_name(level));
+  state.SetItemsProcessed(state.iterations() * 2 * kc * kMR * kNR);
+  state.SetLabel(obs::kernel_isa());
 }
-BENCHMARK(BM_MicroKernel)
-    ->Arg(static_cast<int>(linalg::simd::Level::Scalar))
-    ->Arg(static_cast<int>(linalg::simd::Level::Avx2))
-    ->Arg(static_cast<int>(linalg::simd::Level::Avx512));
+BENCHMARK(BM_MicroKernel);
 
 void BM_GetrfBlocked(benchmark::State& state) {
   const std::size_t n = state.range(0);
@@ -317,7 +309,7 @@ void BM_FwBlockKernel(benchmark::State& state, FwForm form) {
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * 2 * b * b * b);
-  state.SetLabel(graph::kernel_isa());
+  state.SetLabel(obs::kernel_isa());
 }
 BENCHMARK_CAPTURE(BM_FwBlockKernel, op3, FwForm::Op3)->Arg(64);
 BENCHMARK_CAPTURE(BM_FwBlockKernel, op22, FwForm::Op22)->Arg(64);

@@ -62,7 +62,7 @@ struct DriftReport {
   /// Resource -> span busy seconds / makespan, from the trace's spans.
   std::map<std::string, double> utilization;
   /// Critical-path / makespan-attribution analysis of the run's event DAG
-  /// (obs::cp::analyze over spans + comm events).
+  /// (core::analyze_run over spans + comm events).
   obs::cp::Analysis analysis;
 
   /// Human-readable tables: the phases, the span utilization per resource,

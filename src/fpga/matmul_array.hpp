@@ -15,12 +15,12 @@
 // inner-index order — the same order as the host gemm — so CPU-computed and
 // FPGA-computed partitions of a hybrid product are bit-consistent. Every
 // native-FP product streams through the packed GEMM engine (operand strips
-// packed into contiguous scratch, computed with the runtime-dispatched SIMD
-// microkernel, written back per result strip — the emulation's read ->
-// compute -> write pipeline; only products big enough to split use the
-// shared common::ThreadPool); the soft-float cores keep a plain row loop.
+// packed into contiguous scratch, computed with gemm's 8x8 microkernel,
+// written back per result strip — the emulation's read -> compute -> write
+// pipeline; only products big enough to split use the shared
+// common::ThreadPool); the soft-float cores keep a plain row loop.
 // Per-entry accumulation order is the same on every path, so outputs are
-// identical at any RCS_THREADS and on every RCS_SIMD dispatch path.
+// identical at any RCS_THREADS and at any vector width.
 
 #include <cstdint>
 

@@ -10,16 +10,6 @@
 
 namespace rcs::graph {
 
-const char* kernel_isa() {
-#if defined(__AVX512F__)
-  return "avx512";
-#elif defined(__AVX2__)
-  return "avx2";
-#else
-  return "baseline";
-#endif
-}
-
 void floyd_warshall(Matrix& d) {
   RCS_CHECK_MSG(d.rows() == d.cols(), "floyd_warshall: square matrix required");
   const std::size_t n = d.rows();

@@ -37,12 +37,6 @@ std::vector<std::size_t> reconstruct_path(
     const std::vector<std::size_t>& next_hop, std::size_t n, std::size_t i,
     std::size_t j);
 
-/// The vector ISA this file's kernels were compiled for: "avx512", "avx2" or
-/// "baseline" (the predefined __AVX512F__ / __AVX2__ macros). They build
-/// under the hot-kernel policy of src/CMakeLists.txt; no result depends on
-/// the answer, only speed.
-const char* kernel_isa();
-
 /// The generalized blocked relaxation kernel — one b x b task of the blocked
 /// algorithm. For k = 0..K-1 (K = a.cols()), in that order:
 ///     c[i][j] = min(c[i][j], a[i][k] + b[k][j]),

@@ -7,7 +7,6 @@
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
 #include "linalg/gemm_kernel.hpp"
-#include "linalg/simd.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -45,9 +44,9 @@ void gemm_naive(Span2D<const double> a, Span2D<const double> b,
 // index l strictly ascending — within a microkernel call because the l loop
 // is the outer loop, and across k-chunks because each i-tile task visits
 // them in ascending order and C is reloaded/stored per chunk. No
-// reassociation, no FMA (-ffp-contract=off; the explicit-ISA kernels in
-// simd.cpp use separate mul/add instructions), so the result equals
-// gemm_naive bit-for-bit at any thread count on every dispatch path.
+// reassociation, no FMA (-ffp-contract=off keeps the vector multiply and
+// add apart), so the result equals gemm_naive bit-for-bit at any thread
+// count and at whatever vector width this file is built for.
 //
 // Structure: packing and computing are separate steps. PackedA / PackedB
 // pack a whole operand (cooperatively on the pool when it is big enough)
@@ -59,13 +58,10 @@ void gemm_naive(Span2D<const double> a, Span2D<const double> b,
 namespace detail {
 namespace {
 
-constexpr std::size_t MR = simd::kMR;
-constexpr std::size_t NR = simd::kNR;
-
 std::size_t ceil_div(std::size_t a, std::size_t b) { return (a + b - 1) / b; }
 
-/// Pack one kc x w B micropanel (w <= NR live columns, rest zero-padded)
-/// into `panel` (kc * NR doubles, fully overwritten). `transposed` reads
+/// Pack one kc x w B micropanel (w <= kNR live columns, rest zero-padded)
+/// into `panel` (kc * kNR doubles, fully overwritten). `transposed` reads
 /// b(j + jr, k0 + l) instead of b(k0 + l, j + jr).
 void pack_b_micropanel(Span2D<const double> b, bool transposed,
                        std::size_t k0, std::size_t kc, std::size_t j,
@@ -73,42 +69,106 @@ void pack_b_micropanel(Span2D<const double> b, bool transposed,
   if (!transposed) {
     for (std::size_t l = 0; l < kc; ++l) {
       const double* brow = b.row(k0 + l) + j;
-      double* prow = panel + l * NR;
+      double* prow = panel + l * kNR;
       for (std::size_t jr = 0; jr < w; ++jr) prow[jr] = brow[jr];
-      for (std::size_t jr = w; jr < NR; ++jr) prow[jr] = 0.0;
+      for (std::size_t jr = w; jr < kNR; ++jr) prow[jr] = 0.0;
     }
   } else {
-    std::fill(panel, panel + kc * NR, 0.0);
+    std::fill(panel, panel + kc * kNR, 0.0);
     for (std::size_t jr = 0; jr < w; ++jr) {
       const double* brow = b.row(j + jr) + k0;
-      for (std::size_t l = 0; l < kc; ++l) panel[l * NR + jr] = brow[l];
+      for (std::size_t l = 0; l < kc; ++l) panel[l * kNR + jr] = brow[l];
     }
   }
 }
 
-/// Run `kern` against the (possibly ragged) mr x nr corner of C at
-/// (i0, j0): load the live entries, accumulate, store them back.
-void micro_tile(simd::MicroKernelFn kern, std::size_t kc, const double* ap,
-                const double* bp, Span2D<double> c, std::size_t i0,
-                std::size_t j0, std::size_t mr, std::size_t nr) {
-  double acc[MR * NR];
-  if (mr == MR && nr == NR) {
-    for (std::size_t ir = 0; ir < MR; ++ir) {
-      std::memcpy(acc + ir * NR, c.row(i0 + ir) + j0, NR * sizeof(double));
+// The microkernel holds the tile in GCC vector types as wide as the widest
+// ISA this file is built for, as graph::fw_block's register tiles do, so
+// one source gives zmm, ymm or xmm code.
+#if defined(__AVX512F__)
+constexpr std::size_t kVecBytes = 64;
+#elif defined(__AVX2__)
+constexpr std::size_t kVecBytes = 32;
+#else
+constexpr std::size_t kVecBytes = 16;
+#endif
+typedef double Vec __attribute__((vector_size(kVecBytes)));
+constexpr std::size_t kLanes = kVecBytes / sizeof(double);
+
+// A tile row is kRowVecs vectors, and the rows go in groups of eight
+// accumulators: all 8 rows at AVX-512 (one zmm each), 4 at AVX2 and 2 at
+// SSE2, half of their 16 registers.
+constexpr std::size_t kRowVecs = kNR / kLanes;
+constexpr std::size_t kGroupRows = kMR / kRowVecs;
+static_assert(kNR % kLanes == 0 && kMR % kRowVecs == 0,
+              "a tile row is whole vectors");
+
+Vec load(const double* p) {
+  Vec v{};
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+void store(double* p, Vec v) { std::memcpy(p, &v, sizeof v); }
+
+}  // namespace
+
+void micro_kernel(std::size_t kc, const double* ap, const double* bp,
+                  double* acc) {
+  for (std::size_t r0 = 0; r0 < kMR; r0 += kGroupRows) {
+    Vec r[kGroupRows][kRowVecs] = {};
+    for (std::size_t i = 0; i < kGroupRows; ++i) {
+      for (std::size_t v = 0; v < kRowVecs; ++v) {
+        r[i][v] = load(acc + (r0 + i) * kNR + v * kLanes);
+      }
     }
-    kern(kc, ap, bp, acc);
-    for (std::size_t ir = 0; ir < MR; ++ir) {
-      std::memcpy(c.row(i0 + ir) + j0, acc + ir * NR, NR * sizeof(double));
+    for (std::size_t l = 0; l < kc; ++l) {
+      Vec b[kRowVecs] = {};
+      for (std::size_t v = 0; v < kRowVecs; ++v) {
+        b[v] = load(bp + l * kNR + v * kLanes);
+      }
+      const double* a = ap + l * kMR + r0;
+      for (std::size_t i = 0; i < kGroupRows; ++i) {
+        for (std::size_t v = 0; v < kRowVecs; ++v) r[i][v] += a[i] * b[v];
+      }
+    }
+    for (std::size_t i = 0; i < kGroupRows; ++i) {
+      for (std::size_t v = 0; v < kRowVecs; ++v) {
+        store(acc + (r0 + i) * kNR + v * kLanes, r[i][v]);
+      }
+    }
+  }
+}
+
+namespace {
+
+/// Run the microkernel against the (possibly ragged) mr x nr corner of C
+/// at (i0, j0): load the live entries, accumulate, store them back.
+void micro_tile(std::size_t kc, const double* ap, const double* bp,
+                Span2D<double> c, std::size_t i0, std::size_t j0,
+                std::size_t mr, std::size_t nr) {
+  double acc[kMR * kNR];
+  if (mr == kMR && nr == kNR) {
+    for (std::size_t ir = 0; ir < kMR; ++ir) {
+      std::memcpy(acc + ir * kNR, c.row(i0 + ir) + j0, kNR * sizeof(double));
+    }
+    micro_kernel(kc, ap, bp, acc);
+    for (std::size_t ir = 0; ir < kMR; ++ir) {
+      std::memcpy(c.row(i0 + ir) + j0, acc + ir * kNR, kNR * sizeof(double));
     }
     return;
   }
-  std::fill(acc, acc + MR * NR, 0.0);
+  std::fill(acc, acc + kMR * kNR, 0.0);
   for (std::size_t ir = 0; ir < mr; ++ir) {
-    for (std::size_t jr = 0; jr < nr; ++jr) acc[ir * NR + jr] = c(i0 + ir, j0 + jr);
+    for (std::size_t jr = 0; jr < nr; ++jr) {
+      acc[ir * kNR + jr] = c(i0 + ir, j0 + jr);
+    }
   }
-  kern(kc, ap, bp, acc);
+  micro_kernel(kc, ap, bp, acc);
   for (std::size_t ir = 0; ir < mr; ++ir) {
-    for (std::size_t jr = 0; jr < nr; ++jr) c(i0 + ir, j0 + jr) = acc[ir * NR + jr];
+    for (std::size_t jr = 0; jr < nr; ++jr) {
+      c(i0 + ir, j0 + jr) = acc[ir * kNR + jr];
+    }
   }
 }
 
@@ -144,9 +204,8 @@ void count_pack_bytes(std::size_t doubles) {
 void gemm_packed(const PackedA& a, const PackedB& b, Span2D<double> c) {
   const std::size_t m = c.rows(), n = c.cols(), k = a.depth();
   if (m == 0 || n == 0 || k == 0) return;
-  const simd::MicroKernelFn kern = simd::active_micro_kernel();
-  const std::size_t strips = ceil_div(m, MR);
-  const std::size_t panels = ceil_div(n, NR);
+  const std::size_t strips = ceil_div(m, kMR);
+  const std::size_t panels = ceil_div(n, kNR);
   const std::size_t nkc = ceil_div(k, kKC);
   const std::size_t ntiles = ceil_div(m, kMC);
 
@@ -165,15 +224,14 @@ void gemm_packed(const PackedA& a, const PackedB& b, Span2D<double> c) {
             for (std::size_t kb = 0; kb < nkc; ++kb) {
               const std::size_t k0 = kb * kKC;
               const std::size_t kc = std::min(kKC, k - k0);
-              const double* achunk = a.data() + k0 * strips * MR;
-              const double* bchunk = b.data() + k0 * panels * NR;
-              for (std::size_t j = j0; j < j0 + nc; j += NR) {
-                const double* bp = bchunk + (j / NR) * kc * NR;
-                const std::size_t w = std::min(NR, n - j);
-                for (std::size_t i = i0; i < i0 + mc; i += MR) {
-                  const double* ap = achunk + (i / MR) * kc * MR;
-                  micro_tile(kern, kc, ap, bp, c, i, j, std::min(MR, m - i),
-                             w);
+              const double* achunk = a.data() + k0 * strips * kMR;
+              const double* bchunk = b.data() + k0 * panels * kNR;
+              for (std::size_t j = j0; j < j0 + nc; j += kNR) {
+                const double* bp = bchunk + (j / kNR) * kc * kNR;
+                const std::size_t w = std::min(kNR, n - j);
+                for (std::size_t i = i0; i < i0 + mc; i += kMR) {
+                  const double* ap = achunk + (i / kMR) * kc * kMR;
+                  micro_tile(kc, ap, bp, c, i, j, std::min(kMR, m - i), w);
                 }
               }
             }
@@ -201,23 +259,23 @@ void PackedA::pack(Span2D<const double> a) {
   using namespace detail;
   rows_ = a.rows();
   depth_ = a.cols();
-  const std::size_t strips = ceil_div(rows_, MR);
-  buf_.resize(strips * depth_ * MR);
+  const std::size_t strips = ceil_div(rows_, kMR);
+  buf_.resize(strips * depth_ * kMR);
   double* const out = buf_.data();
   // One unit per (k-chunk, strip); units write disjoint strips.
-  pack_units(ceil_div(depth_, kKC) * strips, depth_, MR, [&](std::size_t u) {
+  pack_units(ceil_div(depth_, kKC) * strips, depth_, kMR, [&](std::size_t u) {
     const std::size_t k0 = u / strips * kKC;
     const std::size_t kc = std::min(kKC, depth_ - k0);
-    const std::size_t i = u % strips * MR;
-    const std::size_t h = std::min(MR, rows_ - i);
-    double* strip = out + k0 * strips * MR + (i / MR) * kc * MR;
+    const std::size_t i = u % strips * kMR;
+    const std::size_t h = std::min(kMR, rows_ - i);
+    double* strip = out + k0 * strips * kMR + (i / kMR) * kc * kMR;
     for (std::size_t ir = 0; ir < h; ++ir) {
       const double* arow = a.row(i + ir) + k0;
-      for (std::size_t l = 0; l < kc; ++l) strip[l * MR + ir] = arow[l];
+      for (std::size_t l = 0; l < kc; ++l) strip[l * kMR + ir] = arow[l];
     }
-    if (h < MR) {
+    if (h < kMR) {
       for (std::size_t l = 0; l < kc; ++l) {
-        std::fill(strip + l * MR + h, strip + (l + 1) * MR, 0.0);
+        std::fill(strip + l * kMR + h, strip + (l + 1) * kMR, 0.0);
       }
     }
   });
@@ -229,16 +287,16 @@ void PackedB::pack(Span2D<const double> b, bool transposed) {
   transposed_ = transposed;
   depth_ = transposed ? b.cols() : b.rows();
   cols_ = transposed ? b.rows() : b.cols();
-  const std::size_t panels = ceil_div(cols_, NR);
-  buf_.resize(panels * depth_ * NR);
+  const std::size_t panels = ceil_div(cols_, kNR);
+  buf_.resize(panels * depth_ * kNR);
   double* const out = buf_.data();
   // One unit per (k-chunk, panel); units write disjoint panels.
-  pack_units(ceil_div(depth_, kKC) * panels, depth_, NR, [&](std::size_t u) {
+  pack_units(ceil_div(depth_, kKC) * panels, depth_, kNR, [&](std::size_t u) {
     const std::size_t k0 = u / panels * kKC;
     const std::size_t kc = std::min(kKC, depth_ - k0);
-    const std::size_t j = u % panels * NR;
-    pack_b_micropanel(b, transposed, k0, kc, j, std::min(NR, cols_ - j),
-                      out + k0 * panels * NR + (j / NR) * kc * NR);
+    const std::size_t j = u % panels * kNR;
+    pack_b_micropanel(b, transposed, k0, kc, j, std::min(kNR, cols_ - j),
+                      out + k0 * panels * kNR + (j / kNR) * kc * kNR);
   });
   count_pack_bytes(buf_.size());
 }

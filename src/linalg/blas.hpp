@@ -62,13 +62,12 @@ class PackedB {
 /// C += A * B, packed register-blocked engine (the production host dgemm
 /// substitute, at every size): per column slab, B's panels and A's strips
 /// are packed (cooperatively on the shared common::ThreadPool when big
-/// enough), then one parallel region over row tiles runs the
-/// runtime-dispatched SIMD microkernel (simd::active_level(); override with
-/// RCS_SIMD=scalar|avx2|avx512): the loop of the packed overload below.
-/// Products too small to split run on the calling thread.
-/// Per-entry accumulation order is ascending inner index with no
-/// FMA on every path, so the result is bit-identical to gemm_naive at any
-/// thread count and on every dispatch path.
+/// enough), then one parallel region over row tiles runs the 8x8
+/// microkernel, built at the hot-kernel ISA (obs::kernel_isa()): the loop
+/// of the packed overload below. Products too small to split run on the
+/// calling thread. Per-entry accumulation order is ascending inner index
+/// with no FMA, so the result is bit-identical to gemm_naive at any thread
+/// count and at any vector width.
 void gemm(Span2D<const double> a, Span2D<const double> b, Span2D<double> c);
 
 /// C += A * B (A * B^T when `b` was packed transposed) from operands packed

@@ -1,8 +1,6 @@
 #include "obs/provenance.hpp"
 
-#include <atomic>
 #include <cstdlib>
-#include <mutex>
 #include <ostream>
 #include <thread>
 
@@ -31,17 +29,14 @@
 
 namespace rcs::obs {
 
-namespace {
-std::mutex simd_mu;
-std::string& simd_slot() {
-  static std::string slot = "unresolved";
-  return slot;
-}
-}  // namespace
-
-void set_simd_path(const char* name) {
-  std::lock_guard<std::mutex> lock(simd_mu);
-  simd_slot() = name != nullptr ? name : "unresolved";
+const char* kernel_isa() {
+#if defined(__AVX512F__)
+  return "avx512";
+#elif defined(__AVX2__)
+  return "avx2";
+#else
+  return "baseline";
+#endif
 }
 
 Provenance Provenance::collect() {
@@ -69,10 +64,7 @@ Provenance Provenance::collect() {
   p.hw_cores = std::thread::hardware_concurrency();
   const char* threads = std::getenv("RCS_THREADS");
   p.rcs_threads = threads != nullptr ? threads : "";
-  {
-    std::lock_guard<std::mutex> lock(simd_mu);
-    p.simd = simd_slot();
-  }
+  p.simd = kernel_isa();
   return p;
 }
 

@@ -1,7 +1,7 @@
 #pragma once
 // Build/run provenance stamped into benchmark results (perfbench's JSON)
 // so runs are comparable: a regression is only a regression if the
-// compiler, build type, machine, and kernel dispatch path match.
+// compiler, build type, machine, and hot-kernel vector ISA match.
 
 #include <iosfwd>
 #include <string>
@@ -16,7 +16,7 @@ struct Provenance {
   std::string hostname;     // gethostname()
   unsigned hw_cores = 0;    // std::thread::hardware_concurrency (0 = unknown)
   std::string rcs_threads;  // $RCS_THREADS as seen at collect() ("" = unset)
-  std::string simd;         // resolved SIMD dispatch path (set_simd_path)
+  std::string simd;         // hot-kernel vector ISA (kernel_isa())
 
   /// Gather all fields for the running process.
   static Provenance collect();
@@ -26,10 +26,10 @@ struct Provenance {
   void write_json(std::ostream& os, int indent = 0) const;
 };
 
-/// Record the kernel dispatch path chosen at startup (e.g. "avx2"). Called
-/// by the linalg SIMD dispatcher; obs stays dependency-free, so the value
-/// is pushed in rather than queried. Until something calls this, collect()
-/// reports "unresolved" (meaning: no SIMD-dispatched kernel ran yet).
-void set_simd_path(const char* name);
+/// The vector ISA the hot kernels were compiled for: "avx512", "avx2" or
+/// "baseline" (the predefined __AVX512F__ / __AVX2__ macros). provenance.cpp
+/// builds under the hot-kernel policy of src/CMakeLists.txt, so it sees the
+/// macros every hot kernel sees. No result depends on the answer, only speed.
+const char* kernel_isa();
 
 }  // namespace rcs::obs

@@ -22,12 +22,10 @@
 #include "linalg/cholesky.hpp"
 #include "linalg/generate.hpp"
 #include "linalg/matrix.hpp"
-#include "linalg/simd.hpp"
 #include "net/minimpi.hpp"
 #include "obs/metrics.hpp"
 
 namespace la = rcs::linalg;
-namespace simd = rcs::linalg::simd;
 namespace common = rcs::common;
 namespace obs = rcs::obs;
 using rcs::fpga::MatMulArray;
@@ -80,18 +78,6 @@ void gemm_nt_naive(const la::Matrix& a, const la::Matrix& bt, la::Matrix& c) {
   }
 }
 
-/// Run `body(level)` once per SIMD level this CPU supports, restoring the
-/// previously active level afterwards.
-template <typename Body>
-void for_each_simd_level(const Body& body) {
-  const simd::Level saved = simd::active_level();
-  for (int lv = 0; lv <= static_cast<int>(simd::max_supported_level());
-       ++lv) {
-    body(static_cast<simd::Level>(lv));
-  }
-  simd::set_level(saved);
-}
-
 class BlasParallel : public ::testing::TestWithParam<int> {
  protected:
   void SetUp() override {
@@ -103,8 +89,8 @@ class BlasParallel : public ::testing::TestWithParam<int> {
 };
 
 TEST_P(BlasParallel, GemmBitIdenticalToNaive) {
-  // gemm and gemm_nt at every SIMD level, small shapes included: every
-  // native product runs the packed engine, whatever its size.
+  // gemm and gemm_nt, small shapes included: every native product runs
+  // the packed engine, whatever its size.
   int seed = 1;
   for (const Shape& s : kShapes) {
     const la::Matrix a = seeded(s.m, s.k, seed++);
@@ -115,40 +101,36 @@ TEST_P(BlasParallel, GemmBitIdenticalToNaive) {
     la::Matrix cnt_ref = c0;
     la::gemm_naive(a.view(), b.view(), c_ref.view());
     gemm_nt_naive(a, bt, cnt_ref);
-    for_each_simd_level([&](simd::Level level) {
-      simd::set_level(level);
-      const std::string where = " m=" + std::to_string(s.m) +
-                                " k=" + std::to_string(s.k) +
-                                " n=" + std::to_string(s.n) + " threads=" +
-                                std::to_string(GetParam()) +
-                                " simd=" + simd::level_name(level);
-      la::Matrix c = c0;
-      la::gemm(a.view(), b.view(), c.view());
-      EXPECT_TRUE(la::bit_equal(c.view(), c_ref.view())) << "gemm" << where;
-      la::Matrix cnt = c0;
-      la::gemm_nt(a.view(), bt.view(), cnt.view());
-      EXPECT_TRUE(la::bit_equal(cnt.view(), cnt_ref.view()))
-          << "gemm_nt" << where;
-      // Packed once, A's rows in two packs split off the MR grid: the same
-      // loop on kept operands, NN and NT.
-      const std::size_t h = row_split(s.m);
-      la::PackedA top, rest;
-      top.pack(a.block(0, 0, h, s.k));
-      rest.pack(a.block(h, 0, s.m - h, s.k));
-      la::PackedB pb, pbt;
-      pb.pack(b.view(), /*transposed=*/false);
-      pbt.pack(bt.view(), /*transposed=*/true);
-      la::Matrix cp = c0;
-      la::gemm(top, pb, cp.block(0, 0, h, s.n));
-      la::gemm(rest, pb, cp.block(h, 0, s.m - h, s.n));
-      EXPECT_TRUE(la::bit_equal(cp.view(), c_ref.view()))
-          << "packed gemm" << where;
-      la::Matrix cpt = c0;
-      la::gemm(top, pbt, cpt.block(0, 0, h, s.n));
-      la::gemm(rest, pbt, cpt.block(h, 0, s.m - h, s.n));
-      EXPECT_TRUE(la::bit_equal(cpt.view(), cnt_ref.view()))
-          << "packed gemm_nt" << where;
-    });
+    const std::string where = " m=" + std::to_string(s.m) +
+                              " k=" + std::to_string(s.k) +
+                              " n=" + std::to_string(s.n) +
+                              " threads=" + std::to_string(GetParam());
+    la::Matrix c = c0;
+    la::gemm(a.view(), b.view(), c.view());
+    EXPECT_TRUE(la::bit_equal(c.view(), c_ref.view())) << "gemm" << where;
+    la::Matrix cnt = c0;
+    la::gemm_nt(a.view(), bt.view(), cnt.view());
+    EXPECT_TRUE(la::bit_equal(cnt.view(), cnt_ref.view()))
+        << "gemm_nt" << where;
+    // Packed once, A's rows in two packs split off the MR grid: the same
+    // loop on kept operands, NN and NT.
+    const std::size_t h = row_split(s.m);
+    la::PackedA top, rest;
+    top.pack(a.block(0, 0, h, s.k));
+    rest.pack(a.block(h, 0, s.m - h, s.k));
+    la::PackedB pb, pbt;
+    pb.pack(b.view(), /*transposed=*/false);
+    pbt.pack(bt.view(), /*transposed=*/true);
+    la::Matrix cp = c0;
+    la::gemm(top, pb, cp.block(0, 0, h, s.n));
+    la::gemm(rest, pb, cp.block(h, 0, s.m - h, s.n));
+    EXPECT_TRUE(la::bit_equal(cp.view(), c_ref.view()))
+        << "packed gemm" << where;
+    la::Matrix cpt = c0;
+    la::gemm(top, pbt, cpt.block(0, 0, h, s.n));
+    la::gemm(rest, pbt, cpt.block(h, 0, s.m - h, s.n));
+    EXPECT_TRUE(la::bit_equal(cpt.view(), cnt_ref.view()))
+        << "packed gemm_nt" << where;
   }
 }
 
@@ -166,9 +148,8 @@ TEST_P(BlasParallel, GemmStridedViewsBitIdentical) {
 }
 
 TEST_P(BlasParallel, MatMulArrayBitIdenticalToNaive) {
-  // Both native MatMulArray forms at every SIMD level. NativeFp::mac is
-  // acc + a*b — the same per-entry update, in the same ascending-l order,
-  // as gemm_naive.
+  // Both native MatMulArray forms. NativeFp::mac is acc + a*b — the same
+  // per-entry update, in the same ascending-l order, as gemm_naive.
   const MatMulArray array(rcs::core::SystemParams::cray_xd1().mm_fpga);
   int seed = 40;
   for (const Shape& s : kShapes) {
@@ -180,38 +161,34 @@ TEST_P(BlasParallel, MatMulArrayBitIdenticalToNaive) {
     la::Matrix ent_ref = e0;
     la::gemm_naive(c.view(), d.view(), e_ref.view());
     gemm_nt_naive(c, dt, ent_ref);
-    for_each_simd_level([&](simd::Level level) {
-      simd::set_level(level);
-      const std::string where = " m=" + std::to_string(s.m) +
-                                " k=" + std::to_string(s.k) +
-                                " n=" + std::to_string(s.n) + " threads=" +
-                                std::to_string(GetParam()) +
-                                " simd=" + simd::level_name(level);
-      la::Matrix e = e0;
-      array.multiply_accumulate(c.view(), d.view(), e.view());
-      EXPECT_TRUE(la::bit_equal(e.view(), e_ref.view())) << "nn" << where;
-      la::Matrix ent = e0;
-      array.multiply_accumulate_nt(c.view(), dt.view(), ent.view());
-      EXPECT_TRUE(la::bit_equal(ent.view(), ent_ref.view())) << "nt" << where;
-      // Packed once, C's rows in two packs split off the MR grid.
-      const std::size_t h = row_split(s.m);
-      la::PackedA top, rest;
-      top.pack(c.block(0, 0, h, s.k));
-      rest.pack(c.block(h, 0, s.m - h, s.k));
-      la::PackedB pd, pdt;
-      pd.pack(d.view(), /*transposed=*/false);
-      pdt.pack(dt.view(), /*transposed=*/true);
-      la::Matrix ep = e0;
-      array.multiply_accumulate(top, pd, ep.block(0, 0, h, s.n));
-      array.multiply_accumulate(rest, pd, ep.block(h, 0, s.m - h, s.n));
-      EXPECT_TRUE(la::bit_equal(ep.view(), e_ref.view()))
-          << "packed nn" << where;
-      la::Matrix ept = e0;
-      array.multiply_accumulate(top, pdt, ept.block(0, 0, h, s.n));
-      array.multiply_accumulate(rest, pdt, ept.block(h, 0, s.m - h, s.n));
-      EXPECT_TRUE(la::bit_equal(ept.view(), ent_ref.view()))
-          << "packed nt" << where;
-    });
+    const std::string where = " m=" + std::to_string(s.m) +
+                              " k=" + std::to_string(s.k) +
+                              " n=" + std::to_string(s.n) +
+                              " threads=" + std::to_string(GetParam());
+    la::Matrix e = e0;
+    array.multiply_accumulate(c.view(), d.view(), e.view());
+    EXPECT_TRUE(la::bit_equal(e.view(), e_ref.view())) << "nn" << where;
+    la::Matrix ent = e0;
+    array.multiply_accumulate_nt(c.view(), dt.view(), ent.view());
+    EXPECT_TRUE(la::bit_equal(ent.view(), ent_ref.view())) << "nt" << where;
+    // Packed once, C's rows in two packs split off the MR grid.
+    const std::size_t h = row_split(s.m);
+    la::PackedA top, rest;
+    top.pack(c.block(0, 0, h, s.k));
+    rest.pack(c.block(h, 0, s.m - h, s.k));
+    la::PackedB pd, pdt;
+    pd.pack(d.view(), /*transposed=*/false);
+    pdt.pack(dt.view(), /*transposed=*/true);
+    la::Matrix ep = e0;
+    array.multiply_accumulate(top, pd, ep.block(0, 0, h, s.n));
+    array.multiply_accumulate(rest, pd, ep.block(h, 0, s.m - h, s.n));
+    EXPECT_TRUE(la::bit_equal(ep.view(), e_ref.view()))
+        << "packed nn" << where;
+    la::Matrix ept = e0;
+    array.multiply_accumulate(top, pdt, ept.block(0, 0, h, s.n));
+    array.multiply_accumulate(rest, pdt, ept.block(h, 0, s.m - h, s.n));
+    EXPECT_TRUE(la::bit_equal(ept.view(), ent_ref.view()))
+        << "packed nt" << where;
   }
 }
 
@@ -239,27 +216,22 @@ TEST_P(BlasParallel, MatMulArraySoftMatchesSerialSoft) {
   EXPECT_TRUE(la::bit_equal(f_par.view(), f_serial.view()));
 }
 
-TEST_P(BlasParallel, GemmRaggedSweepAcrossSimdPaths) {
+TEST_P(BlasParallel, GemmRaggedSweep) {
   int seed = 200;
   for (const Shape& s : kRaggedShapes) {
     const la::Matrix a = seeded(s.m, s.k, seed++);
     const la::Matrix b = seeded(s.k, s.n, seed++);
     la::Matrix c_ref = seeded(s.m, s.n, 201);
-    const la::Matrix c0 = c_ref;
+    la::Matrix c = c_ref;
     la::gemm_naive(a.view(), b.view(), c_ref.view());
-    for_each_simd_level([&](simd::Level level) {
-      simd::set_level(level);
-      la::Matrix c = c0;
-      la::gemm(a.view(), b.view(), c.view());
-      EXPECT_TRUE(la::bit_equal(c.view(), c_ref.view()))
-          << "m=" << s.m << " k=" << s.k << " n=" << s.n
-          << " threads=" << GetParam()
-          << " simd=" << simd::level_name(level);
-    });
+    la::gemm(a.view(), b.view(), c.view());
+    EXPECT_TRUE(la::bit_equal(c.view(), c_ref.view()))
+        << "m=" << s.m << " k=" << s.k << " n=" << s.n
+        << " threads=" << GetParam();
   }
 }
 
-TEST_P(BlasParallel, MatMulArrayStreamedRaggedSweepAcrossSimdPaths) {
+TEST_P(BlasParallel, MatMulArrayStreamedRaggedSweep) {
   const MatMulArray array(rcs::core::SystemParams::cray_xd1().mm_fpga);
   int seed = 300;
   for (const Shape& s : kRaggedShapes) {
@@ -271,21 +243,16 @@ TEST_P(BlasParallel, MatMulArrayStreamedRaggedSweepAcrossSimdPaths) {
     const la::Matrix e0 = e_ref;
     la::gemm_naive(c.view(), d.view(), e_ref.view());
     gemm_nt_naive(c, dt, ent_ref);
-    for_each_simd_level([&](simd::Level level) {
-      simd::set_level(level);
-      la::Matrix e = e0;
-      array.multiply_accumulate(c.view(), d.view(), e.view());
-      EXPECT_TRUE(la::bit_equal(e.view(), e_ref.view()))
-          << "nn m=" << s.m << " k=" << s.k << " n=" << s.n
-          << " threads=" << GetParam()
-          << " simd=" << simd::level_name(level);
-      la::Matrix ent = e0;
-      array.multiply_accumulate_nt(c.view(), dt.view(), ent.view());
-      EXPECT_TRUE(la::bit_equal(ent.view(), ent_ref.view()))
-          << "nt m=" << s.m << " k=" << s.k << " n=" << s.n
-          << " threads=" << GetParam()
-          << " simd=" << simd::level_name(level);
-    });
+    la::Matrix e = e0;
+    array.multiply_accumulate(c.view(), d.view(), e.view());
+    EXPECT_TRUE(la::bit_equal(e.view(), e_ref.view()))
+        << "nn m=" << s.m << " k=" << s.k << " n=" << s.n
+        << " threads=" << GetParam();
+    la::Matrix ent = e0;
+    array.multiply_accumulate_nt(c.view(), dt.view(), ent.view());
+    EXPECT_TRUE(la::bit_equal(ent.view(), ent_ref.view()))
+        << "nt m=" << s.m << " k=" << s.k << " n=" << s.n
+        << " threads=" << GetParam();
   }
 }
 

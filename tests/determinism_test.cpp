@@ -28,7 +28,6 @@
 #include "linalg/blas.hpp"
 #include "linalg/cholesky.hpp"
 #include "linalg/generate.hpp"
-#include "linalg/simd.hpp"
 #include "obs/critpath.hpp"
 #include "sim/faults.hpp"
 #include "sim/trace.hpp"
@@ -68,9 +67,10 @@ std::map<std::string, std::pair<double, double>> overlap_by_phase(
 
 // The kernel-level contract behind every test in this file: gemm, the
 // MatMulArray emulation (all four variants), and trsm_left_lower_unit
-// produce byte-identical output across every (SIMD path x thread count)
-// combination, with threads=1 + scalar dispatch as the reference.
-TEST(Determinism, KernelsInvariantAcrossSimdAndThreads) {
+// produce byte-identical output at every thread count. gemm and the native
+// MatMulArray forms are held to gemm_naive or the naive NT loop, trsm to
+// its one-thread solve.
+TEST(Determinism, KernelsInvariantAcrossThreads) {
   const std::size_t m = 129, k = 257, n = 70;  // ragged, crosses KC/MC/NC
   const la::Matrix a = la::random_matrix(m, k, 11);
   const la::Matrix b = la::random_matrix(k, n, 12);
@@ -81,47 +81,40 @@ TEST(Determinism, KernelsInvariantAcrossSimdAndThreads) {
   const la::Matrix rhs = la::random_matrix(m, n, 16);
   const rcs::fpga::MatMulArray array(
       core::SystemParams::cray_xd1().mm_fpga);
-  namespace simd = rcs::linalg::simd;
-  const simd::Level saved = simd::active_level();
 
-  common::ThreadPool::set_global_threads(1);
-  simd::set_level(simd::Level::Scalar);
   la::Matrix gemm_ref = e0;
-  la::gemm(a.view(), b.view(), gemm_ref.view());
-  la::Matrix mm_ref = e0;
-  array.multiply_accumulate(a.view(), b.view(), mm_ref.view());
-  la::Matrix mm_nt_ref = e0;
-  array.multiply_accumulate_nt(a.view(), bt.view(), mm_nt_ref.view());
+  la::gemm_naive(a.view(), b.view(), gemm_ref.view());
+  la::Matrix nt_ref = e0;  // e0 + a * bt^T, l ascending
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      double acc = nt_ref(i, j);
+      for (std::size_t l = 0; l < k; ++l) acc += a(i, l) * bt(j, l);
+      nt_ref(i, j) = acc;
+    }
+  }
+  common::ThreadPool::set_global_threads(1);
   la::Matrix trsm_ref = rhs;
   la::trsm_left_lower_unit(lower.view(), trsm_ref.view());
 
-  for (int lv = 0; lv <= static_cast<int>(simd::max_supported_level());
-       ++lv) {
-    const simd::Level level = static_cast<simd::Level>(lv);
-    simd::set_level(level);
-    for (int threads : {1, 2, 7}) {
-      common::ThreadPool::set_global_threads(threads);
-      const std::string tag = std::string("simd=") + simd::level_name(level) +
-                              " threads=" + std::to_string(threads);
-      la::Matrix c = e0;
-      la::gemm(a.view(), b.view(), c.view());
-      EXPECT_TRUE(la::bit_equal(c.view(), gemm_ref.view())) << "gemm " << tag;
-      la::Matrix e = e0;
-      array.multiply_accumulate(a.view(), b.view(), e.view());
-      EXPECT_TRUE(la::bit_equal(e.view(), mm_ref.view())) << "mm " << tag;
-      la::Matrix ent = e0;
-      array.multiply_accumulate_nt(a.view(), bt.view(), ent.view());
-      EXPECT_TRUE(la::bit_equal(ent.view(), mm_nt_ref.view()))
-          << "mm_nt " << tag;
-      la::Matrix x = rhs;
-      la::trsm_left_lower_unit(lower.view(), x.view());
-      EXPECT_TRUE(la::bit_equal(x.view(), trsm_ref.view())) << "trsm " << tag;
-    }
+  for (int threads : {1, 2, 7}) {
+    common::ThreadPool::set_global_threads(threads);
+    const std::string tag = "threads=" + std::to_string(threads);
+    la::Matrix c = e0;
+    la::gemm(a.view(), b.view(), c.view());
+    EXPECT_TRUE(la::bit_equal(c.view(), gemm_ref.view())) << "gemm " << tag;
+    la::Matrix e = e0;
+    array.multiply_accumulate(a.view(), b.view(), e.view());
+    EXPECT_TRUE(la::bit_equal(e.view(), gemm_ref.view())) << "mm " << tag;
+    la::Matrix ent = e0;
+    array.multiply_accumulate_nt(a.view(), bt.view(), ent.view());
+    EXPECT_TRUE(la::bit_equal(ent.view(), nt_ref.view())) << "mm_nt " << tag;
+    la::Matrix x = rhs;
+    la::trsm_left_lower_unit(lower.view(), x.view());
+    EXPECT_TRUE(la::bit_equal(x.view(), trsm_ref.view())) << "trsm " << tag;
   }
 
-  // Soft-float variants skip the SIMD engine entirely; check across thread
-  // counts at one small shape (the bit-accurate cores are slow).
-  simd::set_level(saved);
+  // Soft-float variants skip the packed engine entirely; check across
+  // thread counts at one small shape (the bit-accurate cores are slow).
   common::ThreadPool::set_global_threads(1);
   la::Matrix soft_ref = la::Matrix(17, 9);
   array.multiply_accumulate_soft(a.block(0, 0, 17, 23), b.block(0, 0, 23, 9),

@@ -21,10 +21,12 @@
 #include "graph/generate.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/generate.hpp"
+#include "obs/provenance.hpp"
 
 namespace fpga = rcs::fpga;
 namespace la = rcs::linalg;
 namespace gr = rcs::graph;
+namespace obs = rcs::obs;
 using rcs::Span2D;
 
 namespace {
@@ -198,7 +200,7 @@ void expect_fw_block_bitwise(const la::Matrix& storage, Views views,
   const auto [c2, a2, b2] = views(got);
   gr::fw_block(c2, a2, b2);
   EXPECT_TRUE(la::bit_equal(ref.view(), got.view()))
-      << what << ", fw_block at " << gr::kernel_isa();
+      << what << ", fw_block at " << obs::kernel_isa();
 }
 
 // Distances holding the entries min-plus must carry through exactly: +inf
@@ -222,7 +224,7 @@ la::Matrix special_distances(std::size_t rows, std::size_t cols,
   return d;
 }
 
-// graph::fw_block builds at the hot-kernel ISA (graph::kernel_isa()) and
+// graph::fw_block builds at the hot-kernel ISA (obs::kernel_isa()) and
 // keeps a tile of c in registers for op3 and whole rows for op22 where a row
 // fits, while FwKernel's NativeFp row loop builds at the baseline ISA: the
 // two must agree bit for bit on every shape and aliasing form the blocked

@@ -519,10 +519,18 @@ TEST(Provenance, CollectsNonEmptyFields) {
   EXPECT_FALSE(p.git_sha.empty());
   EXPECT_FALSE(p.compiler.empty());
   EXPECT_FALSE(p.hostname.empty());
+  // The hot-kernel ISA, known at build time: never a placeholder that
+  // waits for some kernel to run first.
+  EXPECT_EQ(p.simd, obs::kernel_isa());
+  EXPECT_TRUE(p.simd == "avx512" || p.simd == "avx2" || p.simd == "baseline")
+      << p.simd;
+  EXPECT_NE(p.simd, "unresolved");
   std::ostringstream os;
   p.write_json(os);
   EXPECT_NE(os.str().find("\"git_sha\""), std::string::npos);
   EXPECT_NE(os.str().find("\"compiler\""), std::string::npos);
+  EXPECT_NE(os.str().find("\"simd\": \"" + p.simd + "\""),
+            std::string::npos);
 }
 
 core::LuConfig small_lu_cfg() {

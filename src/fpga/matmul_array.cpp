@@ -87,8 +87,8 @@ void MatMulArray::mac(Span2D<const double> c, Span2D<const double> d,
   //
   // Native FP streams through the packed engine at every size: C-row strips
   // and D micropanels (D's rows, for NT) are packed into contiguous scratch
-  // (the read stage), the dispatched SIMD microkernel accumulates (compute),
-  // and each result strip is written back per tile (write). NativeFp::mac is
+  // (the read stage), gemm's 8x8 microkernel accumulates (compute), and
+  // each result strip is written back per tile (write). NativeFp::mac is
   // an unfused a*b then add, the same operation the engine performs. The
   // engine's grain checks keep an opMM-share-sized product on the calling
   // thread; only products big enough to split fan out to the pool.

@@ -97,7 +97,8 @@ constexpr std::size_t kLanes = kVecBytes / sizeof(double);
 
 // A tile row is kRowVecs vectors, and the rows go in groups of eight
 // accumulators: all 8 rows at AVX-512 (one zmm each), 4 at AVX2 and 2 at
-// SSE2, half of their 16 registers.
+// SSE2. Eight leave room for the B row and the broadcast of a even in the
+// 16 registers of AVX2 and SSE2; the B panel is re-read per group from L1.
 constexpr std::size_t kRowVecs = kNR / kLanes;
 constexpr std::size_t kGroupRows = kMR / kRowVecs;
 static_assert(kNR % kLanes == 0 && kMR % kRowVecs == 0,

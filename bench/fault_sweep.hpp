@@ -39,9 +39,7 @@ struct FaultPoint {
 
 /// The sweep's stock plan: a couple of slowdown windows and degraded links
 /// over the run plus a handful of FPGA bit-flips aimed at early call
-/// ordinals (so they actually land at bench scales). No crashes — the
-/// sweep measures tolerated faults, and a fail-stop is not tolerable by
-/// recomputation.
+/// ordinals (so they actually land at bench scales).
 inline sim::FaultPlan make_bench_plan(int ranks, std::uint64_t seed,
                                       double horizon_s) {
   sim::FaultSpec spec;

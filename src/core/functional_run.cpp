@@ -28,7 +28,7 @@ void Rank::end_timed() {
   r.fpga_flops = node.fpga_flops_total();
   r.bytes_on_network = comm.bytes_sent();
   r.coordination_events = node.coordination_events();
-  out_.faults += comm.fault_stats();  // link/crash side of the plan
+  out_.faults += comm.fault_stats();  // link side of the plan, timeouts
 }
 
 RunTotals run_ranks(const RunSetup& setup,

@@ -34,10 +34,10 @@ struct FwConfig {
   /// are byte-identical to the blocking schedule; only the schedule (and
   /// therefore the clocks) moves.
   bool lookahead = false;
-  /// Fault injection: schedule of slowdowns/link faults/crashes/bit-flips
-  /// applied during the run (must outlive it). Bit-flips target the
-  /// FPGA-assigned wave tasks, counted per rank in streaming order.
-  /// nullptr = the fault-free path.
+  /// Fault injection: schedule of slowdowns/link faults/bit-flips applied
+  /// during the run (must outlive it). Bit-flips target the FPGA-assigned
+  /// wave tasks, counted per rank in streaming order. nullptr = the
+  /// fault-free path.
   const sim::FaultPlan* faults = nullptr;
   /// Fault tolerance: dual-modular redundancy on FPGA-assigned wave tasks —
   /// min-plus results carry no exploitable checksum (the tropical semiring

@@ -51,9 +51,9 @@ struct LuConfig {
   /// The paper's implementation could not do this ("we used the atomic ACML
   /// routines", §6.2) — this switch quantifies what that cost.
   bool lookahead = false;
-  /// Fault injection: schedule of slowdowns/link faults/crashes/bit-flips
-  /// applied during the run (must outlive it). nullptr = the fault-free
-  /// path, byte-identical to a build without this feature.
+  /// Fault injection: schedule of slowdowns/link faults/bit-flips applied
+  /// during the run (must outlive it). nullptr = the fault-free path,
+  /// byte-identical to a build without this feature.
   const sim::FaultPlan* faults = nullptr;
   /// Fault tolerance: ABFT row/column checksums on every FPGA opMM share —
   /// detecting corrupted results, repairing single flipped elements exactly

@@ -74,29 +74,13 @@ void Comm::note_recv_trace(const Message& msg, SimTime before,
   ev.peer = msg.src;
   ev.t0 = before;
   ev.t1 = clock_.now();
-  // A peer that died without sending leaves no wire interval: pin it to the
-  // wait's end so the analyzer sees a zero-length (fully visible) transfer.
-  ev.depart = msg.src >= 0 ? msg.depart : ev.t1;
-  ev.arrival = msg.src >= 0 ? msg.arrival : ev.t1;
+  ev.depart = msg.depart;
+  ev.arrival = msg.arrival;
   ev.bytes = msg.payload.size();
   ev.phase = trace_->intern(
       phase != nullptr ? phase
                        : (coll_label_ != nullptr ? coll_label_ : "recv"));
   trace_->add_comm(ev);
-}
-
-void Comm::check_crash() {
-  const sim::FaultPlan* plan = world_->fault_plan_;
-  if (plan == nullptr) return;
-  const SimTime at = plan->crash_time(rank_);
-  if (clock_.now() < at) return;
-  if (!world_->is_failed(rank_)) {
-    fault_stats_.crashes += 1;
-    world_->mark_failed(rank_);
-  }
-  throw RankFailed(rank_, "rank " + std::to_string(rank_) +
-                              " fail-stopped at simulated t=" +
-                              std::to_string(at) + "s (FaultPlan crash)");
 }
 
 sim::LinkCost Comm::wire_cost(int dst, std::uint64_t bytes) {
@@ -126,7 +110,6 @@ void Comm::send(int dst, int tag, Payload payload) {
 }
 
 void Comm::send_any_tag(int dst, int tag, Payload payload) {
-  check_crash();
   obs::ScopedTimer span("send", "net");
   const std::uint64_t bytes = payload.size();
   note_send_metrics(bytes);
@@ -154,7 +137,6 @@ void Comm::isend(int dst, int tag, Payload payload) {
   RCS_CHECK_MSG(dst != rank_, "isend to self (rank " << rank_ << ")");
   RCS_CHECK_MSG(
       tag >= 0, "isend with reserved tag " << tag << " (user tags must be >= 0)");
-  check_crash();
   obs::ScopedTimer span("isend", "net");
   const std::uint64_t bytes = payload.size();
   note_send_metrics(bytes);
@@ -220,7 +202,6 @@ Message Comm::recv(int src, int tag, const char* phase) {
 }
 
 Message Comm::recv_any_tag(int src, int tag, const char* phase) {
-  check_crash();
   // The span covers the blocking mailbox wait — idle time shows up in the
   // trace as long "recv" slices on the waiting rank's lane.
   obs::ScopedTimer span("recv", "net");
@@ -236,21 +217,12 @@ Message Comm::recv_deadline(int src, int tag, SimTime timeout_s,
   RCS_CHECK_MSG(src != rank_, "recv_deadline from self (rank " << rank_ << ")");
   RCS_CHECK_MSG(tag >= 0, "recv_deadline with reserved tag " << tag);
   RCS_CHECK_MSG(timeout_s > 0.0, "recv_deadline timeout must be positive");
-  check_crash();
   obs::ScopedTimer span("recv", "net");
   if (timed_out != nullptr) *timed_out = false;
   const SimTime wait_t0 = clock_.now();
   const SimTime deadline = wait_t0 + timeout_s;
-  Message msg;
-  bool peer_failed = false;
-  try {
-    msg = world_->take(rank_, src, tag);
-  } catch (const RankFailed&) {
-    // The peer fail-stopped without sending: msg keeps src = -1, and
-    // note_recv_trace pins its empty wire interval.
-    peer_failed = true;
-  }
-  if (peer_failed || msg.arrival > deadline) {
+  Message msg = world_->take(rank_, src, tag);
+  if (msg.arrival > deadline) {
     // Give up at the deadline. A late message is drained (it exists; the
     // payload may serve diagnostics) but the clock stops at the deadline, so
     // the caller can recompute the straggler's work without inheriting its
@@ -277,21 +249,6 @@ void Comm::reset_for_run() {
   fault_stats_ = sim::FaultStats();
   trace_ = nullptr;
   coll_label_ = nullptr;
-}
-
-Payload Comm::bcast(int root, int tag, Payload payload) {
-  const int p = size();
-  RCS_CHECK_MSG(root >= 0 && root < p, "bcast bad root " << root);
-  if (obs::metrics_enabled() && rank_ == root) NetMetrics::get().bcasts.add(1);
-  CollScope coll(*this, "bcast");
-  if (rank_ == root) {
-    for (int r = 0; r < p; ++r) {
-      if (r == root) continue;
-      send(r, tag, payload);
-    }
-    return payload;
-  }
-  return recv(root, tag).payload;
 }
 
 void Comm::barrier() {
@@ -321,11 +278,6 @@ void Comm::barrier() {
 
 World::World(int size, NetworkParams net) : size_(size), net_(net) {
   RCS_CHECK_MSG(size >= 1, "world size must be at least 1, got " << size);
-  failed_ = std::make_unique<std::atomic<bool>[]>(static_cast<std::size_t>(size));
-  for (int r = 0; r < size; ++r) {
-    failed_[static_cast<std::size_t>(r)].store(false,
-                                               std::memory_order_relaxed);
-  }
   mailboxes_.reserve(static_cast<std::size_t>(size));
   comms_.reserve(static_cast<std::size_t>(size));
   for (int r = 0; r < size; ++r) {
@@ -386,19 +338,9 @@ Message World::take(int dst, int src, int tag) {
                          "waiting for src=" +
                          std::to_string(src) + " tag=" + std::to_string(tag));
     }
-    // A fail-stopped source will never send: surface RankFailed instead of
-    // blocking forever. Also after the queue search — pre-crash messages
-    // stay consumable, and the crash time is simulated, so which messages
-    // precede it is deterministic.
-    if (is_failed(src)) {
-      throw RankFailed(src, "rank " + std::to_string(dst) +
-                                " waiting for src=" + std::to_string(src) +
-                                " tag=" + std::to_string(tag) +
-                                ", but that rank fail-stopped");
-    }
-    // Park until a waker (deliver / poison_mailboxes / mark_failed) fires,
-    // then re-run the predicate checks above. The rank's fiber parks on its
-    // own stack, freeing the worker thread to run another rank.
+    // Park until a waker (deliver / poison_mailboxes) fires, then re-run
+    // the checks above. The rank's fiber parks on its own stack, freeing
+    // the worker thread to run another rank.
     common::Fiber* self = common::Fiber::current();
     RCS_CHECK_MSG(self != nullptr, "rank " << dst
                                            << " received outside World::run");
@@ -419,48 +361,6 @@ void World::poison_mailboxes() {
   }
 }
 
-void World::mark_failed(int rank) {
-  // Wakeup-protocol note (the missed-wakeup audit of the `failed_` flag):
-  // the release store below happens outside every box mutex, yet no blocked
-  // take() can miss it. A waiter's last is_failed check before parking runs
-  // with box.mu held, and it registers in fiber_waiters and keeps holding
-  // box.mu until Fiber::park releases the mutex — so for each waiter there
-  // are only two interleavings:
-  //
-  //  1. The waiter's lock of box.mu succeeds only after this thread's
-  //     lock/unlock below released it. Then store(failed_) sequenced-before
-  //     unlock(box.mu) happens-before the waiter's lock — the re-check (or
-  //     the pre-park check) observes the flag and throws.
-  //  2. The waiter already held box.mu when this thread arrived at the
-  //     lock below. Then the waiter is registered before this thread can
-  //     acquire the mutex, so the splice below finds it and wakes it (a
-  //     wake that races the park's context switch is kept, not lost — see
-  //     Fiber::wake). The woken waiter re-checks under the mutex and
-  //     interleaving 1 applies.
-  //
-  // The splice must happen under the mutex so each parked fiber earns
-  // exactly one wake.
-  // Regression: MiniMpiFaults.CrashDuringBlockedRecvStress.
-  failed_[static_cast<std::size_t>(rank)].store(true,
-                                                std::memory_order_release);
-  std::vector<common::Fiber*> waiters;
-  for (auto& box : mailboxes_) {
-    {
-      std::lock_guard<std::mutex> lock(box->mu);
-      waiters.swap(box->fiber_waiters);
-    }
-    wake_waiters(waiters);
-  }
-}
-
-std::vector<int> World::failed_ranks() const {
-  std::vector<int> out;
-  for (int r = 0; r < size_; ++r) {
-    if (is_failed(r)) out.push_back(r);
-  }
-  return out;
-}
-
 void World::set_max_workers(int max_workers) {
   RCS_CHECK_MSG(max_workers > 0,
                 "max_workers must be positive, got " << max_workers);
@@ -477,10 +377,6 @@ void World::run(const std::function<void(Comm&)>& rank_main) {
       box->from.clear();
       box->poisoned = false;
       box->fiber_waiters.clear();
-    }
-    for (int r = 0; r < size_; ++r) {
-      failed_[static_cast<std::size_t>(r)].store(false,
-                                                 std::memory_order_relaxed);
     }
     for (auto& c : comms_) c->reset_for_run();
   }
@@ -504,24 +400,6 @@ void World::run(const std::function<void(Comm&)>& rank_main) {
       if (!first_error) {
         first_error = std::current_exception();
         first_is_abort = true;
-      }
-    } catch (const RankFailed& rf) {
-      if (rf.rank == r) {
-        // Injected fail-stop of this rank: expected under a FaultPlan.
-        // The world keeps running — survivors observe the failure as
-        // RankFailed on their own receives and may tolerate it.
-      } else {
-        // A survivor let a peer's failure escape its main function:
-        // the app did not tolerate the fault, so unwind the world
-        // like any other error.
-        {
-          std::lock_guard<std::mutex> lock(err_mu);
-          if (!first_error || first_is_abort) {
-            first_error = std::current_exception();
-            first_is_abort = false;
-          }
-        }
-        poison_mailboxes();
       }
     } catch (...) {
       {

@@ -15,14 +15,12 @@
 // with the network communications"), a send charges the full serialization
 // time `latency + bytes/B_n` to the *sender's* clock (the CPU drives MPI),
 // and a receive advances the receiver's clock to at least the message's
-// arrival time. Broadcast is root-serialized, matching the paper's
-// "transfers ... to all the other nodes".
+// arrival time.
 //
 // Determinism: receives always name their source and tag, clocks depend only
 // on message payload sizes and compute charges — never on wall-clock time —
 // so repeated runs give identical simulated timings and data.
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -182,17 +180,6 @@ struct WorldAborted : Error {
   explicit WorldAborted(const std::string& what) : Error(what) {}
 };
 
-/// Thrown when a rank fail-stops under an injected FaultPlan crash, and out
-/// of receives from a peer that has already failed. Distinct from
-/// WorldAborted: a RankFailed world keeps running — survivors observe the
-/// failure per-operation and may catch it to degrade gracefully, whereas
-/// WorldAborted means the whole run is unwinding after an unexpected error.
-struct RankFailed : Error {
-  RankFailed(int failed_rank, const std::string& what)
-      : Error(what), rank(failed_rank) {}
-  int rank;  // the rank that fail-stopped (may be the thrower or a peer)
-};
-
 /// A rank's handle to the world: MPI-flavoured operations plus the rank's
 /// virtual clock. One Comm per rank, used only from that rank's fiber.
 class Comm {
@@ -225,15 +212,13 @@ class Comm {
   /// at least the message's simulated arrival. `phase` names the receive's
   /// trace event (default: the active collective, else "recv"); the
   /// critical-path analyzer splits its wire time into hidden and visible
-  /// per phase. Throws RankFailed when `src` fail-stopped before sending
-  /// the message.
+  /// per phase.
   Message recv(int src, int tag, const char* phase = nullptr);
 
   /// recv() with a simulated-time budget: if the message's arrival lands
-  /// past `clock.now() + timeout_s` (or the source fail-stopped), sets
-  /// *timed_out, advances the clock only to the deadline, and returns the
-  /// late message (src = -1 when the peer died without sending) so the
-  /// caller can degrade gracefully instead of stalling on a straggler.
+  /// past `clock.now() + timeout_s`, sets *timed_out, advances the clock
+  /// only to the deadline, and returns the late message so the caller can
+  /// degrade gracefully instead of stalling on a straggler.
   Message recv_deadline(int src, int tag, SimTime timeout_s, bool* timed_out,
                         const char* phase = nullptr);
 
@@ -247,15 +232,11 @@ class Comm {
     send(dst, tag, Payload::copy_of(&v, sizeof(T)));
   }
 
-  /// Root-serialized broadcast: root sends to every other rank in turn
-  /// (P_t' "transfers ... to all the other nodes"); non-roots receive.
-  /// Returns the payload, on every rank the root's one buffer.
-  Payload bcast(int root, int tag, Payload payload);
-
   /// Binomial-tree broadcast: ceil(log2 p) rounds, each relay forwarding to
   /// its subtree, so the last arrival is ~log2(p) transfer times instead of
-  /// the root-serialized (p-1). Every rank must call it. Relays forward
-  /// the buffer they received, so every rank returns the root's buffer.
+  /// a root-serialized fan-out's (p-1). Every rank must call it. Relays
+  /// forward the buffer they received, so every rank returns the root's
+  /// buffer.
   Payload bcast_tree(int root, int tag, Payload payload);
 
   /// Barrier (gather-to-0 then release). Synchronizes simulated clocks to
@@ -278,7 +259,7 @@ class Comm {
   std::uint64_t bytes_sent() const { return bytes_sent_; }
 
   /// Injection accounting for this rank under the World's FaultPlan (link
-  /// degradation seconds, self-crash). Zeroed when no plan is installed.
+  /// degradation seconds) and its deadline receives' timeouts.
   const sim::FaultStats& fault_stats() const { return fault_stats_; }
 
  private:
@@ -293,12 +274,6 @@ class Comm {
   /// operations validate user tags and then route through these.
   void send_any_tag(int dst, int tag, Payload payload);
   Message recv_any_tag(int src, int tag, const char* phase);
-
-  /// Fail-stop checkpoint: when the installed FaultPlan crashes this rank
-  /// at t <= now, mark the rank failed, wake every blocked peer, and throw
-  /// RankFailed. Called on entry to every communication operation — crashes
-  /// manifest at the first message the dead rank would have touched.
-  void check_crash();
 
   /// Per-message wire parameters: the network's nominal latency/bandwidth,
   /// degraded and jittered by the FaultPlan when one is installed (also
@@ -364,20 +339,20 @@ class World {
   /// on the global ThreadPool (see set_max_workers), so a world never runs
   /// on more OS threads than the pool has. A receive that must wait parks
   /// the rank's fiber and frees its worker for another rank. Simulated
-  /// clocks, FIFO per-(src,tag) delivery, poison/RankFailed propagation
-  /// and FaultPlan replay do not depend on the worker count (receives name
-  /// their source and tag, and per-pair order is fixed by the sender's
-  /// program order, so no scheduler interleaving is observable). Rethrows the first rank exception after every rank has
-  /// finished; when one rank fails, every mailbox is poisoned so peers
-  /// blocked in recv/barrier wake with WorldAborted instead of hanging
-  /// (those secondary aborts are swallowed — the original exception is
-  /// what propagates). With metrics on, each rank's message and byte totals
-  /// are recorded once into the net.rank_msgs_sent / net.rank_bytes_sent
-  /// histograms when the run ends. The Comms (and their clocks / byte
-  /// counters) remain inspectable afterwards. Calling run() again first
-  /// resets all per-run state (clocks, NIC timelines, byte counters,
-  /// undelivered messages), so a World is reusable and each run starts from
-  /// t = 0.
+  /// clocks, FIFO per-(src,tag) delivery, poison propagation and FaultPlan
+  /// replay do not depend on the worker count (receives name their source
+  /// and tag, and per-pair order is fixed by the sender's program order, so
+  /// no scheduler interleaving is observable). An exception that escapes a
+  /// rank's main is the one way a run fails: every mailbox is poisoned so
+  /// peers blocked in recv/barrier wake with WorldAborted instead of
+  /// hanging, and once every rank has finished the first such exception is
+  /// rethrown (the secondary aborts are swallowed). With metrics on, each
+  /// rank's message and byte totals are recorded once into the
+  /// net.rank_msgs_sent / net.rank_bytes_sent histograms when the run ends.
+  /// The Comms (and their clocks / byte counters) remain inspectable
+  /// afterwards. Calling run() again first resets all per-run state (clocks,
+  /// NIC timelines, byte counters, undelivered messages), so a World is
+  /// reusable and each run starts from t = 0.
   void run(const std::function<void(Comm&)>& rank_main);
 
   /// Rank r's Comm — valid between construction and destruction; read its
@@ -390,13 +365,8 @@ class World {
 
   /// Install a fault plan for subsequent run()s (nullptr = fault-free; the
   /// plan must outlive the runs). With a plan, sends see degraded/jittered
-  /// links, ranks fail-stop at their crash times, and receives from failed
-  /// peers throw RankFailed.
+  /// links.
   void set_fault_plan(const sim::FaultPlan* plan) { fault_plan_ = plan; }
-  const sim::FaultPlan* fault_plan() const { return fault_plan_; }
-
-  /// Ranks that fail-stopped during the last run(), ascending.
-  std::vector<int> failed_ranks() const;
 
   /// Run the ranks over min(max_workers, size()) worker loops instead of
   /// the default min(pool threads, size()). The pool's thread count still
@@ -426,15 +396,6 @@ class World {
   /// failure so the surviving ranks cannot deadlock on a dead peer).
   void poison_mailboxes();
 
-  /// Mark `rank` fail-stopped and wake every blocked take() so waits on the
-  /// dead rank turn into RankFailed instead of hanging (other traffic keeps
-  /// flowing — unlike poison_mailboxes, the world stays alive).
-  void mark_failed(int rank);
-  bool is_failed(int rank) const {
-    return failed_[static_cast<std::size_t>(rank)].load(
-        std::memory_order_acquire);
-  }
-
   /// Wake every fiber blocked in take() on one box. `spliced` must have
   /// been swapped out of the box's fiber_waiters under its mutex.
   static void wake_waiters(std::vector<common::Fiber*>& spliced);
@@ -444,7 +405,6 @@ class World {
   int max_workers_ = 0;  // 0 = the pool's thread count
   bool ran_ = false;  // a run() completed; the next run() resets state
   const sim::FaultPlan* fault_plan_ = nullptr;
-  std::unique_ptr<std::atomic<bool>[]> failed_;  // fail-stopped ranks
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
   std::vector<std::unique_ptr<Comm>> comms_;
 };

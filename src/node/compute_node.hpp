@@ -58,8 +58,6 @@ class ComputeNode {
               sim::TraceRecorder* trace, const std::string& name);
 
   const NodeParams& params() const { return params_; }
-  const fpga::DeviceConfig& fpga_device() const { return params_.fpga; }
-  const GppModel& gpp() const { return params_.gpp; }
 
   /// Charge `flops` of `kernel` work to the processor.
   void cpu_compute(CpuKernel kernel, double flops, const char* label);
@@ -81,9 +79,6 @@ class ComputeNode {
   /// Assert the §4.4 read-permission protocol before the processor touches
   /// FPGA-produced data. Throws rcs::Error when results are not yet visible.
   void read_fpga_results(const char* what) const;
-
-  /// Simulated time the FPGA becomes idle.
-  sim::SimTime fpga_free_at() const { return fpga_busy_until_; }
 
   /// Accumulated busy seconds.
   sim::SimTime cpu_busy_total() const { return cpu_busy_total_; }

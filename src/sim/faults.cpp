@@ -14,7 +14,6 @@ FaultStats& FaultStats::operator+=(const FaultStats& o) {
   slowdown_added_s += o.slowdown_added_s;
   link_hits += o.link_hits;
   link_added_s += o.link_added_s;
-  crashes += o.crashes;
   checks += o.checks;
   detected += o.detected;
   corrected_elements += o.corrected_elements;
@@ -71,13 +70,6 @@ FaultPlan FaultPlan::generate(const FaultSpec& spec) {
     plan.add_link_fault(f);
   }
 
-  for (int i = 0; i < spec.crashes; ++i) {
-    RankCrash c;
-    c.rank = static_cast<int>(rng.uniform_index(spec.ranks));
-    c.at = rng.uniform(0.0, spec.horizon_s);
-    plan.add_crash(c);
-  }
-
   for (int i = 0; i < spec.bitflips; ++i) {
     BitFlip f;
     f.rank = static_cast<int>(rng.uniform_index(spec.ranks));
@@ -107,12 +99,6 @@ void FaultPlan::add_link_fault(const LinkFault& f) {
                 "LinkFault latencies must be non-negative");
   RCS_CHECK_MSG(f.end > f.begin, "LinkFault must have positive length");
   links_.push_back(f);
-}
-
-void FaultPlan::add_crash(const RankCrash& c) {
-  RCS_CHECK_MSG(c.rank >= 0, "RankCrash.rank must be >= 0");
-  RCS_CHECK_MSG(c.at >= 0.0, "RankCrash.at must be non-negative");
-  crashes_.push_back(c);
 }
 
 void FaultPlan::add_bitflip(const BitFlip& f) {
@@ -188,13 +174,6 @@ LinkCost FaultPlan::link_cost(int src, int dst, SimTime depart,
     out.latency_s += u * jitter_max;
   }
   return out;
-}
-
-SimTime FaultPlan::crash_time(int rank) const {
-  SimTime at = std::numeric_limits<SimTime>::infinity();
-  for (const RankCrash& c : crashes_)
-    if (c.rank == rank) at = std::min(at, c.at);
-  return at;
 }
 
 const BitFlip* FaultPlan::flip_for(int rank, std::uint64_t call) const {

@@ -3,9 +3,9 @@
 //
 // A FaultPlan is pure data: a seeded, pre-sampled schedule of adversity —
 // per-rank compute-slowdown windows (stragglers), link degradation/jitter
-// windows, rank crashes at a simulated time, and transient bit-flips in FPGA
-// result tiles. The plan never draws randomness at injection time: every
-// event is fixed at construction (FaultPlan::generate seeds a common Rng;
+// windows, and transient bit-flips in FPGA result tiles. No event stops a
+// rank. The plan never draws randomness at injection time: every event is
+// fixed at construction (FaultPlan::generate seeds a common Rng;
 // per-message jitter is a stateless SplitMix64 hash of the plan seed and the
 // message's deterministic (src, dst, sequence) coordinates), so the same
 // plan replays byte-identically across runs and RCS_THREADS settings.
@@ -14,8 +14,7 @@
 //   * node::ComputeNode — stretches CPU/FPGA charges through
 //     stretch_compute(), piecewise over the overlapping windows;
 //   * net::Comm        — degrades/jitters transfer costs through
-//     link_cost(), and throws net::RankFailed at the first communication
-//     past crash_time();
+//     link_cost();
 //   * core::lu_functional / core::fw_functional — corrupt FPGA result tiles
 //     (an opMM share's FPGA rows, an FPGA-assigned wave task) per
 //     flip_for() via apply_bitflip().
@@ -59,13 +58,6 @@ struct LinkFault {
   SimTime jitter_max_s = 0.0;
 };
 
-/// Fail-stop crash: rank `rank` dies at the first communication operation it
-/// attempts at simulated time >= `at` (net::RankFailed).
-struct RankCrash {
-  int rank = -1;
-  SimTime at = 0.0;
-};
-
 /// Transient bit-flip in an FPGA result tile: on rank `rank`'s `call`-th
 /// FPGA result (0-based; opMM shares with b_f > 0 for LU, FPGA-assigned
 /// wave tasks for FW), flip bit `bit` (0 = lsb .. 63 = sign) of the element at
@@ -94,7 +86,6 @@ struct FaultStats {
   double slowdown_added_s = 0.0;      // total stretch over nominal
   std::uint64_t link_hits = 0;        // messages that saw degraded links
   double link_added_s = 0.0;          // transfer seconds over nominal
-  std::uint64_t crashes = 0;
 
   // Tolerance side.
   std::uint64_t checks = 0;              // ABFT / DMR verifications run
@@ -132,8 +123,6 @@ struct FaultSpec {
   SimTime link_extra_latency_max_s = 0.0;
   SimTime link_jitter_max_s = 0.0;
 
-  int crashes = 0;
-
   int bitflips = 0;
   std::uint64_t bitflip_max_call = 64;  // call ordinals sampled in [0, max)
   int bitflip_bit_min = 44;  // high-mantissa/exponent region: the relative
@@ -153,17 +142,11 @@ class FaultPlan {
   /// Direct construction for targeted tests/experiments.
   void add_slowdown(const SlowdownWindow& w);
   void add_link_fault(const LinkFault& f);
-  void add_crash(const RankCrash& c);
   void add_bitflip(const BitFlip& f);
 
-  std::uint64_t seed() const { return seed_; }
   bool empty() const {
-    return slowdowns_.empty() && links_.empty() && crashes_.empty() &&
-           flips_.empty();
+    return slowdowns_.empty() && links_.empty() && flips_.empty();
   }
-  std::size_t slowdown_count() const { return slowdowns_.size(); }
-  std::size_t link_fault_count() const { return links_.size(); }
-  std::size_t crash_count() const { return crashes_.size(); }
   std::size_t bitflip_count() const { return flips_.size(); }
 
   /// Stretched duration of a compute charge on `rank` starting at `start`:
@@ -181,22 +164,15 @@ class FaultPlan {
   LinkCost link_cost(int src, int dst, SimTime depart, const LinkCost& base,
                      std::uint64_t seq) const;
 
-  /// Simulated time `rank` fail-stops (+infinity when it never crashes).
-  SimTime crash_time(int rank) const;
-
   /// The flip scheduled for `rank`'s `call`-th FPGA result, or nullptr.
   const BitFlip* flip_for(int rank, std::uint64_t call) const;
 
-  const std::vector<SlowdownWindow>& slowdowns() const { return slowdowns_; }
-  const std::vector<LinkFault>& link_faults() const { return links_; }
-  const std::vector<RankCrash>& crashes() const { return crashes_; }
   const std::vector<BitFlip>& bitflips() const { return flips_; }
 
  private:
   std::uint64_t seed_ = 0;
   std::vector<SlowdownWindow> slowdowns_;
   std::vector<LinkFault> links_;
-  std::vector<RankCrash> crashes_;
   std::vector<BitFlip> flips_;
 };
 

@@ -63,7 +63,6 @@ class TraceRecorder {
  public:
   explicit TraceRecorder(bool enabled = false) : enabled_(enabled) {}
 
-  void set_enabled(bool enabled) { enabled_ = enabled; }
   bool enabled() const { return enabled_; }
 
   /// The id of `name`, added to the name table on first use. Looking up a

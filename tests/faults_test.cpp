@@ -9,13 +9,11 @@
 #include "core/lu_functional.hpp"
 #include "graph/generate.hpp"
 #include "linalg/generate.hpp"
-#include "net/minimpi.hpp"
 #include "sim/faults.hpp"
 
 namespace core = rcs::core;
 namespace la = rcs::linalg;
 namespace gr = rcs::graph;
-namespace net = rcs::net;
 namespace sim = rcs::sim;
 
 namespace {
@@ -226,48 +224,6 @@ TEST(FaultRecovery, FwSurvivesStragglerBitIdentically) {
   EXPECT_GT(faulty.faults.slowdown_hits, 0u);
   EXPECT_GT(faulty.run.seconds, clean.run.seconds);
   EXPECT_TRUE(la::bit_equal(faulty.distances.view(), clean.distances.view()));
-}
-
-// A fail-stop crash is not recoverable by recomputation: it surfaces as
-// RankFailed (distinct from WorldAborted) out of the functional run, in
-// both schedules, whether the rank dies at its first communication or
-// halfway through the fault-free makespan.
-TEST(FaultRecovery, LuCrashPropagatesRankFailed) {
-  const la::Matrix a = la::diagonally_dominant(64, 7);
-  for (const bool lookahead : {false, true}) {
-    core::LuConfig cfg = lu_cfg();
-    cfg.lookahead = lookahead;
-    const double clean_s = core::lu_functional(xd1_p(3), cfg, a).run.seconds;
-    for (const double at : {0.0, clean_s / 2.0}) {
-      sim::FaultPlan plan(29);
-      sim::RankCrash c;
-      c.rank = 1;
-      c.at = at;
-      plan.add_crash(c);
-      cfg.faults = &plan;
-      EXPECT_THROW(core::lu_functional(xd1_p(3), cfg, a), net::RankFailed)
-          << "lookahead=" << lookahead << " at=" << at;
-    }
-  }
-}
-
-TEST(FaultRecovery, FwCrashPropagatesRankFailed) {
-  const la::Matrix d0 = gr::random_digraph(64, 5, 0.4);
-  for (const bool lookahead : {false, true}) {
-    core::FwConfig cfg = fw_cfg();
-    cfg.lookahead = lookahead;
-    const double clean_s = core::fw_functional(xd1_p(2), cfg, d0).run.seconds;
-    for (const double at : {0.0, clean_s / 2.0}) {
-      sim::FaultPlan plan(31);
-      sim::RankCrash c;
-      c.rank = 1;
-      c.at = at;
-      plan.add_crash(c);
-      cfg.faults = &plan;
-      EXPECT_THROW(core::fw_functional(xd1_p(2), cfg, d0), net::RankFailed)
-          << "lookahead=" << lookahead << " at=" << at;
-    }
-  }
 }
 
 // Zero-cost default: no plan and an installed-but-empty plan are the same

@@ -105,7 +105,7 @@ TEST(MiniMpi, RecvNeverMovesClockBackwards) {
   });
 }
 
-TEST(MiniMpi, BcastDeliversToAll) {
+TEST(MiniMpi, FanOutDeliversToAll) {
   net::World world(4, fast_net());
   std::atomic<int> sum{0};
   world.run([&](net::Comm& comm) {
@@ -113,8 +113,10 @@ TEST(MiniMpi, BcastDeliversToAll) {
     if (comm.rank() == 2) {
       const double mine[] = {5.0, 6.0};
       payload = net::Payload::copy_of(mine, sizeof(mine));
+      rcs::core::fan_out(comm, /*dma=*/false, {{9, payload}});
+    } else {
+      payload = comm.recv(2, 9).payload;
     }
-    payload = comm.bcast(2, 9, std::move(payload));
     const std::vector<double> v =
         net::Message{.payload = std::move(payload)}.as_doubles();
     ASSERT_EQ(v.size(), 2u);
@@ -123,18 +125,19 @@ TEST(MiniMpi, BcastDeliversToAll) {
   EXPECT_EQ(sum.load(), 4 * 11);
 }
 
-TEST(MiniMpi, BcastIsRootSerialized) {
+TEST(MiniMpi, FanOutIsRootSerialized) {
   net::NetworkParams np;
   np.bytes_per_s = 1e6;  // 1 MB/s so costs are visible
   net::World world(3, np);
   world.run([](net::Comm& comm) {
     const std::vector<double> v(125'000, 1.0);  // 1 MB -> 1 s per destination
     if (comm.rank() == 0) {
-      comm.bcast(0, 1,
-                 net::Payload::copy_of(v.data(), v.size() * sizeof(double)));
+      rcs::core::fan_out(
+          comm, /*dma=*/false,
+          {{1, net::Payload::copy_of(v.data(), v.size() * sizeof(double))}});
       EXPECT_NEAR(comm.clock().now(), 2.0, 1e-9);  // two serialized sends
     } else {
-      comm.bcast(0, 1, net::Payload());
+      comm.recv(0, 1);
       // rank 1 gets it after 1 s, rank 2 after 2 s.
       EXPECT_NEAR(comm.clock().now(), comm.rank() == 1 ? 1.0 : 2.0, 1e-9);
     }
@@ -274,8 +277,10 @@ TEST(MiniMpi, TreeBcastBeatsSerialBcastInSimTime) {
       if (comm.rank() == 0) payload = zeros(bytes);
       if (tree) {
         comm.bcast_tree(0, 1, std::move(payload));
+      } else if (comm.rank() == 0) {
+        rcs::core::fan_out(comm, /*dma=*/false, {{1, std::move(payload)}});
       } else {
-        comm.bcast(0, 1, std::move(payload));
+        comm.recv(0, 1);
       }
     });
     return world.makespan();
@@ -331,7 +336,7 @@ TEST(MatrixChannel, RoundTripsStridedViews) {
   EXPECT_EQ(world.comm(0).bytes_sent(), 2 * net::matrix_wire_bytes(4, 5));
 }
 
-// One payload, many destinations: fan_out, bcast and bcast_tree hand every
+// One payload, many destinations: fan_out and bcast_tree hand every
 // receiver the root's buffer, while the byte counters and the trace still
 // charge one transfer per destination. Eight ranks share two
 // worker threads, so receivers drop their references on either thread.
@@ -342,7 +347,7 @@ TEST(MatrixChannel, OneBufferReachesEveryRankAndEveryTransferIsCharged) {
   const Matrix block = rcs::linalg::random_matrix(16, 16, 9);
   const net::Payload packed = net::pack_matrix(block.view());
   const std::uint64_t wire = net::matrix_wire_bytes(16, 16);
-  for (const std::string how : {"fan_out", "bcast", "bcast_tree"}) {
+  for (const std::string how : {"fan_out", "bcast_tree"}) {
     SCOPED_TRACE(how);
     net::World world(kP, fast_net());
     std::vector<sim::TraceRecorder> traces(kP, sim::TraceRecorder(true));
@@ -351,9 +356,7 @@ TEST(MatrixChannel, OneBufferReachesEveryRankAndEveryTransferIsCharged) {
       comm.set_trace(&traces[static_cast<std::size_t>(r)]);
       const net::Payload mine = r == 0 ? packed : net::Payload();
       net::Payload got;
-      if (how == "bcast") {
-        got = comm.bcast(0, 5, mine);
-      } else if (how == "bcast_tree") {
+      if (how == "bcast_tree") {
         got = comm.bcast_tree(0, 5, mine);
       } else if (r == 0) {
         rcs::core::fan_out(comm, /*dma=*/false, {{5, mine}});
@@ -369,7 +372,7 @@ TEST(MatrixChannel, OneBufferReachesEveryRankAndEveryTransferIsCharged) {
     std::uint64_t bytes = 0;
     for (int r = 0; r < kP; ++r) bytes += world.comm(r).bytes_sent();
     EXPECT_EQ(bytes, (kP - 1) * wire);
-    if (how != "bcast_tree") {
+    if (how == "fan_out") {
       EXPECT_EQ(world.comm(0).bytes_sent(), (kP - 1) * wire);
     }
     int sends = 0;
@@ -676,65 +679,7 @@ TEST(MiniMpiDeadline, TimeoutStopsClockAtDeadline) {
   });
 }
 
-// --- Fault plans: crashes and link degradation -----------------------------
-
-// A crashed rank's RankFailed propagates out of World::run when no one
-// handles it, and the failure is distinct from WorldAborted.
-TEST(MiniMpiFaults, UncaughtCrashPropagatesRankFailed) {
-  sim::FaultPlan plan(1);
-  plan.add_crash({0, 1.0});
-  net::World world(2, fast_net());
-  world.set_fault_plan(&plan);
-  try {
-    world.run([](net::Comm& comm) {
-      if (comm.rank() == 0) {
-        comm.clock().advance(2.0);     // sail past the crash time...
-        comm.send_value(1, 1, 7);      // ...and die at the first comm op
-        ADD_FAILURE() << "rank 0 should have fail-stopped";
-      } else {
-        comm.recv(0, 1);  // peer died: RankFailed escapes unhandled
-      }
-    });
-    FAIL() << "expected RankFailed to propagate";
-  } catch (const net::RankFailed& rf) {
-    EXPECT_EQ(rf.rank, 0);
-  }
-  EXPECT_EQ(world.failed_ranks(), std::vector<int>{0});
-}
-
-// Survivors that catch RankFailed (or use deadline receives) let the run
-// complete normally — graceful degradation instead of a world abort.
-TEST(MiniMpiFaults, CaughtCrashLetsSurvivorsFinish) {
-  sim::FaultPlan plan(1);
-  plan.add_crash({0, 1.0});
-  net::World world(2, fast_net());
-  world.set_fault_plan(&plan);
-  world.run([](net::Comm& comm) {
-    if (comm.rank() == 0) {
-      comm.clock().advance(2.0);
-      EXPECT_THROW(comm.send_value(1, 1, 7), net::RankFailed);
-      EXPECT_EQ(comm.fault_stats().crashes, 1u);
-      return;  // the dead rank stops participating
-    }
-    bool timed_out = false;
-    const net::Message m = comm.recv_deadline(0, 1, 0.5, &timed_out);
-    EXPECT_TRUE(timed_out);
-    EXPECT_TRUE(m.payload.empty());  // peer died without sending
-    EXPECT_EQ(m.src, -1);
-    EXPECT_DOUBLE_EQ(comm.clock().now(), 0.5);
-  });
-  EXPECT_EQ(world.failed_ranks(), std::vector<int>{0});
-  // Clearing the plan restores a fault-free, reusable world.
-  world.set_fault_plan(nullptr);
-  world.run([](net::Comm& comm) {
-    if (comm.rank() == 0) {
-      comm.send_value(1, 1, 8);
-    } else {
-      EXPECT_EQ(comm.recv(0, 1).as<int>(), 8);
-    }
-  });
-  EXPECT_TRUE(world.failed_ranks().empty());
-}
+// --- Fault plans: link degradation ------------------------------------------
 
 // Link degradation is deterministic and exactly reflects the plan: halving
 // the bandwidth doubles the (latency-free) transfer time, and replaying the
@@ -793,78 +738,81 @@ TEST(MiniMpiFaults, EmptyPlanIsZeroCost) {
   EXPECT_DOUBLE_EQ(makespan(nullptr), makespan(&empty));
 }
 
-// Regression for the mark_failed wakeup protocol (see the proof comment in
-// minimpi.cpp): rank 1 is already blocked in recv when rank 0 fail-stops,
-// so every iteration exercises the check-to-block window where a missed
-// wakeup would hang the receiver until the suite TIMEOUT. Hammered with both
-// ranks on one worker loop and with each rank free to run on its own.
-TEST(MiniMpiFaults, CrashDuringBlockedRecvStress) {
+// --- The poison path under stress -----------------------------------------
+
+// Regression for the poison wakeup: rank 1 tells rank 0 it is ready and
+// blocks in a receive from rank 0, which takes the token and throws. Every
+// iteration exercises the window between rank 1's last check and its park,
+// where a lost wake would hang it until the suite TIMEOUT. Hammered with
+// both ranks on one worker loop and with each rank free to run on its own.
+TEST(MiniMpiFaults, ThrowDuringBlockedRecvStress) {
   for (const int workers : {1, 2}) {
     for (int iter = 0; iter < 120; ++iter) {
-      sim::FaultPlan plan(static_cast<unsigned>(iter + 1));
-      plan.add_crash({0, 0.0});
       net::World world(2, fast_net());
-      world.set_fault_plan(&plan);
       world.set_max_workers(workers);
       try {
         world.run([](net::Comm& comm) {
           if (comm.rank() == 0) {
-            comm.clock().advance(1.0);  // crash due at the next comm op
-            comm.send_value(1, 1, 7);   // fail-stop fires here
-            ADD_FAILURE() << "rank 0 should have fail-stopped";
-          } else {
-            comm.recv(0, 1);  // blocked when rank 0 dies: must wake + throw
+            (void)comm.recv(1, 1);
+            throw rcs::Error("rank 0 died");
           }
+          comm.send_value(0, 1, 7);
+          (void)comm.recv(0, 2);  // only the poison can wake this
         });
-        FAIL() << "expected RankFailed (workers " << workers << ", iter "
+        FAIL() << "expected rank 0's error (workers " << workers << ", iter "
                << iter << ")";
-      } catch (const net::RankFailed& rf) {
-        EXPECT_EQ(rf.rank, 0);
+      } catch (const net::WorldAborted& e) {
+        FAIL() << "a secondary abort escaped: " << e.what();
+      } catch (const rcs::Error& e) {
+        EXPECT_STREQ(e.what(), "rank 0 died");
       }
-      EXPECT_EQ(world.failed_ranks(), std::vector<int>{0});
     }
   }
 }
 
-// A dead source fails only the receives that name it. Rank 0's receive
-// from fail-stopped rank 1 throws RankFailed, and the messages ranks 2-7
-// sent it stay consumable afterwards. Run on one worker loop and on two.
-TEST(MiniMpiFaults, DeadSourceLeavesOtherSourcesConsumable) {
+// The poison fails only the receives that would block. Ranks 2-7 each send
+// rank 0 a message and then rank 1 a token, and rank 1 throws once it holds
+// every token. Rank 0's receive from rank 1 throws WorldAborted, and the
+// messages ranks 2-7 delivered before the poison are still returned. Run on
+// one worker loop and on two.
+TEST(MiniMpiFaults, DeliveredMessagesSurviveThePoison) {
   for (const int workers : {1, 2}) {
-    sim::FaultPlan plan(1);
-    plan.add_crash({1, 0.0});
     net::World world(8, fast_net());
-    world.set_fault_plan(&plan);
     world.set_max_workers(workers);
-    world.run([workers](net::Comm& comm) {
-      const int r = comm.rank();
-      if (r == 1) {
-        EXPECT_THROW(comm.send_value(0, 4, r), net::RankFailed);
-        return;  // the dead rank stops participating
-      }
-      if (r != 0) {
-        comm.send_value(0, 4, 100 + r);
-        return;
-      }
-      try {
-        (void)comm.recv(1, 4);
-        ADD_FAILURE() << "rank 1 fail-stopped (workers " << workers << ")";
-      } catch (const net::RankFailed& rf) {
-        EXPECT_EQ(rf.rank, 1);
-      }
-      for (int src = 2; src < comm.size(); ++src) {
-        EXPECT_EQ(comm.recv(src, 4).as<int>(), 100 + src);
-      }
-    });
-    EXPECT_EQ(world.failed_ranks(), std::vector<int>{1});
+    int received = 0;  // written by rank 0 only
+    try {
+      world.run([&received](net::Comm& comm) {
+        const int r = comm.rank();
+        if (r == 1) {
+          for (int src = 2; src < comm.size(); ++src) (void)comm.recv(src, 5);
+          throw rcs::Error("rank 1 died");
+        }
+        if (r != 0) {
+          comm.send_value(0, 4, 100 + r);
+          comm.send_value(1, 5, r);
+          return;
+        }
+        EXPECT_THROW((void)comm.recv(1, 4), net::WorldAborted);
+        for (int src = 2; src < comm.size(); ++src) {
+          EXPECT_EQ(comm.recv(src, 4).as<int>(), 100 + src);
+          ++received;
+        }
+      });
+      FAIL() << "expected rank 1's error (workers " << workers << ")";
+    } catch (const net::WorldAborted& e) {
+      FAIL() << "a secondary abort escaped: " << e.what();
+    } catch (const rcs::Error& e) {
+      EXPECT_STREQ(e.what(), "rank 1 died");
+    }
+    EXPECT_EQ(received, 6) << "workers " << workers;
   }
 }
 
 // p=256 smoke for the fiber rank scheduler: ring send/recv, barrier, and
-// bcast_tree all complete in one process, then a second run on the same
-// world injects one fail-stop and every survivor observes it. The suite
+// bcast_tree all complete in one process, then in a second run on the same
+// world one rank throws and every survivor blocked on it wakes. The suite
 // TIMEOUT is the hang guard.
-TEST(MiniMpiScale, P256RingBarrierBcastTreeWithFailStop) {
+TEST(MiniMpiScale, P256RingBarrierBcastTree) {
   constexpr int kP = 256;
   net::World world(kP, fast_net());
 
@@ -886,22 +834,23 @@ TEST(MiniMpiScale, P256RingBarrierBcastTreeWithFailStop) {
     EXPECT_EQ(got.data()[0], std::byte{0xAB});
     EXPECT_EQ(got.data()[1], std::byte{0xCD});
   });
-  EXPECT_TRUE(world.failed_ranks().empty());
 
-  // Same world, one injected fail-stop: rank 17 dies at its first comm op,
-  // all 255 blocked survivors must wake with RankFailed (not hang).
-  sim::FaultPlan plan(99);
-  plan.add_crash({17, 0.0});
-  world.set_fault_plan(&plan);
-  world.run([](net::Comm& comm) {
-    if (comm.rank() == 17) {
-      comm.clock().advance(1.0);
-      EXPECT_THROW(comm.send_value(0, 3, 1), net::RankFailed);
-      return;  // the dead rank stops participating
-    }
-    EXPECT_THROW(comm.recv(17, 3), net::RankFailed);
-  });
-  EXPECT_EQ(world.failed_ranks(), std::vector<int>{17});
+  // Same world, rank 17 throws: all 255 survivors blocked on it must wake
+  // with WorldAborted (not hang), and run() rethrows rank 17's error.
+  std::atomic<int> woken{0};
+  try {
+    world.run([&woken](net::Comm& comm) {
+      if (comm.rank() == 17) throw rcs::Error("rank 17 died");
+      EXPECT_THROW((void)comm.recv(17, 3), net::WorldAborted);
+      ++woken;
+    });
+    FAIL() << "expected rank 17's error";
+  } catch (const net::WorldAborted& e) {
+    FAIL() << "a secondary abort escaped: " << e.what();
+  } catch (const rcs::Error& e) {
+    EXPECT_STREQ(e.what(), "rank 17 died");
+  }
+  EXPECT_EQ(woken.load(), kP - 1);
 }
 
 // Fan-in at p=256: every rank sends rank 0 a tag-9 message between two

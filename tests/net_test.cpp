@@ -5,6 +5,7 @@
 #include <array>
 #include <atomic>
 #include <cstring>
+#include <functional>
 #include <mutex>
 #include <regex>
 #include <set>
@@ -44,6 +45,21 @@ net::NetworkParams fast_net() {
 net::Payload zeros(std::size_t bytes) {
   return net::Payload::build(
       bytes, [&](std::byte* out) { std::memset(out, 0, bytes); });
+}
+
+/// Runs `rank_main` on `world` and expects run() to rethrow the rank error
+/// whose message is `what`, not one of the WorldAborted errors it induced.
+void expect_rank_error(net::World& world,
+                       const std::function<void(net::Comm&)>& rank_main,
+                       const char* what) {
+  try {
+    world.run(rank_main);
+    ADD_FAILURE() << "expected \"" << what << "\"";
+  } catch (const net::WorldAborted& e) {
+    ADD_FAILURE() << "a secondary abort escaped: " << e.what();
+  } catch (const rcs::Error& e) {
+    EXPECT_STREQ(e.what(), what);
+  }
 }
 
 TEST(MiniMpi, SendRecvMovesBytes) {
@@ -748,24 +764,21 @@ TEST(MiniMpiFaults, EmptyPlanIsZeroCost) {
 TEST(MiniMpiFaults, ThrowDuringBlockedRecvStress) {
   for (const int workers : {1, 2}) {
     for (int iter = 0; iter < 120; ++iter) {
+      SCOPED_TRACE(testing::Message()
+                   << "workers " << workers << ", iter " << iter);
       net::World world(2, fast_net());
       world.set_max_workers(workers);
-      try {
-        world.run([](net::Comm& comm) {
-          if (comm.rank() == 0) {
-            (void)comm.recv(1, 1);
-            throw rcs::Error("rank 0 died");
-          }
-          comm.send_value(0, 1, 7);
-          (void)comm.recv(0, 2);  // only the poison can wake this
-        });
-        FAIL() << "expected rank 0's error (workers " << workers << ", iter "
-               << iter << ")";
-      } catch (const net::WorldAborted& e) {
-        FAIL() << "a secondary abort escaped: " << e.what();
-      } catch (const rcs::Error& e) {
-        EXPECT_STREQ(e.what(), "rank 0 died");
-      }
+      expect_rank_error(
+          world,
+          [](net::Comm& comm) {
+            if (comm.rank() == 0) {
+              (void)comm.recv(1, 1);
+              throw rcs::Error("rank 0 died");
+            }
+            comm.send_value(0, 1, 7);
+            (void)comm.recv(0, 2);  // only the poison can wake this
+          },
+          "rank 0 died");
     }
   }
 }
@@ -777,34 +790,33 @@ TEST(MiniMpiFaults, ThrowDuringBlockedRecvStress) {
 // one worker loop and on two.
 TEST(MiniMpiFaults, DeliveredMessagesSurviveThePoison) {
   for (const int workers : {1, 2}) {
+    SCOPED_TRACE(testing::Message() << "workers " << workers);
     net::World world(8, fast_net());
     world.set_max_workers(workers);
     int received = 0;  // written by rank 0 only
-    try {
-      world.run([&received](net::Comm& comm) {
-        const int r = comm.rank();
-        if (r == 1) {
-          for (int src = 2; src < comm.size(); ++src) (void)comm.recv(src, 5);
-          throw rcs::Error("rank 1 died");
-        }
-        if (r != 0) {
-          comm.send_value(0, 4, 100 + r);
-          comm.send_value(1, 5, r);
-          return;
-        }
-        EXPECT_THROW((void)comm.recv(1, 4), net::WorldAborted);
-        for (int src = 2; src < comm.size(); ++src) {
-          EXPECT_EQ(comm.recv(src, 4).as<int>(), 100 + src);
-          ++received;
-        }
-      });
-      FAIL() << "expected rank 1's error (workers " << workers << ")";
-    } catch (const net::WorldAborted& e) {
-      FAIL() << "a secondary abort escaped: " << e.what();
-    } catch (const rcs::Error& e) {
-      EXPECT_STREQ(e.what(), "rank 1 died");
-    }
-    EXPECT_EQ(received, 6) << "workers " << workers;
+    expect_rank_error(
+        world,
+        [&received](net::Comm& comm) {
+          const int r = comm.rank();
+          if (r == 1) {
+            for (int src = 2; src < comm.size(); ++src) {
+              (void)comm.recv(src, 5);
+            }
+            throw rcs::Error("rank 1 died");
+          }
+          if (r != 0) {
+            comm.send_value(0, 4, 100 + r);
+            comm.send_value(1, 5, r);
+            return;
+          }
+          EXPECT_THROW((void)comm.recv(1, 4), net::WorldAborted);
+          for (int src = 2; src < comm.size(); ++src) {
+            EXPECT_EQ(comm.recv(src, 4).as<int>(), 100 + src);
+            ++received;
+          }
+        },
+        "rank 1 died");
+    EXPECT_EQ(received, 6);
   }
 }
 
@@ -838,18 +850,14 @@ TEST(MiniMpiScale, P256RingBarrierBcastTree) {
   // Same world, rank 17 throws: all 255 survivors blocked on it must wake
   // with WorldAborted (not hang), and run() rethrows rank 17's error.
   std::atomic<int> woken{0};
-  try {
-    world.run([&woken](net::Comm& comm) {
-      if (comm.rank() == 17) throw rcs::Error("rank 17 died");
-      EXPECT_THROW((void)comm.recv(17, 3), net::WorldAborted);
-      ++woken;
-    });
-    FAIL() << "expected rank 17's error";
-  } catch (const net::WorldAborted& e) {
-    FAIL() << "a secondary abort escaped: " << e.what();
-  } catch (const rcs::Error& e) {
-    EXPECT_STREQ(e.what(), "rank 17 died");
-  }
+  expect_rank_error(
+      world,
+      [&woken](net::Comm& comm) {
+        if (comm.rank() == 17) throw rcs::Error("rank 17 died");
+        EXPECT_THROW((void)comm.recv(17, 3), net::WorldAborted);
+        ++woken;
+      },
+      "rank 17 died");
   EXPECT_EQ(woken.load(), kP - 1);
 }
 
